@@ -16,6 +16,18 @@ band descending, queue position ascending, submission time, id) while the
 number of strictly-higher-priority historical transactions is below the
 block's remaining capacity. Displaced historical transactions are not
 re-queued; congestion is simply re-read from the next snapshot.
+
+The engine queues cohorts, not transactions. A cohort is every
+transaction that entered one band at one instant (a submission or a bump),
+keyed by ``(band, queued_at)``; its members share a queue position and an
+outflow mark, hence the same ``same_band_ahead`` for as long as they stay.
+Inside a band, cohorts are ordered by ``(same_band_ahead, queued_at)`` and
+members by id, which is the priority order above. With ``above``
+historical transactions in higher bands, one block confirms
+``max(0, min(live, remaining - above - same_band_ahead))`` of a cohort's
+``live`` members, exactly what confirming them one by one would do. So
+queue order and the confirmation test cost one step per cohort, however
+many identical transactions a mass exit submits and bumps together.
 """
 
 from __future__ import annotations
@@ -23,10 +35,10 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -310,8 +322,9 @@ class Historical:
 class ConstantAverage:
     """Every block fits a constant average number of transactions.
 
-    Fractional averages accumulate across blocks so the long-run rate is
-    exact."""
+    The average is read from its decimal string, as ``FeeRate.from_sat``
+    reads a fee, and fractional parts are carried exactly across blocks:
+    the first i blocks fit ``floor(i * avg)`` transactions in total."""
 
     avg_tx_per_block: float
 
@@ -360,10 +373,6 @@ class MonitoredTx:
         remaining = self._queue_pos - drained
         return remaining if remaining > 0 else 0
 
-    def _rank(self) -> int:
-        # absolute queue coordinate inside the band's cumulative outflow
-        return self._queue_pos + self._outflow_mark
-
 
 def higher_priority_count(histogram: FeeHistogram, tx: MonitoredTx) -> int:
     """Historical transactions that must confirm before tx: everything in
@@ -372,13 +381,71 @@ def higher_priority_count(histogram: FeeHistogram, tx: MonitoredTx) -> int:
     return above + tx.same_band_ahead
 
 
-@dataclass
-class _BandQueue:
-    txs: deque = field(default_factory=deque)
-    dirty: bool = True
-    # smallest rank still above the band's outflow at the last sort;
-    # None means every queued position has hit zero (order is settled)
-    min_unfloored_rank: int | None = None
+class _Cohort:
+    """Transactions that entered one band at one instant, in id order.
+
+    A transaction belongs to the cohort of its current ``(band,
+    queued_at)`` while it is pending. Members that leave (bumped into
+    another cohort, confirmed or withdrawn) stay in the list and are
+    skipped. Every member was given the same queue position and outflow
+    mark, and the cohort reads them from its first live member.
+    """
+
+    __slots__ = ("band", "queued_at", "members", "head", "in_order")
+
+    def __init__(self, band: int, queued_at: int, members: list[MonitoredTx] | None = None):
+        self.band = band
+        self.queued_at = queued_at
+        self.members = [] if members is None else members
+        self.head = 0  # every member before head has left
+        self.in_order = True  # members ascend by id
+
+    def _holds(self, tx: MonitoredTx) -> bool:
+        return tx.status is TxStatus.PENDING and tx.queued_at == self.queued_at and tx.band == self.band
+
+    def add(self, tx: MonitoredTx) -> None:
+        members = self.members
+        if members and tx.id < members[-1].id:
+            self.in_order = False
+        members.append(tx)
+
+    def live(self) -> list[MonitoredTx]:
+        # _holds inlined here and in confirm: both visit every member
+        band, queued_at, pending = self.band, self.queued_at, TxStatus.PENDING
+        return [
+            tx
+            for tx in self.members[self.head:]
+            if tx.status is pending and tx.queued_at == queued_at and tx.band == band
+        ]
+
+    def first(self) -> MonitoredTx | None:
+        """The live member with the smallest id, or None once all left."""
+        if not self.in_order:
+            self.members = sorted(self.live(), key=attrgetter("id"))
+            self.head = 0
+            self.in_order = True
+        members, i = self.members, self.head
+        while i < len(members) and not self._holds(members[i]):
+            i += 1
+        self.head = i
+        return members[i] if i < len(members) else None
+
+    def confirm(self, room: int, height: int, out: list[MonitoredTx]) -> int:
+        """Confirm up to room live members in id order (after ``first``),
+        appending them to out; returns how many confirmed."""
+        members, band, queued_at = self.members, self.band, self.queued_at
+        pending, confirmed = TxStatus.PENDING, TxStatus.CONFIRMED
+        i, took = self.head, 0
+        while took < room and i < len(members):
+            tx = members[i]
+            i += 1
+            if tx.status is pending and tx.queued_at == queued_at and tx.band == band:
+                tx.status = confirmed
+                tx.confirmed_height = height
+                out.append(tx)
+                took += 1
+        self.head = i
+        return took
 
 
 class ReplayEngine:
@@ -400,14 +467,15 @@ class ReplayEngine:
         self.record_events = record_events
         self.events: list[tuple[int, list[str]]] = []
         self.transactions: dict[str, MonitoredTx] = {}
-        self._bands: dict[int, _BandQueue] = {}
+        # band -> queued_at -> cohort
+        self._bands: dict[int, dict[int, _Cohort]] = {}
         self._snap = 0
         self._clock = timeline.timestamps[0]
         self._counts = [int(c) for c in timeline.counts[0]]
         self._outflow = [int(c) for c in timeline.cum_outflow[0]]
         self._seq = 0
         self._last_height: int | None = None
-        self._carry = 0.0
+        self._carry = Fraction(0)
 
     # -- snapshot cursor -------------------------------------------------
 
@@ -418,6 +486,8 @@ class ReplayEngine:
     def _advance(self, t: int) -> None:
         if t < self._clock:
             raise ReplayError(f"event at {t} precedes engine clock {self._clock}")
+        if t == self._clock:
+            return
         idx = self.timeline.index_at(t)
         if idx != self._snap:
             self._snap = idx
@@ -450,6 +520,7 @@ class ReplayEngine:
             raise ReplayError(f"duplicate transaction id {tx_id!r}")
         self._advance(at)
         band = self._band_index(fee)
+        pos, mark = self._position(band)
         tx = MonitoredTx(
             id=tx_id,
             fee=fee,
@@ -457,13 +528,13 @@ class ReplayEngine:
             band=band,
             seq=self._seq,
             queued_at=at,
-            _queue_pos=self._counts[band] if band >= 0 else 0,
-            _outflow_mark=self._outflow[band] if band >= 0 else 0,
+            _queue_pos=pos,
+            _outflow_mark=mark,
             _outflows=self._outflow,
         )
         self._seq += 1
         self.transactions[tx_id] = tx
-        self._enqueue(tx)
+        self._cohort(band, at).add(tx)
         return tx
 
     def bump(self, tx_id: str, new_fee: FeeRate, at: int) -> MonitoredTx:
@@ -476,18 +547,38 @@ class ReplayEngine:
             raise ReplayError(f"bump must increase the fee ({new_fee} <= {tx.fee})")
         self._advance(at)
         band = self._band_index(new_fee)
-        tx.fee = new_fee
-        tx.queued_at = at
-        tx._queue_pos = self._counts[band] if band >= 0 else 0
-        tx._outflow_mark = self._outflow[band] if band >= 0 else 0
-        if band != tx.band:
-            # fee only rises, so the band only rises: the old queue entry
-            # can never be revisited and is pruned lazily
+        if band != tx.band or at != tx.queued_at:
+            # band and time only rise, so the old cohort never takes tx back
             tx.band = band
-            self._enqueue(tx)
-        else:
-            self._bands[band].dirty = True
+            tx.queued_at = at
+            self._cohort(band, at).add(tx)
+        tx.fee = new_fee
+        tx._queue_pos, tx._outflow_mark = self._position(band)
         return tx
+
+    def bump_all(self, new_fee: FeeRate, at: int) -> None:
+        """Bump every pending transaction to new_fee, as one ``bump`` per
+        pending transaction would, in one pass over the cohorts: afterwards
+        all of them form the single cohort of new_fee's band at ``at``."""
+        sources = [cohort for cohorts in self._bands.values() for cohort in cohorts.values()]
+        movers = [tx for cohort in sources for tx in cohort.live()]
+        if not movers:
+            return
+        top = FeeRate(max(map(attrgetter("fee.centi"), movers)))
+        if new_fee <= top:
+            raise ReplayError(f"bump must increase the fee ({new_fee} <= {top})")
+        self._advance(at)
+        band = self._band_index(new_fee)
+        pos, mark = self._position(band)
+        for tx in movers:
+            tx.fee = new_fee
+            tx.band = band
+            tx.queued_at = at
+            tx._queue_pos = pos
+            tx._outflow_mark = mark
+        merged = _Cohort(band, at, movers)
+        merged.in_order = len(sources) == 1 and sources[0].in_order
+        self._bands = {band: {at: merged}}
 
     def withdraw(self, tx_id: str) -> MonitoredTx:
         tx = self.transactions.get(tx_id)
@@ -514,28 +605,14 @@ class ReplayEngine:
         for i in range(len(counts) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + counts[i]
         for band in sorted(self._bands, reverse=True):
-            if remaining <= 0:
-                break
-            queue = self._bands[band]
-            txs = queue.txs
-            if not txs:
-                continue
-            if self._needs_sort(band, queue):
-                self._resort(band, queue)
-                txs = queue.txs
-            above = suffix[band + 1] if band >= 0 else suffix[0]
-            while txs and remaining > 0:
-                tx = txs[0]
-                if tx.status is not TxStatus.PENDING or tx.band != band:
-                    txs.popleft()  # stale: bumped away, confirmed, or withdrawn
-                    continue
-                if above + tx.same_band_ahead >= remaining:
-                    break  # sorted by position: the rest of the band fails too
-                txs.popleft()
-                tx.status = TxStatus.CONFIRMED
-                tx.confirmed_height = entry.height
-                confirmed.append(tx)
-                remaining -= 1
+            above = suffix[band + 1]  # band -1 sits below the whole mempool
+            if above >= remaining:
+                break  # lower bands have even more above them
+            for ahead, _, cohort in self._queue(band):
+                room = remaining - above - ahead
+                if room <= 0:
+                    break  # cohorts ascend by position: the rest of the band fails too
+                remaining -= cohort.confirm(room, entry.height, confirmed)
         if self.record_events and confirmed:
             self.events.append((entry.height, [tx.id for tx in confirmed]))
         return confirmed
@@ -546,35 +623,43 @@ class ReplayEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _enqueue(self, tx: MonitoredTx) -> None:
-        queue = self._bands.get(tx.band)
-        if queue is None:
-            queue = self._bands[tx.band] = _BandQueue()
-        queue.txs.append(tx)
-        queue.dirty = True
+    def _position(self, band: int) -> tuple[int, int]:
+        """Queue position and outflow mark of a transaction entering band now."""
+        if band < 0:
+            return 0, 0
+        return self._counts[band], self._outflow[band]
 
-    def _needs_sort(self, band: int, queue: _BandQueue) -> bool:
-        if queue.dirty:
-            return True
-        if queue.min_unfloored_rank is None:
-            return False  # order settled until the next arrival or bump
-        o_now = self._outflow[band] if band >= 0 else 0
-        return o_now >= queue.min_unfloored_rank
+    def _cohort(self, band: int, at: int) -> _Cohort:
+        cohorts = self._bands.get(band)
+        if cohorts is None:
+            cohorts = self._bands[band] = {}
+        cohort = cohorts.get(at)
+        if cohort is None:
+            cohort = cohorts[at] = _Cohort(band, at)
+        return cohort
 
-    def _resort(self, band: int, queue: _BandQueue) -> None:
-        live = [tx for tx in queue.txs if tx.status is TxStatus.PENDING and tx.band == band]
-        live.sort(key=lambda tx: (tx.same_band_ahead, tx.queued_at, tx.id))
-        queue.txs = deque(live)
-        queue.dirty = False
-        o_now = self._outflow[band] if band >= 0 else 0
-        unfloored = [tx._rank() for tx in live if tx._rank() > o_now]
-        queue.min_unfloored_rank = min(unfloored) if unfloored else None
+    def _queue(self, band: int) -> list[tuple[int, int, _Cohort]]:
+        """The band's cohorts as (same_band_ahead, queued_at, cohort) in
+        priority order, dropping cohorts that every member left."""
+        cohorts = self._bands[band]
+        order = []
+        for queued_at, cohort in list(cohorts.items()):
+            tx = cohort.first()
+            if tx is None:
+                del cohorts[queued_at]
+            else:
+                order.append((tx.same_band_ahead, queued_at, cohort))
+        if not cohorts:
+            del self._bands[band]
+        order.sort()  # queued_at is unique in a band, so cohorts never compare
+        return order
 
     def _block_capacity(self, entry: BlockEntry) -> int:
         mode = self.capacity_mode
         if isinstance(mode, Historical):
             return entry.tx_count
-        want = mode.avg_tx_per_block + self._carry
-        cap = int(want)
-        self._carry = want - cap
+        # an exact carry keeps the cumulative capacity at floor(blocks * avg)
+        self._carry += Fraction(str(mode.avg_tx_per_block))
+        cap = int(self._carry)
+        self._carry -= cap
         return cap

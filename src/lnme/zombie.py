@@ -5,8 +5,6 @@ them confirm or the trace runs out."""
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .mempool import ReplayEngine
@@ -99,31 +97,20 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
         if bump_due(config.strategy, blocks):
             new_fee = fee.bumped(config.strategy.beta)
             if new_fee > fee:  # a no-op bump would reset queue positions
-                for tx in engine.pending():
-                    engine.bump(tx.id, new_fee, entry.timestamp)
+                engine.bump_all(new_fee, entry.timestamp)
                 fee = new_fee
     return ZombieReport(config, series, closed_at, remaining > 0)
 
 
-def thread_count() -> int:
-    """Sweep parallelism cap from LNME_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("LNME_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sweep_zombie(configs: list[ZombieConfig]) -> list[ZombieReport]:
-    """One simulation per config. Results follow input order regardless of
-    the worker count, so sweep outputs are byte-identical across thread
-    settings."""
+    """One simulation per config, run one after another in input order.
+
+    ``LNME_THREADS`` is accepted and ignored: the replay is pure Python, so
+    a thread pool gave no speedup under the interpreter lock.
+    """
     if not configs:
         raise ValueError("config list must be non-empty")
-    workers = thread_count()
-    if workers == 1 or len(configs) == 1:
-        return [simulate_zombie(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(simulate_zombie, configs))
+    return [simulate_zombie(c) for c in configs]
 
 
 def sweep_csv(reports: list[ZombieReport]) -> str:

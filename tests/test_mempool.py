@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -214,6 +215,27 @@ class TestSubmitAndBump:
         with pytest.raises(ReplayError, match="increase"):
             eng.bump("a", fee(20), T0)
 
+    def test_bump_all_moves_every_pending_tx_into_one_cohort(self):
+        eng = simple_engine([[0, 40, 9]] * 3)
+        for tid, rate in (("c", 20), ("a", 12), ("b", 60)):
+            eng.submit(tid, fee(rate), T0)
+        eng.withdraw("c")
+        eng.bump_all(fee(70), T0 + 60)
+        moved = [eng.transactions[t] for t in ("a", "b")]
+        assert [(tx.fee, tx.band, tx.queued_at, tx.same_band_ahead) for tx in moved] == [
+            (fee(70), 2, T0 + 60, 9)
+        ] * 2
+        assert eng.transactions["c"].fee == fee(20)
+        assert [tx.id for tx in eng.apply_block(BlockEntry(1, T0 + 60, 10))] == ["a"]
+
+    def test_bump_all_requires_fee_above_every_pending_fee(self):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        eng.submit("a", fee(20), T0)
+        eng.submit("b", fee(60), T0)
+        with pytest.raises(ReplayError, match="increase"):
+            eng.bump_all(fee(60), T0)
+        assert eng.transactions["a"].fee == fee(20)
+
     def test_bump_confirmed_tx_rejected(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("a", fee(70), T0)
@@ -336,6 +358,16 @@ class TestApplyBlock:
             eng.submit(f"t{i}", fee(70), T0)
         sizes = [len(eng.apply_block(BlockEntry(h, T0 + 600 * (h - 1), 0))) for h in range(1, 5)]
         assert sizes == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("avg", [2000.1, 0.3])
+    def test_constant_average_cumulative_capacity_is_exact(self, avg):
+        # a float carry drifts one below floor(i * avg) in 2000 of these blocks
+        eng = ReplayEngine(constant_timeline([0, 10, 50], [0, 0, 0], 2), ConstantAverage(avg))
+        rate = Fraction(str(avg))
+        total = 0
+        for i in range(1, 20_001):
+            total += eng._block_capacity(BlockEntry(i, T0, 0))
+            assert total == math.floor(i * rate), f"block {i}"
 
 
 class TestEngineProperties:
