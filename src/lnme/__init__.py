@@ -51,7 +51,6 @@ from .mempool import (
     ReplayEngine,
     TxStatus,
     average_fee,
-    higher_priority_count,
     load_block_trace,
     load_timeline,
 )

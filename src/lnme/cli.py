@@ -115,6 +115,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _block_average(text: str) -> float:
+    try:
+        return ConstantAverage(float(text)).avg_tx_per_block
+    except ValueError as exc:  # a usage error, not a data error
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _scenario_inputs(args) -> dict:
     return {"timeline": args.timeline, "blocks": args.blocks}
 
@@ -388,7 +395,7 @@ def _add_scenario_args(parser):
     parser.add_argument("--start", type=int, default=None, help="attack start (unix seconds, custom scenario)")
     parser.add_argument(
         "--avg-block-txs",
-        type=float,
+        type=_block_average,
         default=None,
         help="constant block capacity (required for scenario 2)",
     )

@@ -108,8 +108,6 @@ class ChannelAttack:
     penalty_submit_height: int | None = None
     sweep_submit_height: int | None = None
     decided_height: int | None = None
-    penalty_submitted: bool = False
-    sweep_submitted: bool = False
 
     @property
     def commitment_id(self) -> str:
@@ -209,8 +207,7 @@ def simulate_double_spend(
     lets a late penalty still win the race until the sweep confirms.
     """
     scenario_start = scenario.start()
-    if scenario_start < scenario.timeline.start:
-        raise ValueError("attack start precedes the timeline")
+    blocks = scenario.attack_blocks()
     engine = ReplayEngine(scenario.timeline, scenario.capacity_mode, record_events)
     attacks: list[ChannelAttack] = []
     by_commit: dict[str, ChannelAttack] = {}
@@ -234,11 +231,7 @@ def simulate_double_spend(
     series: list[tuple[int, int]] = []
     compromised_total = 0
     undecided = len(attacks)
-    for entry in scenario.trace:
-        if entry.timestamp < scenario_start:
-            continue
-        if entry.timestamp > scenario.timeline.end:
-            break
+    for entry in blocks:
         height = entry.height
         for tx in engine.apply_block(entry):
             atk = by_commit.get(tx.id)
@@ -246,7 +239,6 @@ def simulate_double_spend(
                 atk.commitment_height = height
                 fee = average_fee(engine.histogram())
                 engine.submit(atk.penalty_id, fee, entry.timestamp)
-                atk.penalty_submitted = True
                 atk.penalty_submit_height = height
                 by_penalty[atk.penalty_id] = atk
                 heapq.heappush(sweep_due, (height + atk.delay, len(by_penalty), atk))
@@ -259,7 +251,10 @@ def simulate_double_spend(
                     atk.outcome = Outcome.DEFENDED
                     atk.decided_height = height
                     undecided -= 1
-                    if atk.sweep_submitted and engine.transactions[atk.sweep_id].status is TxStatus.PENDING:
+                    if (
+                        atk.sweep_submit_height is not None
+                        and engine.transactions[atk.sweep_id].status is TxStatus.PENDING
+                    ):
                         engine.withdraw(atk.sweep_id)
                 continue
             atk = by_sweep.get(tx.id)
@@ -273,12 +268,11 @@ def simulate_double_spend(
         # submit sweeps for channels whose dispute delay just elapsed
         while sweep_due and sweep_due[0][0] <= height:
             _, _, atk = heapq.heappop(sweep_due)
-            if atk.outcome is not Outcome.UNDECIDED or atk.sweep_submitted:
+            if atk.outcome is not Outcome.UNDECIDED or atk.sweep_submit_height is not None:
                 continue
             if engine.transactions[atk.penalty_id].status is not TxStatus.PENDING:
                 continue
             engine.submit(atk.sweep_id, initial_fee(attacker.sweep), entry.timestamp)
-            atk.sweep_submitted = True
             atk.sweep_submit_height = height
             by_sweep[atk.sweep_id] = atk
             if sweep_step:

@@ -19,11 +19,12 @@ re-queued; congestion is simply re-read from the next snapshot.
 
 The engine queues cohorts, not transactions. A cohort is every
 transaction that entered one band at one instant (a submission or a bump),
-keyed by ``(band, queued_at)``; its members share a queue position and an
-outflow mark, hence the same ``same_band_ahead`` for as long as they stay.
-Inside a band, cohorts are ordered by ``(same_band_ahead, queued_at)`` and
-members by id, which is the priority order above. With ``above``
-historical transactions in higher bands, one block confirms
+keyed by ``(band, queued_at)``. The cohort alone holds the queue position
+and outflow mark its members were given, so all of them have the same
+``same_band_ahead`` (``ReplayEngine.same_band_ahead``) for as long as they
+stay. Inside a band, cohorts are ordered by ``(same_band_ahead,
+queued_at)`` and members by id, which is the priority order above. With
+``above`` historical transactions in higher bands, one block confirms
 ``max(0, min(live, remaining - above - same_band_ahead))`` of a cohort's
 ``live`` members, exactly what confirming them one by one would do. So
 queue order and the confirmation test cost one step per cohort, however
@@ -34,8 +35,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -134,16 +136,12 @@ def average_fee(histogram: FeeHistogram) -> FeeRate:
     total = histogram.total()
     if total == 0:
         return edges[0]
-    acc = Fraction(0)
-    for i, count in enumerate(histogram.counts):
-        if count == 0:
-            continue
-        if i + 1 < len(edges):
-            rep = Fraction(edges[i].centi + edges[i + 1].centi, 2)
-        else:
-            rep = Fraction(edges[i].centi)
-        acc += count * rep
-    return FeeRate(_round_half_up(acc / total))
+    # twice the count-weighted sum of midpoints, the top band counted at its
+    # lower edge, so the sum stays an integer
+    lows = [edge.centi for edge in edges]
+    highs = lows[1:] + lows[-1:]
+    acc2 = sum(count * (lo + hi) for count, lo, hi in zip(histogram.counts, lows, highs))
+    return FeeRate((acc2 + total) // (2 * total))  # acc2 / (2 * total), rounded half up
 
 
 class MempoolTimeline:
@@ -329,8 +327,8 @@ class ConstantAverage:
     avg_tx_per_block: float
 
     def __post_init__(self):
-        if self.avg_tx_per_block <= 0:
-            raise ValueError("avg_tx_per_block must be positive")
+        if not math.isfinite(self.avg_tx_per_block) or self.avg_tx_per_block <= 0:
+            raise ValueError("avg_tx_per_block must be positive and finite")
 
 
 CapacityMode = Historical | ConstantAverage
@@ -346,39 +344,18 @@ class TxStatus(Enum):
 class MonitoredTx:
     """A simulated transaction tracked against historical congestion.
 
-    ``same_band_ahead`` is the number of historical transactions in this
-    transaction's band that must confirm first: the band count observed at
-    submission, drained by the band's outflow since then. ``queued_at``
-    is the replace-by-fee re-submission time used for FIFO tie-breaking;
-    ``submitted_at`` never changes.
+    ``band`` and ``queued_at`` name the cohort that holds its queue
+    position; ``queued_at`` is the replace-by-fee re-submission time used
+    for FIFO tie-breaking, and ``submitted_at`` never changes.
     """
 
     id: str
     fee: FeeRate
     submitted_at: int
     band: int
-    seq: int
     status: TxStatus = TxStatus.PENDING
     confirmed_height: int | None = None
     queued_at: int = 0
-    _queue_pos: int = field(default=0, repr=False)
-    _outflow_mark: int = field(default=0, repr=False)
-    _outflows: list | None = field(default=None, repr=False)
-
-    @property
-    def same_band_ahead(self) -> int:
-        if self.band < 0:
-            return 0
-        drained = 0 if self._outflows is None else self._outflows[self.band] - self._outflow_mark
-        remaining = self._queue_pos - drained
-        return remaining if remaining > 0 else 0
-
-
-def higher_priority_count(histogram: FeeHistogram, tx: MonitoredTx) -> int:
-    """Historical transactions that must confirm before tx: everything in
-    strictly higher bands plus tx's remaining same-band queue."""
-    above = sum(histogram.counts[tx.band + 1:]) if tx.band >= 0 else sum(histogram.counts)
-    return above + tx.same_band_ahead
 
 
 class _Cohort:
@@ -387,18 +364,29 @@ class _Cohort:
     A transaction belongs to the cohort of its current ``(band,
     queued_at)`` while it is pending. Members that leave (bumped into
     another cohort, confirmed or withdrawn) stay in the list and are
-    skipped. Every member was given the same queue position and outflow
-    mark, and the cohort reads them from its first live member.
+    skipped. ``pos`` and ``mark`` are the band's count and cumulative
+    outflow when the cohort was created: the queue position every member
+    holds, drained by the band's outflow since then.
     """
 
-    __slots__ = ("band", "queued_at", "members", "head", "in_order")
+    __slots__ = ("band", "queued_at", "pos", "mark", "members", "head", "in_order")
 
-    def __init__(self, band: int, queued_at: int, members: list[MonitoredTx] | None = None):
+    def __init__(self, band: int, queued_at: int, pos: int, mark: int, members: list[MonitoredTx]):
         self.band = band
         self.queued_at = queued_at
-        self.members = [] if members is None else members
+        self.pos = pos
+        self.mark = mark
+        self.members = members
         self.head = 0  # every member before head has left
         self.in_order = True  # members ascend by id
+
+    def ahead(self, outflow: list[int]) -> int:
+        """Historical transactions of the band still queued before every
+        member, given the band's current cumulative outflow."""
+        if self.band < 0:
+            return 0
+        remaining = self.pos - (outflow[self.band] - self.mark)
+        return remaining if remaining > 0 else 0
 
     def _holds(self, tx: MonitoredTx) -> bool:
         return tx.status is TxStatus.PENDING and tx.queued_at == self.queued_at and tx.band == self.band
@@ -473,8 +461,13 @@ class ReplayEngine:
         self._clock = timeline.timestamps[0]
         self._counts = [int(c) for c in timeline.counts[0]]
         self._outflow = [int(c) for c in timeline.cum_outflow[0]]
-        self._seq = 0
         self._last_height: int | None = None
+        # the average is read once from its decimal string; None: historical
+        self._avg = (
+            Fraction(str(capacity_mode.avg_tx_per_block))
+            if isinstance(capacity_mode, ConstantAverage)
+            else None
+        )
         self._carry = Fraction(0)
 
     # -- snapshot cursor -------------------------------------------------
@@ -492,8 +485,7 @@ class ReplayEngine:
         if idx != self._snap:
             self._snap = idx
             self._counts = [int(c) for c in self.timeline.counts[idx]]
-            # in-place so transactions holding this list see fresh totals
-            self._outflow[:] = [int(c) for c in self.timeline.cum_outflow[idx]]
+            self._outflow = [int(c) for c in self.timeline.cum_outflow[idx]]
         self._clock = t
 
     def step_snapshot(self) -> None:
@@ -520,19 +512,7 @@ class ReplayEngine:
             raise ReplayError(f"duplicate transaction id {tx_id!r}")
         self._advance(at)
         band = self._band_index(fee)
-        pos, mark = self._position(band)
-        tx = MonitoredTx(
-            id=tx_id,
-            fee=fee,
-            submitted_at=at,
-            band=band,
-            seq=self._seq,
-            queued_at=at,
-            _queue_pos=pos,
-            _outflow_mark=mark,
-            _outflows=self._outflow,
-        )
-        self._seq += 1
+        tx = MonitoredTx(id=tx_id, fee=fee, submitted_at=at, band=band, queued_at=at)
         self.transactions[tx_id] = tx
         self._cohort(band, at).add(tx)
         return tx
@@ -552,8 +532,9 @@ class ReplayEngine:
             tx.band = band
             tx.queued_at = at
             self._cohort(band, at).add(tx)
+        # else tx stays in its cohort: the clock has not moved since the
+        # cohort was created, so its position is the band's count still
         tx.fee = new_fee
-        tx._queue_pos, tx._outflow_mark = self._position(band)
         return tx
 
     def bump_all(self, new_fee: FeeRate, at: int) -> None:
@@ -569,14 +550,11 @@ class ReplayEngine:
             raise ReplayError(f"bump must increase the fee ({new_fee} <= {top})")
         self._advance(at)
         band = self._band_index(new_fee)
-        pos, mark = self._position(band)
         for tx in movers:
             tx.fee = new_fee
             tx.band = band
             tx.queued_at = at
-            tx._queue_pos = pos
-            tx._outflow_mark = mark
-        merged = _Cohort(band, at, movers)
+        merged = _Cohort(band, at, *self._position(band), movers)
         merged.in_order = len(sources) == 1 and sources[0].in_order
         self._bands = {band: {at: merged}}
 
@@ -621,10 +599,19 @@ class ReplayEngine:
         """Pending transactions in submission order."""
         return [tx for tx in self.transactions.values() if tx.status is TxStatus.PENDING]
 
+    def same_band_ahead(self, tx_id: str) -> int:
+        """Historical transactions in a pending transaction's band that must
+        confirm before it: the band count when it entered its cohort,
+        drained by the band's outflow since then, floored at zero."""
+        tx = self.transactions.get(tx_id)
+        if tx is None or tx.status is not TxStatus.PENDING:
+            raise ReplayError(f"transaction {tx_id!r} is not pending")
+        return self._bands[tx.band][tx.queued_at].ahead(self._outflow)
+
     # -- internals ---------------------------------------------------------
 
     def _position(self, band: int) -> tuple[int, int]:
-        """Queue position and outflow mark of a transaction entering band now."""
+        """Queue position and outflow mark of a cohort entering band now."""
         if band < 0:
             return 0, 0
         return self._counts[band], self._outflow[band]
@@ -635,31 +622,29 @@ class ReplayEngine:
             cohorts = self._bands[band] = {}
         cohort = cohorts.get(at)
         if cohort is None:
-            cohort = cohorts[at] = _Cohort(band, at)
+            cohort = cohorts[at] = _Cohort(band, at, *self._position(band), [])
         return cohort
 
     def _queue(self, band: int) -> list[tuple[int, int, _Cohort]]:
         """The band's cohorts as (same_band_ahead, queued_at, cohort) in
         priority order, dropping cohorts that every member left."""
-        cohorts = self._bands[band]
+        cohorts, outflow = self._bands[band], self._outflow
         order = []
         for queued_at, cohort in list(cohorts.items()):
-            tx = cohort.first()
-            if tx is None:
+            if cohort.first() is None:
                 del cohorts[queued_at]
             else:
-                order.append((tx.same_band_ahead, queued_at, cohort))
+                order.append((cohort.ahead(outflow), queued_at, cohort))
         if not cohorts:
             del self._bands[band]
         order.sort()  # queued_at is unique in a band, so cohorts never compare
         return order
 
     def _block_capacity(self, entry: BlockEntry) -> int:
-        mode = self.capacity_mode
-        if isinstance(mode, Historical):
+        if self._avg is None:
             return entry.tx_count
         # an exact carry keeps the cumulative capacity at floor(blocks * avg)
-        self._carry += Fraction(str(mode.avg_tx_per_block))
+        self._carry += self._avg
         cap = int(self._carry)
         self._carry -= cap
         return cap

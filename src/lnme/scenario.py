@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mempool import (
+    BlockEntry,
     BlockTrace,
     CapacityMode,
     ConstantAverage,
@@ -27,6 +28,14 @@ class Scenario:
 
     def start(self) -> int:
         return self.timeline.start if self.start_timestamp is None else self.start_timestamp
+
+    def attack_blocks(self) -> list[BlockEntry]:
+        """The trace's blocks from the attack start to the timeline end,
+        both inclusive: congestion is unknown past the last snapshot."""
+        start, end = self.start(), self.timeline.end
+        if start < self.timeline.start:
+            raise ValueError("attack start precedes the timeline")
+        return [entry for entry in self.trace if start <= entry.timestamp <= end]
 
 
 def preset_scenario(

@@ -71,8 +71,7 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
     """
     scenario = config.scenario
     start = scenario.start()
-    if start < scenario.timeline.start:
-        raise ValueError("attack start precedes the timeline")
+    blocks = scenario.attack_blocks()
     engine = ReplayEngine(scenario.timeline, scenario.capacity_mode)
     n = config.channel_count
     fee = initial_fee(config.strategy)
@@ -80,21 +79,15 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
         engine.submit(f"close-{i:08d}", fee, start)
     series: list[tuple[int, int]] = []
     remaining = n
-    blocks = 0
     closed_at = None
-    for entry in scenario.trace:
-        if entry.timestamp < start:
-            continue
-        if entry.timestamp > scenario.timeline.end:
-            break  # timeline exhausted before the trace
-        blocks += 1
+    for age, entry in enumerate(blocks, start=1):
         confirmed = engine.apply_block(entry)
         remaining -= len(confirmed)
         series.append((entry.height, remaining))
         if remaining == 0:
-            closed_at = blocks
+            closed_at = age
             break
-        if bump_due(config.strategy, blocks):
+        if bump_due(config.strategy, age):
             new_fee = fee.bumped(config.strategy.beta)
             if new_fee > fee:  # a no-op bump would reset queue positions
                 engine.bump_all(new_fee, entry.timestamp)

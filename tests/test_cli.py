@@ -113,6 +113,16 @@ class TestZombie:
         summary = json.loads((workdir / "z.summary.json").read_text())
         assert f"n={cut['edge_count']}," in summary["config"]
 
+    @pytest.mark.parametrize("avg", ["inf", "nan", "0", "-3"])
+    def test_bad_block_average_is_usage_error(self, workdir, avg, capsys):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        with pytest.raises(SystemExit) as exc:
+            run("zombie", "--channels", 10, "--fee", 70, "--avg-block-txs", avg,
+                "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "z")
+        assert exc.value.code == 2
+        assert "--avg-block-txs" in capsys.readouterr().err
+        assert not (workdir / "z.summary.json").exists()
+
     def test_dynamic_flags(self, workdir):
         gen_inputs(workdir, counts="0,5000,0")
         assert run("zombie", "--channels", 50, "--dynamic", "--initial-fee", 5,

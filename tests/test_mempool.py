@@ -10,13 +10,11 @@ from lnme.mempool import (
     ConstantAverage,
     FeeHistogram,
     FeeRate,
-    MonitoredTx,
     ReplayEngine,
     ReplayError,
     TimelineError,
     TxStatus,
     average_fee,
-    higher_priority_count,
     load_block_trace,
     load_timeline,
 )
@@ -87,6 +85,12 @@ class TestAverageFee:
         assert average_fee(FeeHistogram((fee(0), fee(10)), (0, 0))) == fee(0)
         assert average_fee(FeeHistogram((fee(3), fee(10)), (0, 0))) == fee(3)
 
+    def test_half_cent_ties_round_up(self):
+        edges = (FeeRate(0), FeeRate(1))
+        assert average_fee(FeeHistogram(edges, (1, 0))) == FeeRate(1)  # 0.5 cents
+        assert average_fee(FeeHistogram((FeeRate(0), FeeRate(3)), (2, 0))) == FeeRate(2)  # 1.5
+        assert average_fee(FeeHistogram(edges, (3, 1))) == FeeRate(1)  # 2.5 / 4 = 0.625
+
 
 class TestLoadTimeline:
     def test_basic(self):
@@ -154,23 +158,6 @@ class TestLoadBlockTrace:
             load_block_trace("1,100,-5\n")
 
 
-class TestHigherPriorityCount:
-    def test_top_band_empty_queue(self):
-        hist = FeeHistogram((fee(0), fee(5), fee(10)), (9, 4, 6))
-        tx = MonitoredTx(id="t", fee=fee(50), submitted_at=0, band=2, seq=0)
-        assert higher_priority_count(hist, tx) == 0
-
-    def test_band_arithmetic(self):
-        hist = FeeHistogram((fee(0), fee(5), fee(10)), (9, 4, 6))
-        tx = MonitoredTx(id="t", fee=fee(7), submitted_at=0, band=1, seq=0, _queue_pos=4)
-        assert higher_priority_count(hist, tx) == 10
-
-    def test_below_all_bands(self):
-        hist = FeeHistogram((fee(5), fee(10)), (9, 4))
-        tx = MonitoredTx(id="t", fee=fee(1), submitted_at=0, band=-1, seq=0, _queue_pos=7)
-        assert higher_priority_count(hist, tx) == 13  # whole mempool, queue ignored
-
-
 def simple_engine(rows, interval=60, **kw):
     tl = make_timeline([0, 10, 50], rows, start=T0, interval=interval)
     return ReplayEngine(tl, **kw)
@@ -180,12 +167,12 @@ class TestSubmitAndBump:
     def test_submit_into_empty_band(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         tx = eng.submit("a", fee(70), T0)
-        assert tx.same_band_ahead == 0
+        assert eng.same_band_ahead("a") == 0
 
     def test_submit_behind_band_count(self):
         eng = simple_engine([[0, 12, 0]] * 3)
         tx = eng.submit("a", fee(20), T0)
-        assert tx.same_band_ahead == 12
+        assert eng.same_band_ahead("a") == 12
 
     def test_duplicate_id(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -196,18 +183,18 @@ class TestSubmitAndBump:
     def test_bump_to_empty_band_resets_queue(self):
         eng = simple_engine([[0, 40, 0]] * 3)
         tx = eng.submit("a", fee(20), T0)
-        assert tx.same_band_ahead == 40
+        assert eng.same_band_ahead("a") == 40
         eng.bump("a", fee(60), T0)
-        assert tx.same_band_ahead == 0
+        assert eng.same_band_ahead("a") == 0
         assert tx.band == 2
 
     def test_bump_within_band_resets_to_current_count(self):
         eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
         tx = eng.submit("a", fee(20), T0)
         eng.step_snapshot()
-        assert tx.same_band_ahead == 25  # drained 15 by outflow
+        assert eng.same_band_ahead("a") == 25  # drained 15 by outflow
         eng.bump("a", fee(30), T0 + 60)
-        assert tx.same_band_ahead == 25  # reset to the band's current count
+        assert eng.same_band_ahead("a") == 25  # reset to the band's current count
 
     def test_bump_requires_fee_increase(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -222,7 +209,7 @@ class TestSubmitAndBump:
         eng.withdraw("c")
         eng.bump_all(fee(70), T0 + 60)
         moved = [eng.transactions[t] for t in ("a", "b")]
-        assert [(tx.fee, tx.band, tx.queued_at, tx.same_band_ahead) for tx in moved] == [
+        assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in moved] == [
             (fee(70), 2, T0 + 60, 9)
         ] * 2
         assert eng.transactions["c"].fee == fee(20)
@@ -249,22 +236,22 @@ class TestDecay:
         eng = simple_engine([[0, 50, 0], [0, 30, 0]])
         tx = eng.submit("a", fee(20), T0)
         eng.step_snapshot()
-        assert tx.same_band_ahead == 30
+        assert eng.same_band_ahead("a") == 30
 
     def test_inflow_ignored(self):
         eng = simple_engine([[0, 30, 0], [0, 50, 0]])
         tx = eng.submit("a", fee(20), T0)
         eng.step_snapshot()
-        assert tx.same_band_ahead == 30
+        assert eng.same_band_ahead("a") == 30
 
     def test_floor_at_zero(self):
         eng = simple_engine([[0, 5, 0], [0, 0, 0], [0, 9, 0], [0, 0, 0]])
         tx = eng.submit("a", fee(20), T0)
         eng.step_snapshot()
-        assert tx.same_band_ahead == 0
+        assert eng.same_band_ahead("a") == 0
         eng.step_snapshot()  # counts rise to 9
         eng.step_snapshot()  # and drain again: stays floored
-        assert tx.same_band_ahead == 0
+        assert eng.same_band_ahead("a") == 0
 
     def test_step_past_end_rejected(self):
         eng = simple_engine([[0, 0, 0]])
@@ -319,7 +306,9 @@ class TestApplyBlock:
         # the higher band is saturated but a lower-band tx still fits
         eng = simple_engine([[0, 0, 0], [0, 0, 0]])
         blocked = eng.submit("blocked", fee(70), T0)
-        blocked._queue_pos = 10**6  # stuck behind a synthetic backlog
+        # stuck behind a synthetic backlog; the public API never puts a
+        # cohort above its band's current count
+        eng._bands[blocked.band][T0].pos = 10**6
         eng.submit("nimble", fee(20), T0)
         confirmed = eng.apply_block(BlockEntry(1, T0, 5))
         assert [tx.id for tx in confirmed] == ["nimble"]
@@ -329,6 +318,18 @@ class TestApplyBlock:
         eng.apply_block(BlockEntry(5, T0, 1))
         with pytest.raises(ReplayError, match="out of order"):
             eng.apply_block(BlockEntry(5, T0, 1))
+
+    def test_same_band_ahead_needs_a_pending_tx(self):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        for tid in ("done", "gone", "left"):
+            eng.submit(tid, fee(70), T0)
+        eng.withdraw("gone")
+        eng.apply_block(BlockEntry(1, T0, 1))
+        assert eng.transactions["done"].status is TxStatus.CONFIRMED
+        assert eng.same_band_ahead("left") == 0
+        for tid in ("done", "gone", "unknown"):
+            with pytest.raises(ReplayError, match="not pending"):
+                eng.same_band_ahead(tid)
 
     def test_withdraw_removes_from_race(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -358,6 +359,11 @@ class TestApplyBlock:
             eng.submit(f"t{i}", fee(70), T0)
         sizes = [len(eng.apply_block(BlockEntry(h, T0 + 600 * (h - 1), 0))) for h in range(1, 5)]
         assert sizes == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("avg", [0, -3, math.inf, math.nan])
+    def test_constant_average_must_be_positive_and_finite(self, avg):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ConstantAverage(avg)
 
     @pytest.mark.parametrize("avg", [2000.1, 0.3])
     def test_constant_average_cumulative_capacity_is_exact(self, avg):
