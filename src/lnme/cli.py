@@ -230,6 +230,15 @@ def _parse_delay(text: str):
     raise ValueError(f"delay must be 'scaled' or 'fixed:<blocks>', got {text!r}")
 
 
+def _delay_arg(text: str) -> str:
+    """The ``--delay`` text once it parses; the manifest records the text."""
+    try:
+        _parse_delay(text)
+    except ValueError as exc:  # a usage error, not a data error
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def cmd_doublespend(args) -> int:
     scenario = _build_scenario(args)
     cut_file = read_cut_json(Path(args.cut_file).read_text())
@@ -438,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--sweep-dynamic", action="store_true")
     ds.add_argument("--sweep-step", type=int, default=7)
     ds.add_argument("--sweep-beta", type=float, default=1.1)
-    ds.add_argument("--delay", default="scaled", help="'scaled' or 'fixed:<blocks>'")
+    ds.add_argument("--delay", type=_delay_arg, default="scaled", help="'scaled' or 'fixed:<blocks>'")
     ds.add_argument("--honest-step", type=int, default=None, help="dynamic victim bump cadence")
     ds.add_argument("--honest-beta", type=float, default=1.1)
     ds.add_argument("--profit-mode", choices=["per-channel", "average"], default="per-channel")

@@ -13,8 +13,8 @@ moved), defended when its penalty confirms first.
 
 from __future__ import annotations
 
-import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +37,10 @@ class Fixed:
 
     blocks: int
 
+    def __post_init__(self):
+        if self.blocks < 0:
+            raise ValueError("delay blocks must be >= 0")
+
 
 @dataclass(frozen=True)
 class CapacityScaled:
@@ -46,6 +50,12 @@ class CapacityScaled:
     max_funding: int = MAX_FUNDING_SAT
     max_delay: int = DEFAULT_MAX_DELAY
     min_delay: int = DEFAULT_MIN_DELAY
+
+    def __post_init__(self):
+        if self.max_funding < 1:
+            raise ValueError("max_funding must be >= 1")
+        if not 0 <= self.min_delay <= self.max_delay:
+            raise ValueError("delays must satisfy 0 <= min_delay <= max_delay")
 
 
 DelayPolicy = Fixed | CapacityScaled
@@ -200,8 +210,14 @@ def simulate_double_spend(
 ) -> DoubleSpendReport:
     """Race commitments, penalties, and sweeps over the scenario.
 
-    Dynamic fee bumping (honest or sweep) runs on a per-transaction cadence
-    counted from that transaction's own submission block. With
+    Future work waits in one schedule keyed by the height at which it falls
+    due: ``sweeps[h]`` holds the channels whose dispute delay ends at height
+    h, and ``bumps[h]`` the ``(tx_id, step, beta)`` of dynamic penalties and
+    sweeps due for a bump. Each block pops its own height and files every
+    still-pending bumped transaction again ``step`` heights on, so bumping
+    (honest or sweep) counts from each transaction's own submission block.
+    Popping exact heights misses nothing, because the block window is a run
+    of consecutive heights and delays are non-negative. With
     ``strict_expiry`` the penalty is withdrawn the moment the sweep is
     submitted, so an expired channel can no longer be defended; the default
     lets a late penalty still win the race until the sweep confirms.
@@ -211,8 +227,7 @@ def simulate_double_spend(
     engine = ReplayEngine(scenario.timeline, scenario.capacity_mode, record_events)
     attacks: list[ChannelAttack] = []
     by_commit: dict[str, ChannelAttack] = {}
-    by_penalty: dict[str, ChannelAttack] = {}
-    by_sweep: dict[str, ChannelAttack] = {}
+    by_racer: dict[str, ChannelAttack] = {}  # penalty and sweep ids
     for i, ch in enumerate(channels):
         atk = ChannelAttack(
             channel=ch, delay=to_self_delay(ch.capacity, delay_policy), stem=f"{i:06d}"
@@ -221,107 +236,62 @@ def simulate_double_spend(
         by_commit[atk.commitment_id] = atk
         attacks.append(atk)
 
-    sweep_step = attacker.sweep.step if isinstance(attacker.sweep, Dynamic) else 0
-    # bump cadences bucketed by submission height mod step, so each block
-    # only touches the transactions actually due
-    penalty_buckets: list[list[ChannelAttack]] = [[] for _ in range(max(honest.step, 1))]
-    sweep_buckets: list[list[ChannelAttack]] = [[] for _ in range(max(sweep_step, 1))]
-    sweep_due: list[tuple[int, int, ChannelAttack]] = []  # (due height, index, channel)
-
+    sweep = attacker.sweep
+    sweeps: defaultdict[int, list[ChannelAttack]] = defaultdict(list)
+    bumps: defaultdict[int, list[tuple[str, int, float]]] = defaultdict(list)
     series: list[tuple[int, int]] = []
     compromised_total = 0
     undecided = len(attacks)
     for entry in blocks:
-        height = entry.height
+        height, now = entry.height, entry.timestamp
         for tx in engine.apply_block(entry):
             atk = by_commit.get(tx.id)
             if atk is not None:
-                atk.commitment_height = height
-                fee = average_fee(engine.histogram())
-                engine.submit(atk.penalty_id, fee, entry.timestamp)
-                atk.penalty_submit_height = height
-                by_penalty[atk.penalty_id] = atk
-                heapq.heappush(sweep_due, (height + atk.delay, len(by_penalty), atk))
+                atk.commitment_height = atk.penalty_submit_height = height
+                engine.submit(atk.penalty_id, average_fee(engine.histogram()), now)
+                by_racer[atk.penalty_id] = atk
+                sweeps[height + atk.delay].append(atk)
                 if honest.dynamic:
-                    penalty_buckets[height % honest.step].append(atk)
+                    bumps[height + honest.step].append((atk.penalty_id, honest.step, honest.beta))
                 continue
-            atk = by_penalty.get(tx.id)
-            if atk is not None:
-                if atk.outcome is Outcome.UNDECIDED:
-                    atk.outcome = Outcome.DEFENDED
-                    atk.decided_height = height
-                    undecided -= 1
-                    if (
-                        atk.sweep_submit_height is not None
-                        and engine.transactions[atk.sweep_id].status is TxStatus.PENDING
-                    ):
-                        engine.withdraw(atk.sweep_id)
+            atk = by_racer.get(tx.id)
+            if atk is None or atk.outcome is not Outcome.UNDECIDED:
                 continue
-            atk = by_sweep.get(tx.id)
-            if atk is not None and atk.outcome is Outcome.UNDECIDED:
-                atk.outcome = Outcome.COMPROMISED
-                atk.decided_height = height
-                compromised_total += 1
-                undecided -= 1
-                if engine.transactions[atk.penalty_id].status is TxStatus.PENDING:
-                    engine.withdraw(atk.penalty_id)
-        # submit sweeps for channels whose dispute delay just elapsed
-        while sweep_due and sweep_due[0][0] <= height:
-            _, _, atk = heapq.heappop(sweep_due)
-            if atk.outcome is not Outcome.UNDECIDED or atk.sweep_submit_height is not None:
+            swept = tx.id == atk.sweep_id
+            atk.outcome = Outcome.COMPROMISED if swept else Outcome.DEFENDED
+            atk.decided_height = height
+            undecided -= 1
+            compromised_total += swept
+            loser = engine.transactions.get(atk.penalty_id if swept else atk.sweep_id)
+            if loser is not None and loser.status is TxStatus.PENDING:
+                engine.withdraw(loser.id)
+        # each channel is filed once, and its penalty is pending while it is
+        # undecided, so an undecided channel has no sweep yet
+        for atk in sweeps.pop(height, ()):
+            if atk.outcome is not Outcome.UNDECIDED:
                 continue
-            if engine.transactions[atk.penalty_id].status is not TxStatus.PENDING:
-                continue
-            engine.submit(atk.sweep_id, initial_fee(attacker.sweep), entry.timestamp)
+            engine.submit(atk.sweep_id, initial_fee(sweep), now)
             atk.sweep_submit_height = height
-            by_sweep[atk.sweep_id] = atk
-            if sweep_step:
-                sweep_buckets[height % sweep_step].append(atk)
+            by_racer[atk.sweep_id] = atk
+            if isinstance(sweep, Dynamic):
+                bumps[height + sweep.step].append((atk.sweep_id, sweep.step, sweep.beta))
             if strict_expiry:
                 engine.withdraw(atk.penalty_id)
-        if honest.dynamic:
-            _bump_due(
-                engine,
-                penalty_buckets[height % honest.step],
-                lambda a: a.penalty_id,
-                lambda a: a.penalty_submit_height,
-                honest.beta,
-                height,
-                entry.timestamp,
-            )
-        if sweep_step:
-            _bump_due(
-                engine,
-                sweep_buckets[height % sweep_step],
-                lambda a: a.sweep_id,
-                lambda a: a.sweep_submit_height,
-                attacker.sweep.beta,
-                height,
-                entry.timestamp,
-            )
+        # bumps at one instant join id-ordered cohorts, so their order is moot
+        for tx_id, step, beta in bumps.pop(height, ()):
+            tx = engine.transactions[tx_id]
+            if tx.status is not TxStatus.PENDING:
+                continue
+            new_fee = tx.fee.bumped(beta)
+            if new_fee > tx.fee:
+                engine.bump(tx_id, new_fee, now)
+            bumps[height + step].append((tx_id, step, beta))
         series.append((height, compromised_total))
         if undecided == 0:
             break
     return DoubleSpendReport(
         attacks, series, undecided > 0, events=engine.events if record_events else None
     )
-
-
-def _bump_due(engine, bucket, tx_id_of, submit_height_of, beta, height, timestamp):
-    """Bump every still-pending transaction in the cadence bucket, pruning
-    entries that no longer need bumping."""
-    live = []
-    for atk in bucket:
-        tx = engine.transactions.get(tx_id_of(atk))
-        if tx is None or tx.status is not TxStatus.PENDING:
-            continue
-        live.append(atk)
-        if height <= submit_height_of(atk):
-            continue  # submitted this very block, first bump comes later
-        new_fee = tx.fee.bumped(beta)
-        if new_fee > tx.fee:
-            engine.bump(tx.id, new_fee, timestamp)
-    bucket[:] = live
 
 
 @dataclass(frozen=True)

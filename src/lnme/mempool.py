@@ -163,7 +163,10 @@ class MempoolTimeline:
         for prev, cur in zip(ts, ts[1:]):
             if cur <= prev:
                 raise TimelineError(f"timestamp {cur} does not increase past {prev}")
-        arr = np.asarray(counts, dtype=np.int64)
+        try:
+            arr = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            raise TimelineError("band count does not fit in int64") from None
         if arr.shape != (len(ts), len(edges)):
             raise TimelineError(
                 f"counts shape {arr.shape} does not match {len(ts)} snapshots x {len(edges)} bands"
@@ -248,7 +251,7 @@ def _parse_int(cell: str, lineno: int, what: str) -> int:
         value = float(text)
     except ValueError:
         raise TimelineError(f"line {lineno}: bad {what} {cell!r}") from None
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise TimelineError(f"line {lineno}: bad {what} {cell!r}")
     return int(value)
 
@@ -451,6 +454,7 @@ class ReplayEngine:
         record_events: bool = False,
     ):
         self.timeline = timeline
+        self._edges = [edge.centi for edge in timeline.band_edges]  # bisected as ints
         self.capacity_mode = capacity_mode
         self.record_events = record_events
         self.events: list[tuple[int, list[str]]] = []
@@ -501,7 +505,7 @@ class ReplayEngine:
         return FeeHistogram(self.timeline.band_edges, tuple(self._counts))
 
     def _band_index(self, fee: FeeRate) -> int:
-        return bisect_right(self.timeline.band_edges, fee) - 1
+        return bisect_right(self._edges, fee.centi) - 1
 
     # -- operations --------------------------------------------------------
 

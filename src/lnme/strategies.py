@@ -37,8 +37,3 @@ FeeStrategy = Static | Dynamic
 
 def initial_fee(strategy: FeeStrategy) -> FeeRate:
     return strategy.fee if isinstance(strategy, Static) else strategy.initial_fee
-
-
-def bump_due(strategy: FeeStrategy, age_blocks: int) -> bool:
-    """True when a pending transaction of this age is due for a bump."""
-    return isinstance(strategy, Dynamic) and age_blocks > 0 and age_blocks % strategy.step == 0

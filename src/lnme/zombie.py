@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .mempool import ReplayEngine
 from .scenario import Scenario
-from .strategies import Dynamic, FeeStrategy, bump_due, initial_fee
+from .strategies import Dynamic, FeeStrategy, initial_fee
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
         if remaining == 0:
             closed_at = age
             break
-        if bump_due(config.strategy, age):
+        if isinstance(config.strategy, Dynamic) and age % config.strategy.step == 0:
             new_fee = fee.bumped(config.strategy.beta)
             if new_fee > fee:  # a no-op bump would reset queue positions
                 engine.bump_all(new_fee, entry.timestamp)

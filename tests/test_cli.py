@@ -123,6 +123,14 @@ class TestZombie:
         assert "--avg-block-txs" in capsys.readouterr().err
         assert not (workdir / "z.summary.json").exists()
 
+    def test_non_finite_timeline_count_is_data_error(self, workdir, capsys):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        tl = workdir / "tl.csv"
+        tl.write_text(tl.read_text().replace(",5000,", ",inf,", 1))
+        assert run("zombie", "--channels", 10, "--fee", 70,
+                   "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "z") == EXIT_DATA
+        assert "line 2: bad count 'inf'" in capsys.readouterr().err
+
     def test_dynamic_flags(self, workdir):
         gen_inputs(workdir, counts="0,5000,0")
         assert run("zombie", "--channels", 50, "--dynamic", "--initial-fee", 5,
@@ -156,6 +164,17 @@ class TestDoublespend:
         report = json.loads((workdir / "ds.report.json").read_text())
         n, a = report["compromised"], report["attacked"]
         assert report["realized_profit_sat"] == 4_500_000 * (2 * n - a) // 2
+
+    @pytest.mark.parametrize("delay", ["fixed:-5", "fixed:abc", "bogus"])
+    def test_bad_delay_is_usage_error(self, workdir, delay, capsys):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        self.make_cut(workdir)
+        with pytest.raises(SystemExit) as exc:
+            run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70,
+                "--delay", delay, "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "ds")
+        assert exc.value.code == 2
+        assert "--delay" in capsys.readouterr().err
+        assert not (workdir / "ds.report.json").exists()
 
     def test_average_mode_requires_avg_capacity(self, workdir):
         gen_inputs(workdir)

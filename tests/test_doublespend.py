@@ -5,6 +5,7 @@ import pytest
 
 from conftest import constant_scenario, fee, make_blocks
 from lnme.doublespend import (
+    MAX_FUNDING_SAT,
     AttackerStrategy,
     AverageCapacity,
     CapacityScaled,
@@ -22,6 +23,7 @@ from lnme.doublespend import (
 )
 from lnme.cut import Objective, build_cut
 from lnme.graph import Channel, generate_scale_free
+from lnme.mempool import ReplayEngine
 from lnme.scenario import Scenario
 from lnme.strategies import Dynamic, Static
 
@@ -63,6 +65,19 @@ class TestToSelfDelay:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             to_self_delay(-1, Fixed(10))
+
+    @pytest.mark.parametrize(
+        "policy,kwargs",
+        [
+            (Fixed, {"blocks": -1}),
+            (CapacityScaled, {"min_delay": -1}),
+            (CapacityScaled, {"min_delay": 10, "max_delay": 5}),
+            (CapacityScaled, {"max_funding": 0}),
+        ],
+    )
+    def test_bad_policy_rejected(self, policy, kwargs):
+        with pytest.raises(ValueError):
+            policy(**kwargs)
 
 
 class TestSimulate:
@@ -193,6 +208,71 @@ class TestSimulate:
             return report.to_json(profit_mode="per-channel", profit_sat=0)
 
         assert run() == run() == run()
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("strict_expiry,blocks", [(False, 60), (True, 60), (False, 10)])
+    def test_bumps_follow_each_transactions_own_cadence(self, monkeypatch, rng, strict_expiry, blocks):
+        # 10 transactions per block confirm the commitments over blocks 1-4,
+        # and delays of 0-8 blocks spread the sweeps, so penalties and sweeps
+        # start their cadences at many heights; 10 blocks cut the race short
+        bumped = []
+        real_bump = ReplayEngine.bump
+
+        def recording_bump(engine, tx_id, new_fee, at):
+            bumped.append((at, tx_id))
+            return real_bump(engine, tx_id, new_fee, at)
+
+        monkeypatch.setattr(ReplayEngine, "bump", recording_bump)
+        scenario = congested_scenario(blocks=blocks, txs=10)
+        report = simulate_double_spend(
+            [Channel(f"c{i}", 0, i + 1, rng.randint(1, MAX_FUNDING_SAT)) for i in range(40)],
+            PenaltyPolicy(dynamic=True, step=3, beta=1.2),
+            AttackerStrategy(fee(70), sweep=Dynamic(fee(20), 2, 1.5)),
+            CapacityScaled(max_delay=8, min_delay=0),
+            scenario,
+            strict_expiry=strict_expiry,
+        )
+        height_at = {entry.timestamp: entry.height for entry in scenario.trace}
+        actual: dict[str, list[int]] = {}
+        for at, tx_id in bumped:
+            actual.setdefault(tx_id, []).append(height_at[at])
+
+        def cadence(submitted, step, ends):
+            # bumped every step blocks after submission while pending: not
+            # in the block where it confirms or is withdrawn, nor after
+            return list(range(submitted + step, ends, step))
+
+        expected: dict[str, list[int]] = {}
+        beyond = report.series[-1][0] + 1
+        for atk in report.attacks:
+            ends = atk.decided_height or beyond
+            if atk.penalty_submit_height is not None:
+                # strict expiry withdraws the penalty when the sweep is submitted
+                withdrawn = atk.sweep_submit_height if strict_expiry else None
+                expected[atk.penalty_id] = cadence(atk.penalty_submit_height, 3, withdrawn or ends)
+            if atk.sweep_submit_height is not None:
+                expected[atk.sweep_id] = cadence(atk.sweep_submit_height, 2, ends)
+        assert actual == {tx_id: hs for tx_id, hs in expected.items() if hs}
+        assert {tx_id.rsplit("-", 1)[1] for tx_id in actual} == {"penalty", "sweep"}
+        assert len({atk.commitment_height for atk in report.attacks}) > 1
+        if blocks == 10:
+            assert report.undecided  # still racing when the window ends
+        elif not strict_expiry:
+            assert report.compromised and report.defended
+
+    def test_zero_delay_sweeps_in_the_commitment_block(self):
+        report = simulate_double_spend(
+            channels(40),
+            PenaltyPolicy(),
+            AttackerStrategy(fee(70)),
+            Fixed(0),
+            congested_scenario(txs=10),
+        )
+        assert len({atk.commitment_height for atk in report.attacks}) > 1
+        for atk in report.attacks:
+            assert atk.commitment_height is not None
+            assert atk.sweep_submit_height == atk.commitment_height
 
 
 class TestRealizedProfit:

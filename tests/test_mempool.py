@@ -120,6 +120,16 @@ class TestLoadTimeline:
         with pytest.raises(TimelineError, match="header"):
             load_timeline("time,0,5\n1600000000,1,2\n")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_count_names_line(self, cell):
+        with pytest.raises(TimelineError, match=f"line 3: bad count '{cell}'"):
+            load_timeline(f"timestamp,0,5\n1600000000,1,2\n1600000060,1,{cell}\n")
+
+    @pytest.mark.parametrize("cell", ["1e30", "99999999999999999999"])
+    def test_count_beyond_int64_rejected(self, cell):
+        with pytest.raises(TimelineError, match="int64"):
+            load_timeline(f"timestamp,0,5\n1600000000,1,{cell}\n")
+
 
 class TestSnapshotAt:
     def test_exact_and_between(self):
@@ -156,6 +166,11 @@ class TestLoadBlockTrace:
     def test_negative_tx_count(self):
         with pytest.raises(TimelineError, match="negative"):
             load_block_trace("1,100,-5\n")
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_tx_count_names_line(self, cell):
+        with pytest.raises(TimelineError, match=f"line 2: bad tx_count '{cell}'"):
+            load_block_trace(f"1,100,5\n2,200,{cell}\n")
 
 
 def simple_engine(rows, interval=60, **kw):
