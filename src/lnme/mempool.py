@@ -36,10 +36,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -64,6 +66,15 @@ class ReplayError(RuntimeError):
 
 def _round_half_up(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _ratio(beta) -> tuple[int, int]:
+    """beta as an exact integer ratio, read from its decimal string.
+
+    Typed, because equal keys of two types can print differently:
+    ``1.1 == Fraction(1.1)``, but their strings are not the same number."""
+    return Fraction(str(beta)).as_integer_ratio()
 
 
 @dataclass(frozen=True, order=True)
@@ -92,8 +103,8 @@ class FeeRate:
 
     def bumped(self, beta) -> "FeeRate":
         """Multiply by beta, rounding half up to the fixed-point grid."""
-        frac = Fraction(str(beta)) * self.centi
-        return FeeRate(_round_half_up(frac))
+        num, den = _ratio(beta)
+        return FeeRate((2 * num * self.centi + den) // (2 * den))
 
     def __str__(self):
         return f"{self.centi // SAT_CENTS}.{self.centi % SAT_CENTS:02d}"
@@ -148,7 +159,8 @@ class MempoolTimeline:
     """Time-ordered fee-band histograms sharing one band grid.
 
     Nominal cadence is one snapshot per minute; gaps are allowed. Per-band
-    cumulative outflow is precomputed at construction.
+    cumulative outflow is precomputed at construction, and a timeline whose
+    outflow does not fit int64 is rejected.
     """
 
     def __init__(self, band_edges, timestamps, counts):
@@ -160,9 +172,15 @@ class MempoolTimeline:
         ts = [int(t) for t in timestamps]
         if not ts:
             raise TimelineError("timeline must be non-empty")
-        for prev, cur in zip(ts, ts[1:]):
-            if cur <= prev:
-                raise TimelineError(f"timestamp {cur} does not increase past {prev}")
+        try:
+            ts_arr = np.asarray(ts, dtype=np.int64)
+        except OverflowError:
+            raise TimelineError("timestamp does not fit in int64") from None
+        # compared, not differenced: np.diff can overflow int64
+        stalled = ts_arr[1:] <= ts_arr[:-1]
+        if stalled.any():
+            i = int(stalled.argmax())
+            raise TimelineError(f"timestamp {ts[i + 1]} does not increase past {ts[i]}")
         try:
             arr = np.asarray(counts, dtype=np.int64)
         except OverflowError:
@@ -173,16 +191,15 @@ class MempoolTimeline:
             )
         if (arr < 0).any():
             raise TimelineError("negative band count")
+        cum = np.zeros(arr.shape, np.int64)
+        np.cumsum(np.maximum(arr[:-1] - arr[1:], 0), axis=0, out=cum[1:])
+        # every drop lies in [0, 2**63), so the first wrap is a decrease
+        if (cum[1:] < cum[:-1]).any():
+            raise TimelineError("cumulative outflow does not fit in int64")
         self.band_edges = edges
         self.timestamps = ts
         self.counts = arr
-        if len(ts) > 1:
-            drops = np.maximum(arr[:-1] - arr[1:], 0)
-            self.cum_outflow = np.vstack(
-                [np.zeros((1, len(edges)), np.int64), np.cumsum(drops, axis=0)]
-            )
-        else:
-            self.cum_outflow = np.zeros((1, len(edges)), np.int64)
+        self.cum_outflow = cum
 
     @property
     def start(self) -> int:
@@ -210,8 +227,17 @@ class MempoolTimeline:
 
 def load_timeline(document: str) -> MempoolTimeline:
     """Parse timeline CSV: header ``timestamp,<edge_0>,<edge_1>,...`` naming
-    band lower edges, then one row of per-band counts per snapshot."""
-    reader = csv.reader(io.StringIO(document))
+    band lower edges, then one row of per-band counts per snapshot.
+
+    The data rows are read by one numpy parse when numpy reads every cell
+    cleanly as an int64 and the rows make a valid timeline. Otherwise they
+    are read again cell by cell, and that reading decides: it names the
+    offending line (``line N: bad count ...``) and alone accepts integral
+    floats such as ``5.0``, quoted cells and whitespace-only lines. Where
+    the numpy parse succeeds, the cell-by-cell reading gives the same
+    timeline.
+    """
+    reader = _records(document)
     header = next(reader, None)
     if header is None:
         raise TimelineError("empty document")
@@ -221,6 +247,11 @@ def load_timeline(document: str) -> MempoolTimeline:
         edges = tuple(FeeRate.from_sat(cell.strip()) for cell in header[1:])
     except ValueError as exc:
         raise TimelineError(f"bad band edge in header: {exc}") from None
+    first_line, _, body = document.partition("\n")
+    if '"' not in first_line:  # a quoted header may span lines
+        timeline = _read_rows_numpy(edges, body)
+        if timeline is not None:
+            return timeline
     timestamps: list[int] = []
     rows: list[list[int]] = []
     for lineno, row in enumerate(reader, start=2):
@@ -239,6 +270,30 @@ def load_timeline(document: str) -> MempoolTimeline:
     if not timestamps:
         raise TimelineError("timeline must be non-empty")
     return MempoolTimeline(edges, timestamps, rows)
+
+
+def _read_rows_numpy(edges: tuple[FeeRate, ...], body: str) -> MempoolTimeline | None:
+    """The timeline from one numpy parse of the data rows, or None when a
+    cell is not a plain int64 or the rows are not a valid timeline."""
+    try:
+        # numpy 1.x reads 5.5 in an int column as 5, warning only; and with
+        # comments=None numpy fails on '#' rows, which it would drop silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arr = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        return MempoolTimeline(edges, arr[:, 0].tolist(), arr[:, 1:])
+    except (ValueError, OverflowError, Warning):  # TimelineError is a ValueError
+        return None
+
+
+def _records(document: str):
+    """The CSV records of document; a malformed one, such as a lone
+    carriage return inside a line, raises TimelineError."""
+    reader = csv.reader(io.StringIO(document))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TimelineError(f"line {reader.line_num}: {exc}") from None
 
 
 def _parse_int(cell: str, lineno: int, what: str) -> int:
@@ -292,7 +347,7 @@ BLOCK_TRACE_HEADER = ("height", "timestamp", "tx_count")
 def load_block_trace(document: str) -> BlockTrace:
     """Parse block-trace CSV rows ``height,timestamp,tx_count`` (header
     optional)."""
-    reader = csv.reader(io.StringIO(document))
+    reader = _records(document)
     entries: list[BlockEntry] = []
     for lineno, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):

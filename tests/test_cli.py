@@ -131,6 +131,19 @@ class TestZombie:
                    "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "z") == EXIT_DATA
         assert "line 2: bad count 'inf'" in capsys.readouterr().err
 
+    def test_wrapping_cumulative_outflow_is_data_error(self, workdir, capsys):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        # the 10 sat/vB band drops by 9e18 twice: 1.8e19 overflows int64
+        big = 9_000_000_000_000_000_000
+        rows = [(0, big, 0), (0, 0, 0), (0, big, 0), (0, 0, 0)]
+        (workdir / "tl.csv").write_text("timestamp,0,10,50\n" + "".join(
+            f"{1_600_000_000 + 600 * i},{a},{b},{c}\n" for i, (a, b, c) in enumerate(rows)
+        ))
+        assert run("zombie", "--channels", 10, "--fee", 70,
+                   "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "z") == EXIT_DATA
+        assert "cumulative outflow does not fit in int64" in capsys.readouterr().err
+        assert not (workdir / "z.summary.json").exists()
+
     def test_dynamic_flags(self, workdir):
         gen_inputs(workdir, counts="0,5000,0")
         assert run("zombie", "--channels", 50, "--dynamic", "--initial-fee", 5,

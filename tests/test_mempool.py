@@ -1,9 +1,15 @@
 import math
+import warnings
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import T0, constant_timeline, fee, make_timeline
+from lnme import mempool
 from lnme.mempool import (
     BlockEntry,
     BlockTrace,
@@ -42,6 +48,28 @@ class TestFeeRate:
         assert fee(1).bumped(1.005) == FeeRate(101)  # 100.5 cents -> 101
         # tiny beta is a no-op after rounding
         assert fee(70).bumped(1 + 1e-9) == fee(70)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(0, 100, allow_nan=False),
+            st.decimals(0, 100, places=6),
+            st.fractions(0, 100, max_denominator=10_000),
+            st.integers(0, 100),
+        ),
+        st.integers(0, 10**9),
+    )
+    def test_bump_matches_fraction_of_decimal_string(self, beta, centi):
+        frac = Fraction(str(beta)) * centi
+        expected = (2 * frac.numerator + frac.denominator) // (2 * frac.denominator)
+        assert FeeRate(centi).bumped(beta) == FeeRate(expected)
+
+    def test_bump_ratio_cache_keeps_types_apart(self):
+        # 0.7 reads as 7/10, but Fraction(0.7) is the binary value just below
+        # it, so 5 cents times each lands on either side of the half-cent tie
+        for _ in range(2):
+            assert FeeRate(5).bumped(0.7) == FeeRate(4)
+            assert FeeRate(5).bumped(Fraction(0.7)) == FeeRate(3)
 
     def test_bump_monotone(self):
         f = fee(3)
@@ -130,6 +158,165 @@ class TestLoadTimeline:
         with pytest.raises(TimelineError, match="int64"):
             load_timeline(f"timestamp,0,5\n1600000000,1,{cell}\n")
 
+    def test_timestamp_beyond_int64_rejected(self):
+        with pytest.raises(TimelineError, match="timestamp does not fit in int64"):
+            load_timeline("timestamp,0\n1,1\n99999999999999999999,1\n")
+
+    def test_wrapping_cumulative_outflow_rejected(self):
+        # two drops of 9e18 sum past 2**63 - 1: int64 would wrap to -446744073709551616
+        with pytest.raises(TimelineError, match="cumulative outflow does not fit in int64"):
+            load_timeline(WRAPPING_TIMELINE)
+
+    def test_lone_carriage_return_is_timeline_error(self):
+        with pytest.raises(TimelineError, match="line 2: new-line character"):
+            load_timeline("timestamp,0\n1600000000,1\r1600000060,2\n")
+
+    def test_plain_rows_skip_the_cell_parser(self, monkeypatch):
+        def refuse(cell, lineno, what):
+            raise AssertionError("cell-by-cell parse ran")
+
+        monkeypatch.setattr(mempool, "_parse_int", refuse)
+        tl = load_timeline("timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4")
+        assert tl.timestamps == [1600000000, 1600000060]
+        assert tl.counts.tolist() == [[7, 3], [2, 4]]
+        assert tl.cum_outflow.tolist() == [[0, 0], [5, 0]]
+
+
+WRAPPING_TIMELINE = (
+    "timestamp,0\n1,9000000000000000000\n2,0\n3,9000000000000000000\n4,0\n"
+)
+
+
+def parse_outcome(document):
+    """What load_timeline makes of document: the timeline's fields, or the
+    TimelineError message."""
+    try:
+        tl = load_timeline(document)
+    except TimelineError as exc:
+        return f"TimelineError: {exc}"
+    return tl.band_edges, tl.timestamps, tl.counts.tolist(), tl.cum_outflow.tolist()
+
+
+def both_parses(document):
+    """parse_outcome of document with the numpy parse, then with the
+    cell-by-cell parse alone."""
+    fast = parse_outcome(document)
+    with mock.patch.object(mempool, "_read_rows_numpy", lambda edges, body: None):
+        slow = parse_outcome(document)
+    return fast, slow
+
+
+HEADER = "timestamp,0,5\n"
+CELL_ALPHABET = "0123456789+-.e, \t\n\r\"#_"
+
+
+@st.composite
+def timeline_documents(draw):
+    """Timeline documents over the CSV alphabet: rows of mostly valid cells
+    with hostile ones mixed in, or free text after a header."""
+    hostile = st.one_of(
+        st.text(CELL_ALPHABET, max_size=5),
+        st.sampled_from(["5.0", " 5 ", "+5", '"5"', "5_0", "1e3", "-1", str(2**63), "9" * 20]),
+    )
+
+    def cell(valid):
+        return draw(hostile) if draw(st.integers(0, 9)) == 0 else valid
+
+    bands = draw(st.integers(1, 3))
+    header = "timestamp," + ",".join(str(5 * i) for i in range(bands))
+    if draw(st.integers(0, 3)) == 0:
+        return header + "\n" + draw(st.text(CELL_ALPHABET, max_size=40))
+    # mostly small counts, so most documents load; a large one can wrap the outflow
+    small = st.integers(0, 50)
+    count = st.one_of(small, small, small, st.integers(0, 2**63 - 1))
+    lines, t = [header], T0
+    for _ in range(draw(st.integers(0, 6))):
+        t += draw(st.integers(-1, 100))
+        lines.append(",".join([cell(str(t))] + [cell(str(draw(count))) for _ in range(bands)]))
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\n\n", "\n \n", "\r"])
+    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(
+        st.sampled_from(["", "\n", "\r\n"])
+    )
+
+
+class TestParsePathsAgree:
+    """The numpy parse of timeline rows against the cell-by-cell reference:
+    equal timelines, or TimelineErrors with equal messages."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            # line endings and blank lines
+            HEADER + "1,1,2\r\n2,3,4\r\n",
+            HEADER + "1,1,2\n\n2,3,4\n\n",
+            HEADER + "1,1,2\n   \n2,3,4\n",
+            HEADER + "1,1,2\n\t\n2,3,4\n",
+            HEADER + "1,1,2\n2,3,4",
+            "timestamp,0,5\r\n1,1,2\r\n\r\n2,3,4",
+            HEADER + "1,1,2\r2,3,4\n",
+            # cell syntax
+            HEADER + "1,5.0,2\n",
+            HEADER + "+1,+5,2\n",
+            HEADER + "1, 5 ,2\n",
+            HEADER + "1,\t5,2\n",
+            HEADER + '1,"5",2\n',
+            HEADER + "# note\n1,5,2\n",
+            HEADER + "1,5,2 # note\n",
+            HEADER + "1,5_000,2\n",
+            HEADER + "1,1e3,2\n",
+            HEADER + "1,5.5,2\n",
+            HEADER + "1,nan,2\n",
+            HEADER + "1,inf,2\n",
+            HEADER + "1,\u0665,2\n",
+            HEADER + "1,\uff15,2\n",
+            # row shape
+            HEADER + "1,5,2,\n",
+            HEADER + "1,5\n",
+            HEADER + "1,5,2\n2,5\n",
+            HEADER + "1,5,2\n2,5,2,7\n",
+            HEADER + "1,5,2\n",
+            HEADER,
+            "timestamp,0,5",
+            '"timestamp","0","5"\n1,5,2\n',
+            '"timestamp","0","5\n"\n1,5,2\n',
+            # values
+            HEADER + "1,-5,2\n",
+            HEADER + "1,5,2\n1,5,2\n",
+            HEADER + "2,5,2\n1,5,2\n",
+            HEADER + "1,99999999999999999999,2\n",
+            HEADER + "99999999999999999999,5,2\n",
+            HEADER + "1,1e30,2\n",
+            HEADER + "1,9223372036854775807,2\n2,0,0\n",
+            WRAPPING_TIMELINE,
+        ],
+    )
+    def test_documents(self, document):
+        fast, slow = both_parses(document)
+        assert fast == slow
+
+    @settings(max_examples=400, deadline=None)
+    @given(timeline_documents())
+    def test_generated_documents(self, document):
+        fast, slow = both_parses(document)
+        assert fast == slow
+
+    @pytest.mark.parametrize(
+        "document, numpy_rows, expected",
+        [
+            # numpy 1.23-1.26 truncate 5.5 in an int column, warning only
+            (HEADER + "1,5.5,2\n", [[1, 5, 2]], "TimelineError: line 2: bad count '5.5'"),
+            # a warned result is dropped even where the cells are integral
+            (HEADER + "1,5.0,2.0\n", [[1, 9, 9]], ((fee(0), fee(5)), [1], [[5, 2]], [[0, 0]])),
+        ],
+    )
+    def test_numpy_warning_defers_to_cells(self, monkeypatch, document, numpy_rows, expected):
+        def loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated", DeprecationWarning)
+            return np.array(numpy_rows, dtype=np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert parse_outcome(document) == expected
+
 
 class TestSnapshotAt:
     def test_exact_and_between(self):
@@ -171,6 +358,10 @@ class TestLoadBlockTrace:
     def test_non_finite_tx_count_names_line(self, cell):
         with pytest.raises(TimelineError, match=f"line 2: bad tx_count '{cell}'"):
             load_block_trace(f"1,100,5\n2,200,{cell}\n")
+
+    def test_lone_carriage_return_is_timeline_error(self):
+        with pytest.raises(TimelineError, match="line 1: new-line character"):
+            load_block_trace("1,100,5\r2,200,6\n")
 
 
 def simple_engine(rows, interval=60, **kw):
