@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import __version__
 from .cut import (
-    EnumerationBudgetExceeded,
     Objective,
     cut_to_json,
     curve_to_csv,
@@ -76,18 +75,52 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(prefix: Path, command: str, params: dict, inputs: dict, outputs: list, seeds=()):
+# Parsed arguments that are not run parameters: the command and its handler;
+# paths, since the manifest hashes the inputs and lists the outputs;
+# --event-log, which only selects an output; the no-op --scale-free and
+# --constant; and the seed, which the manifest records under "seeds".
+NOT_PARAMETERS = frozenset({
+    "command", "gen_command", "func",
+    "out", "graph", "timeline", "blocks", "cut_file",
+    "event_log", "scale_free", "constant", "seed",
+})
+
+# Manifest input name -> the argument that holds its path.
+INPUTS = {"graph": "graph", "timeline": "timeline", "blocks": "blocks", "cut": "cut_file"}
+
+
+def _output_path(args, suffix: str) -> Path:
+    prefix = Path(args.out)
+    return prefix.with_name(prefix.name + suffix)
+
+
+def _manifest_name(args) -> str:
+    return _output_path(args, ".manifest.json").name
+
+
+def _write_outputs(args, outputs: dict[str, str], **overrides) -> None:
+    """Write each ``{suffix: text}`` output to ``<out><suffix>``, then
+    ``<out>.manifest.json``. The manifest echoes every run parameter in
+    ``args`` (``overrides`` replace some), hashes the input files and lists
+    the outputs and itself."""
+    paths = [_output_path(args, suffix) for suffix in outputs]
+    for path, text in zip(paths, outputs.values()):
+        path.write_text(text)
+    manifest = _output_path(args, ".manifest.json")
+    parameters = {key: value for key, value in vars(args).items() if key not in NOT_PARAMETERS}
     doc = {
-        "command": command,
-        "parameters": params,
-        "inputs": {name: _sha256_file(Path(p)) for name, p in inputs.items()},
-        "outputs": sorted(str(o) for o in outputs),
-        "seeds": list(seeds),
+        "command": " ".join(filter(None, (args.command, getattr(args, "gen_command", None)))),
+        "parameters": {**parameters, **overrides},
+        "inputs": {
+            name: _sha256_file(Path(getattr(args, attr)))
+            for name, attr in INPUTS.items()
+            if getattr(args, attr, None)
+        },
+        "outputs": sorted(str(path) for path in paths + [manifest]),
+        "seeds": [args.seed] if "seed" in args else [],
         "tool_version": __version__,
     }
-    path = prefix.with_name(prefix.name + ".manifest.json")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph(path: str, fmt: str | None):
@@ -122,40 +155,23 @@ def _block_average(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _scenario_inputs(args) -> dict:
-    return {"timeline": args.timeline, "blocks": args.blocks}
-
-
 # -- solve -------------------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
     graph = _load_graph(args.graph, args.format)
-    objective = Objective.CAPACITY if args.objective == "capacity" else Objective.EDGE_COUNT
-    prefix = Path(args.out)
-    outputs = []
-    manifest_name = prefix.name + ".manifest.json"
+    objective = Objective(args.objective)
+    outputs = {}
     if args.k is not None:
         cut, _ = greedy_lopsided_cut(graph, args.k, objective)
-        cut_path = prefix.with_name(prefix.name + ".cut.json")
-        cut_path.write_text(cut_to_json(graph, cut, manifest=manifest_name))
-        outputs.append(cut_path)
+        outputs[".cut.json"] = cut_to_json(graph, cut, manifest=_manifest_name(args))
         print(
             f"k={cut.k} objective={objective.value} edge_count={cut.edge_count} "
             f"cut_capacity_btc={format_btc(cut.cut_capacity)}"
         )
     if args.k_max is not None:
-        curve = value_vs_k_curve(graph, args.k_max, objective)
-        curve_path = prefix.with_name(prefix.name + ".curve.csv")
-        curve_path.write_text(curve_to_csv(curve))
-        outputs.append(curve_path)
-    _write_manifest(
-        prefix,
-        "solve",
-        {"k": args.k, "k_max": args.k_max, "objective": args.objective, "format": args.format},
-        {"graph": args.graph},
-        outputs + [prefix.with_name(manifest_name)],
-    )
+        outputs[".curve.csv"] = curve_to_csv(value_vs_k_curve(graph, args.k_max, objective))
+    _write_outputs(args, outputs)
     return EXIT_OK
 
 
@@ -175,47 +191,22 @@ def cmd_zombie(args) -> int:
     else:
         strategies = [Static(fee) for fee in _fee_list(args.fee)]
     configs = [ZombieConfig(n, strategy, scenario) for strategy in strategies]
-    prefix = Path(args.out)
-    manifest_name = prefix.name + ".manifest.json"
-    outputs = []
-    exhausted = False
     if len(configs) == 1:
         report = simulate_zombie(configs[0])
         exhausted = report.horizon_exhausted
-        series_path = prefix.with_name(prefix.name + ".series.csv")
-        series_path.write_text(report.series_csv())
-        summary_path = prefix.with_name(prefix.name + ".summary.json")
-        summary_path.write_text(report.summary_json(manifest=manifest_name))
-        outputs += [series_path, summary_path]
+        outputs = {
+            ".series.csv": report.series_csv(),
+            ".summary.json": report.summary_json(manifest=_manifest_name(args)),
+        }
         closed = report.blocks_to_close_all
-        print(f"{report.config_key} blocks_to_close_all={closed} horizon_exhausted={exhausted}")
+        done = f"{report.config_key} blocks_to_close_all={closed} horizon_exhausted={exhausted}"
     else:
         reports = sweep_zombie(configs)
         exhausted = any(r.horizon_exhausted for r in reports)
-        sweep_path = prefix.with_name(prefix.name + ".sweep.csv")
-        sweep_path.write_text(sweep_csv(reports))
-        outputs.append(sweep_path)
-        print(f"{len(reports)} zombie runs -> {sweep_path}")
-    inputs = _scenario_inputs(args)
-    if args.cut_file:
-        inputs["cut"] = args.cut_file
-    _write_manifest(
-        prefix,
-        "zombie",
-        {
-            "channels": n,
-            "fee": args.fee,
-            "dynamic": args.dynamic,
-            "initial_fee": args.initial_fee,
-            "step": args.step,
-            "beta": args.beta,
-            "scenario": args.scenario,
-            "start": args.start,
-            "avg_block_txs": args.avg_block_txs,
-        },
-        inputs,
-        outputs + [prefix.with_name(manifest_name)],
-    )
+        outputs = {".sweep.csv": sweep_csv(reports)}
+        done = f"{len(reports)} zombie runs -> {_output_path(args, '.sweep.csv')}"
+    _write_outputs(args, outputs, channels=n)
+    print(done)
     return EXIT_EXHAUSTED if exhausted else EXIT_OK
 
 
@@ -271,44 +262,18 @@ def cmd_doublespend(args) -> int:
     else:
         mode = PerChannel()
     profit = realized_profit(report, mode, exclude_undecided=True)
-    prefix = Path(args.out)
-    manifest_name = prefix.name + ".manifest.json"
-    report_path = prefix.with_name(prefix.name + ".report.json")
-    report_path.write_text(
-        report.to_json(profit_mode=args.profit_mode, profit_sat=profit, manifest=manifest_name)
-    )
-    series_path = prefix.with_name(prefix.name + ".series.csv")
-    series_path.write_text(report.series_csv())
-    outputs = [report_path, series_path]
+    outputs = {
+        ".report.json": report.to_json(
+            profit_mode=args.profit_mode, profit_sat=profit, manifest=_manifest_name(args)
+        ),
+        ".series.csv": report.series_csv(),
+    }
     if args.event_log:
-        events_path = prefix.with_name(prefix.name + ".events.jsonl")
-        events_path.write_text(report.events_jsonl())
-        outputs.append(events_path)
+        outputs[".events.jsonl"] = report.events_jsonl()
+    _write_outputs(args, outputs)
     print(
         f"attacked={report.attacked} compromised={report.compromised} defended={report.defended} "
         f"undecided={report.undecided} profit_btc={format_btc(profit)}"
-    )
-    _write_manifest(
-        prefix,
-        "doublespend",
-        {
-            "attacker_fee": args.attacker_fee,
-            "sweep_fee": args.sweep_fee,
-            "sweep_dynamic": args.sweep_dynamic,
-            "sweep_step": args.sweep_step,
-            "sweep_beta": args.sweep_beta,
-            "delay": args.delay,
-            "honest_step": args.honest_step,
-            "honest_beta": args.honest_beta,
-            "profit_mode": args.profit_mode,
-            "avg_capacity": args.avg_capacity,
-            "strict_expiry": args.strict_expiry,
-            "scenario": args.scenario,
-            "start": args.start,
-            "avg_block_txs": args.avg_block_txs,
-        },
-        {**_scenario_inputs(args), "cut": args.cut_file},
-        outputs + [prefix.with_name(manifest_name)],
     )
     return EXIT_EXHAUSTED if report.horizon_exhausted else EXIT_OK
 
@@ -325,17 +290,8 @@ def cmd_gen_graph(args) -> int:
     else:
         raise ValueError(f"capacity must be 'constant:<sat>' or 'uniform:<lo>:<hi>', got {args.capacity!r}")
     graph = generate_scale_free(args.n, args.m, args.seed, dist)
-    out = Path(args.out)
-    out.write_text(to_edge_list(graph))
-    _write_manifest(
-        out,
-        "gen graph",
-        {"n": args.n, "m": args.m, "capacity": args.capacity},
-        {},
-        [out, out.with_name(out.name + ".manifest.json")],
-        seeds=[args.seed],
-    )
-    print(f"scale-free graph: {graph.node_count} nodes, {graph.channel_count} channels -> {out}")
+    _write_outputs(args, {"": to_edge_list(graph)})
+    print(f"scale-free graph: {graph.node_count} nodes, {graph.channel_count} channels -> {Path(args.out)}")
     return EXIT_OK
 
 
@@ -351,23 +307,8 @@ def cmd_gen_timeline(args) -> int:
     for i in range(args.snapshots):
         t = args.start + i * args.interval
         lines.append(str(t) + "," + ",".join(str(c) for c in counts))
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "gen timeline",
-        {
-            "bands": args.bands,
-            "counts": args.counts,
-            "count": args.count,
-            "snapshots": args.snapshots,
-            "interval": args.interval,
-            "start": args.start,
-        },
-        {},
-        [out, out.with_name(out.name + ".manifest.json")],
-    )
-    print(f"flat timeline: {args.snapshots} snapshots x {len(edges)} bands -> {out}")
+    _write_outputs(args, {"": "\n".join(lines) + "\n"})
+    print(f"flat timeline: {args.snapshots} snapshots x {len(edges)} bands -> {Path(args.out)}")
     return EXIT_OK
 
 
@@ -375,22 +316,8 @@ def cmd_gen_blocks(args) -> int:
     lines = ["height,timestamp,tx_count"]
     for i in range(args.count):
         lines.append(f"{args.start_height + i},{args.start + i * args.interval},{args.txs}")
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "gen blocks",
-        {
-            "count": args.count,
-            "txs": args.txs,
-            "interval": args.interval,
-            "start": args.start,
-            "start_height": args.start_height,
-        },
-        {},
-        [out, out.with_name(out.name + ".manifest.json")],
-    )
-    print(f"block trace: {args.count} blocks of {args.txs} txs -> {out}")
+    _write_outputs(args, {"": "\n".join(lines) + "\n"})
+    print(f"block trace: {args.count} blocks of {args.txs} txs -> {Path(args.out)}")
     return EXIT_OK
 
 
@@ -425,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k-max", type=int, default=None)
     solve.add_argument("--objective", choices=["edges", "capacity"], default="edges")
     solve.add_argument("--out", required=True, help="output path prefix")
-    solve.set_defaults(func=cmd_solve, needs_k=True)
+    solve.set_defaults(func=cmd_solve)
 
     zombie = sub.add_parser("zombie", help="simulate mass forced channel closure")
     group = zombie.add_mutually_exclusive_group(required=True)
@@ -494,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser) -> None:
-    if getattr(args, "needs_k", False) and args.k is None and args.k_max is None:
+    if args.command == "solve" and args.k is None and args.k_max is None:
         parser.error("solve requires --k and/or --k-max")
     if args.command == "zombie":
         if args.dynamic and args.initial_fee is None:
@@ -513,9 +440,6 @@ def main(argv=None) -> int:
     _validate(args, parser)
     try:
         return args.func(args)
-    except EnumerationBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
     except (GraphError, TimelineError, ReplayError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Channel, LnGraph
+from .graph import Channel, LnGraph, parse_capacity
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -240,10 +240,16 @@ class CutFile:
 
 
 def read_cut_json(document: str) -> CutFile:
+    """Re-read a ``cut_to_json`` export. A document of another shape, one
+    with a negative or non-integer capacity, or one whose ``edge_count`` or
+    ``cut_capacity_sat`` disagrees with its ``cut_channels`` raises
+    ``ValueError("malformed cut JSON: ...")``."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed cut JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("malformed cut JSON: the document is not an object")
     labels: list[str] = []
     index: dict[str, int] = {}
 
@@ -253,25 +259,36 @@ def read_cut_json(document: str) -> CutFile:
             labels.append(label)
         return index[label]
 
-    channels = []
-    for entry in doc.get("cut_channels", []):
-        channels.append(
+    try:
+        channels = tuple(
             Channel(
                 str(entry["id"]),
                 canonical(str(entry["node1"])),
                 canonical(str(entry["node2"])),
-                int(entry["capacity_sat"]),
+                parse_capacity(entry["capacity_sat"], str(entry["id"])),
             )
+            for entry in doc.get("cut_channels", [])
         )
-    return CutFile(
-        k=int(doc["k"]),
-        objective=str(doc.get("objective", "")),
-        coalition=tuple(doc.get("coalition", [])),
-        labels=tuple(labels),
-        channels=tuple(channels),
-        edge_count=int(doc["edge_count"]),
-        cut_capacity=int(doc["cut_capacity_sat"]),
-    )
+        cut = CutFile(
+            k=int(doc["k"]),
+            objective=str(doc.get("objective", "")),
+            coalition=tuple(doc.get("coalition", [])),
+            labels=tuple(labels),
+            channels=channels,
+            edge_count=int(doc["edge_count"]),
+            cut_capacity=int(doc["cut_capacity_sat"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"malformed cut JSON: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed cut JSON: {exc}") from None
+    capacity = sum(ch.capacity for ch in channels)
+    if (cut.edge_count, cut.cut_capacity) != (len(channels), capacity):
+        raise ValueError(
+            f"malformed cut JSON: edge_count {cut.edge_count} and cut_capacity_sat {cut.cut_capacity} "
+            f"do not match the {len(channels)} cut_channels of {capacity} sat"
+        )
+    return cut
 
 
 def curve_to_csv(curve) -> str:

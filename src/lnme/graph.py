@@ -94,37 +94,53 @@ def parse_lnd_graph(document: str) -> LnGraph:
     labels: list[str] = []
     for node in nodes:
         pub = node.get("pub_key") if isinstance(node, dict) else None
-        if not pub:
-            raise GraphError("node entry without pub_key")
+        if not isinstance(pub, str) or not pub:
+            raise GraphError("node entry without a string pub_key")
         labels.append(pub)
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise GraphError("duplicate pub_key in nodes array")
     channels: list[Channel] = []
     for pos, edge in enumerate(edges):
+        if not isinstance(edge, dict):
+            raise GraphError(f"edge entry {pos} is not an object")
         cid = str(edge.get("channel_id", f"edge{pos}"))
-        for key in ("node1_pub", "node2_pub"):
-            if edge.get(key) not in index:
-                raise GraphError(f"channel {cid!r} references unknown pub_key {edge.get(key)!r}")
-        a = index[edge["node1_pub"]]
-        b = index[edge["node2_pub"]]
+        ends = (edge.get("node1_pub"), edge.get("node2_pub"))
+        for pub in ends:
+            if not isinstance(pub, str) or pub not in index:
+                raise GraphError(f"channel {cid!r} references unknown pub_key {pub!r}")
+        a, b = index[ends[0]], index[ends[1]]
         if a == b:
             raise GraphError(f"self-loop channel {cid!r}")
-        capacity = _parse_capacity(edge.get("capacity"), cid)
-        channels.append(Channel(cid, a, b, capacity))
+        channels.append(Channel(cid, a, b, parse_capacity(edge.get("capacity"), cid)))
     return LnGraph(labels, channels)
 
 
-def _parse_capacity(raw, channel_id: str) -> int:
-    if isinstance(raw, bool) or raw is None:
-        raise GraphError(f"non-numeric capacity on channel {channel_id!r}")
+def parse_capacity(raw, channel_id: str) -> int:
+    """A JSON capacity in satoshis: an integer, a decimal integer string or an
+    integral number. Anything else, or a negative value, raises GraphError."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise GraphError(f"non-integer capacity {raw!r} on channel {channel_id!r}")
     try:
         capacity = int(raw)
-    except (TypeError, ValueError):
-        raise GraphError(f"non-numeric capacity {raw!r} on channel {channel_id!r}") from None
+    except ValueError:
+        raise GraphError(f"non-integer capacity {raw!r} on channel {channel_id!r}") from None
     if capacity < 0:
         raise GraphError(f"negative capacity on channel {channel_id!r}")
     return capacity
+
+
+def csv_records(document: str, error: type[ValueError]):
+    """The CSV records of document. A malformed one, such as a field over the
+    csv module's size limit or a lone carriage return inside a line, raises
+    error naming the line."""
+    reader = csv.reader(io.StringIO(document))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"line {reader.line_num}: {exc}") from None
 
 
 def parse_edge_list(document: str) -> LnGraph:
@@ -143,8 +159,7 @@ def parse_edge_list(document: str) -> LnGraph:
             labels.append(label)
         return index[label]
 
-    reader = csv.reader(io.StringIO(document))
-    for lineno, row in enumerate(reader, start=1):
+    for lineno, row in enumerate(csv_records(document, GraphError), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         cells = [cell.strip() for cell in row]

@@ -33,7 +33,6 @@ many identical transactions a mass exit submits and bumps together.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import warnings
@@ -45,6 +44,8 @@ from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
+
+from .graph import csv_records
 
 SAT_CENTS = 100  # fee rates are fixed-point hundredths of sat/vByte
 
@@ -237,7 +238,7 @@ def load_timeline(document: str) -> MempoolTimeline:
     the numpy parse succeeds, the cell-by-cell reading gives the same
     timeline.
     """
-    reader = _records(document)
+    reader = csv_records(document, TimelineError)
     header = next(reader, None)
     if header is None:
         raise TimelineError("empty document")
@@ -284,16 +285,6 @@ def _read_rows_numpy(edges: tuple[FeeRate, ...], body: str) -> MempoolTimeline |
         return MempoolTimeline(edges, arr[:, 0].tolist(), arr[:, 1:])
     except (ValueError, OverflowError, Warning):  # TimelineError is a ValueError
         return None
-
-
-def _records(document: str):
-    """The CSV records of document; a malformed one, such as a lone
-    carriage return inside a line, raises TimelineError."""
-    reader = csv.reader(io.StringIO(document))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise TimelineError(f"line {reader.line_num}: {exc}") from None
 
 
 def _parse_int(cell: str, lineno: int, what: str) -> int:
@@ -347,7 +338,7 @@ BLOCK_TRACE_HEADER = ("height", "timestamp", "tx_count")
 def load_block_trace(document: str) -> BlockTrace:
     """Parse block-trace CSV rows ``height,timestamp,tx_count`` (header
     optional)."""
-    reader = _records(document)
+    reader = csv_records(document, TimelineError)
     entries: list[BlockEntry] = []
     for lineno, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):

@@ -72,6 +72,21 @@ class TestSolve:
         assert run("solve", "--graph", "nope.csv", "--k", 2, "--out", "x") == EXIT_DATA
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("g.json", '{"nodes": [{"pub_key": "A"}, {"pub_key": "B"}], "edges": [5]}'),
+        ("g.json", '{"nodes": [{"pub_key": ["A"]}], "edges": []}'),
+        ("g.json", '{"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],'
+                   ' "edges": [{"node1_pub": ["A"], "node2_pub": "B", "capacity": 5}]}'),
+        ("g.json", '{"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],'
+                   ' "edges": [{"node1_pub": "A", "node2_pub": "B", "capacity": 3.7}]}'),
+        ("g.csv", "a,b," + "9" * 200_000 + "\n"),
+    ])
+    def test_malformed_graph_is_data_error(self, workdir, capsys, name, text):
+        (workdir / name).write_text(text)
+        assert run("solve", "--graph", name, "--k", 1, "--out", "x") == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "x.manifest.json").exists()
+
     def test_requires_k_or_kmax(self, workdir):
         run("gen", "graph", "--scale-free", "--n", 10, "--m", 1, "--seed", 0, "--out", "g.csv")
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +243,24 @@ class TestDoublespend:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("zombie", "--fee", 70),
+    ("doublespend", "--attacker-fee", 70),
+])
+@pytest.mark.parametrize("cut", [
+    "[1, 2]",
+    '{"k": 1}',
+    '{"k": 1, "edge_count": 5, "cut_capacity_sat": 0, "cut_channels": []}',
+])
+def test_malformed_cut_is_data_error(workdir, capsys, command, cut):
+    gen_inputs(workdir, snapshots=3, blocks=3)
+    (workdir / "cut.json").write_text(cut)
+    assert run(*command, "--cut-file", "cut.json", "--timeline", "tl.csv", "--blocks", "bl.csv",
+               "--out", "x") == EXIT_DATA
+    assert "malformed cut JSON" in capsys.readouterr().err
+    assert not (workdir / "x.manifest.json").exists()
+
+
 class TestManifest:
     def test_rerun_is_bit_identical(self, workdir):
         gen_inputs(workdir, snapshots=10, blocks=10)
@@ -250,3 +283,123 @@ class TestManifest:
         assert summary["manifest"] == "z.manifest.json"
         manifest = json.loads((workdir / "z.manifest.json").read_text())
         assert "z.series.csv" in manifest["outputs"]
+
+
+# Every command's manifest, pinned: (argv, exit code, manifest, expected fields).
+SCENARIO = ("--timeline", "tl.csv", "--blocks", "bl.csv")
+MANIFEST_RUNS = [
+    (
+        ("gen", "timeline", "--constant", "--bands", "0,10,50", "--counts", "0,5000,0",
+         "--snapshots", 40, "--interval", 600, "--out", "tl.csv"),
+        EXIT_OK,
+        "tl.csv.manifest.json",
+        {
+            "command": "gen timeline",
+            "parameters": {"bands": "0,10,50", "count": 0, "counts": "0,5000,0",
+                           "interval": 600, "snapshots": 40, "start": 1_600_000_000},
+            "seeds": [],
+            "outputs": ["tl.csv", "tl.csv.manifest.json"],
+        },
+    ),
+    (
+        ("gen", "blocks", "--count", 40, "--txs", 2000, "--interval", 600, "--out", "bl.csv"),
+        EXIT_OK,
+        "bl.csv.manifest.json",
+        {
+            "command": "gen blocks",
+            "parameters": {"count": 40, "interval": 600, "start": 1_600_000_000,
+                           "start_height": 1, "txs": 2000},
+            "seeds": [],
+            "outputs": ["bl.csv", "bl.csv.manifest.json"],
+        },
+    ),
+    (
+        ("gen", "graph", "--scale-free", "--n", 60, "--m", 2, "--seed", 1, "--out", "g.csv"),
+        EXIT_OK,
+        "g.csv.manifest.json",
+        {
+            "command": "gen graph",
+            "parameters": {"capacity": "constant:4500000", "m": 2, "n": 60},
+            "seeds": [1],
+            "outputs": ["g.csv", "g.csv.manifest.json"],
+        },
+    ),
+    (
+        ("solve", "--graph", "g.csv", "--k", 4, "--k-max", 6, "--objective", "capacity",
+         "--out", "sol"),
+        EXIT_OK,
+        "sol.manifest.json",
+        {
+            "command": "solve",
+            "parameters": {"format": None, "k": 4, "k_max": 6, "objective": "capacity"},
+            "seeds": [],
+            "outputs": ["sol.curve.csv", "sol.cut.json", "sol.manifest.json"],
+        },
+    ),
+    (
+        ("zombie", "--channels", 50, "--fee", 70, *SCENARIO, "--out", "z"),
+        EXIT_OK,
+        "z.manifest.json",
+        {
+            "command": "zombie",
+            "parameters": {"avg_block_txs": None, "beta": 1.01, "channels": 50, "dynamic": False,
+                           "fee": "70", "initial_fee": None, "scenario": "custom", "start": None,
+                           "step": "10"},
+            "seeds": [],
+            "outputs": ["z.manifest.json", "z.series.csv", "z.summary.json"],
+        },
+    ),
+    (
+        ("zombie", "--cut-file", "sol.cut.json", "--fee", 70, "--avg-block-txs", 1500.5,
+         *SCENARIO, "--out", "zc"),
+        EXIT_OK,
+        "zc.manifest.json",
+        {
+            "command": "zombie",
+            "parameters": {"avg_block_txs": 1500.5, "beta": 1.01, "channels": 52,
+                           "dynamic": False, "fee": "70", "initial_fee": None,
+                           "scenario": "custom", "start": None, "step": "10"},
+            "seeds": [],
+            "outputs": ["zc.manifest.json", "zc.series.csv", "zc.summary.json"],
+        },
+    ),
+    (
+        ("zombie", "--channels", 20, "--dynamic", "--initial-fee", 5, "--step", "2,4",
+         *SCENARIO, "--out", "zs"),
+        EXIT_EXHAUSTED,
+        "zs.manifest.json",
+        {
+            "command": "zombie",
+            "parameters": {"avg_block_txs": None, "beta": 1.01, "channels": 20, "dynamic": True,
+                           "fee": None, "initial_fee": "5", "scenario": "custom", "start": None,
+                           "step": "2,4"},
+            "seeds": [],
+            "outputs": ["zs.manifest.json", "zs.sweep.csv"],
+        },
+    ),
+    (
+        ("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, "--delay", "fixed:5",
+         "--strict-expiry", "--event-log", *SCENARIO, "--out", "ds"),
+        EXIT_OK,
+        "ds.manifest.json",
+        {
+            "command": "doublespend",
+            "parameters": {"attacker_fee": "70", "avg_block_txs": None, "avg_capacity": None,
+                           "delay": "fixed:5", "honest_beta": 1.1, "honest_step": None,
+                           "profit_mode": "per-channel", "scenario": "custom", "start": None,
+                           "strict_expiry": True, "sweep_beta": 1.1, "sweep_dynamic": False,
+                           "sweep_fee": "100", "sweep_step": 7},
+            "seeds": [],
+            "outputs": ["ds.events.jsonl", "ds.manifest.json", "ds.report.json", "ds.series.csv"],
+        },
+    ),
+]
+
+
+def test_every_command_manifest_is_pinned(workdir):
+    for argv, code, manifest, expected in MANIFEST_RUNS:
+        assert run(*argv) == code, argv
+        doc = json.loads((workdir / manifest).read_text())
+        assert {key: doc[key] for key in expected} == expected, argv
+        for output in expected["outputs"]:
+            assert (workdir / output).is_file(), output

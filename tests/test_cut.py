@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -212,6 +213,37 @@ class TestExport:
         assert sorted(ch.capacity for ch in loaded.channels) == sorted(
             ch.capacity for ch in cut.cut_channels
         )
+
+    @pytest.mark.parametrize("doc, message", [
+        ("[1, 2]", "not an object"),
+        ('{"k": 1}', "missing 'edge_count'"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5,'
+         ' "cut_channels": [{"id": "x", "node2": "b", "capacity_sat": 5}]}', "missing 'node1'"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": [7]}', "not subscriptable"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": 7}', "not iterable"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 3,'
+         ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 3.7}]}',
+         "non-integer capacity"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": -5,'
+         ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": -5}]}',
+         "negative capacity"),
+    ])
+    def test_malformed_shape(self, doc, message):
+        with pytest.raises(ValueError, match=f"malformed cut JSON: .*{message}"):
+            read_cut_json(doc)
+
+    @pytest.mark.parametrize("edge_count, capacity, channels", [
+        (5, 100, 1), (1, 0, 1), (1, 101, 1), (5, 0, 0),
+    ])
+    def test_totals_must_match_channels(self, edge_count, capacity, channels):
+        doc = {
+            "k": 1,
+            "edge_count": edge_count,
+            "cut_capacity_sat": capacity,
+            "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 100}] * channels,
+        }
+        with pytest.raises(ValueError, match=f"do not match the {channels} cut_channels of {100 * channels} sat"):
+            read_cut_json(json.dumps(doc))
 
     def test_build_cut_consistency(self, rng):
         g = random_graph(rng, 15, 0.3)

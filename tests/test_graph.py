@@ -56,10 +56,27 @@ class TestParseLndGraph:
             parse_lnd_graph("{nope")
 
     def test_bad_capacity(self):
-        with pytest.raises(GraphError, match="capacity"):
-            parse_lnd_graph(lnd_doc(["A", "B"], [("1", "A", "B", "lots")]))
+        for capacity in ("lots", 3.7, float("inf"), None, True, [5]):
+            with pytest.raises(GraphError, match="capacity"):
+                parse_lnd_graph(lnd_doc(["A", "B"], [("1", "A", "B", capacity)]))
         with pytest.raises(GraphError, match="negative"):
             parse_lnd_graph(lnd_doc(["A", "B"], [("1", "A", "B", "-3")]))
+        assert parse_lnd_graph(lnd_doc(["A", "B"], [("1", "A", "B", 3.0)])).channels[0].capacity == 3
+
+    def test_non_object_edge(self):
+        doc = json.dumps({"nodes": [{"pub_key": "A"}, {"pub_key": "B"}], "edges": [5]})
+        with pytest.raises(GraphError, match="edge entry 0 is not an object"):
+            parse_lnd_graph(doc)
+
+    def test_pub_keys_must_be_strings(self):
+        with pytest.raises(GraphError, match="string pub_key"):
+            parse_lnd_graph(lnd_doc([["A"]], []))
+        with pytest.raises(GraphError, match="string pub_key"):
+            parse_lnd_graph(lnd_doc([7], []))
+        with pytest.raises(GraphError, match="unknown pub_key"):
+            parse_lnd_graph(lnd_doc(["A", "B"], [("1", ["A"], "B", "5")]))
+        with pytest.raises(GraphError, match="unknown pub_key"):
+            parse_lnd_graph(lnd_doc(["A", "B"], [("1", "A", {"B": 1}, "5")]))
 
     def test_isolated_nodes_retained(self):
         g = parse_lnd_graph(lnd_doc(["A", "B", "C"], [("1", "A", "B", "100")]))
@@ -101,6 +118,10 @@ class TestParseEdgeList:
     def test_non_integer_capacity(self):
         with pytest.raises(GraphError, match="non-integer"):
             parse_edge_list("a,b,1.5e3")
+
+    def test_oversized_field_names_its_line(self):
+        with pytest.raises(GraphError, match="line 2: field larger than field limit"):
+            parse_edge_list("a,b,1\nc,d," + "9" * 200_000 + "\n")
 
     def test_duplicate_rows_are_parallel_channels(self):
         g = parse_edge_list("a,b,100\na,b,100")
