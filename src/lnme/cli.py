@@ -141,11 +141,17 @@ def _build_scenario(args) -> Scenario:
 
 
 def _fee_list(text: str) -> list[FeeRate]:
-    return [FeeRate.from_sat(part) for part in text.split(",") if part.strip()]
+    fees = [FeeRate.from_sat(part) for part in text.split(",") if part.strip()]
+    if not fees:
+        raise ValueError(f"no fee rate in {text!r}")
+    return fees
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _step_list(text: str) -> list[int]:
+    steps = [int(part) for part in text.split(",") if part.strip()]
+    if not steps or min(steps) < 1:
+        raise ValueError(f"steps must be integers >= 1, got {text!r}")
+    return steps
 
 
 def _block_average(text: str) -> float:
@@ -153,6 +159,35 @@ def _block_average(text: str) -> float:
         return ConstantAverage(float(text)).avg_tx_per_block
     except ValueError as exc:  # a usage error, not a data error
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _checked(parse):
+    """An argparse type that keeps a flag's text, which the manifest
+    records, once parse accepts it; parse's ValueError is a usage error."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return check
+
+
+def _int_at_least(low: int):
+    """An argparse type for an integer flag of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 # -- solve -------------------------------------------------------------------
@@ -186,7 +221,7 @@ def cmd_zombie(args) -> int:
         n = args.channels
     if args.dynamic:
         fees = _fee_list(args.initial_fee)
-        steps = _int_list(args.step)
+        steps = _step_list(args.step)
         strategies = [Dynamic(fee, step, args.beta) for fee in fees for step in steps]
     else:
         strategies = [Static(fee) for fee in _fee_list(args.fee)]
@@ -219,15 +254,6 @@ def _parse_delay(text: str):
     if text.startswith("fixed:"):
         return Fixed(int(text.split(":", 1)[1]))
     raise ValueError(f"delay must be 'scaled' or 'fixed:<blocks>', got {text!r}")
-
-
-def _delay_arg(text: str) -> str:
-    """The ``--delay`` text once it parses; the manifest records the text."""
-    try:
-        _parse_delay(text)
-    except ValueError as exc:  # a usage error, not a data error
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def cmd_doublespend(args) -> int:
@@ -281,15 +307,23 @@ def cmd_doublespend(args) -> int:
 # -- gen -------------------------------------------------------------------------
 
 
+def _capacity_dist(text: str):
+    kind, _, rest = text.partition(":")
+    try:
+        sats = [int(part) for part in rest.split(":")]
+    except ValueError:
+        sats = []
+    if kind == "constant" and len(sats) == 1 and sats[0] >= 0:
+        return ConstantCapacity(sats[0])
+    if kind == "uniform" and len(sats) == 2 and 0 <= sats[0] <= sats[1]:
+        return UniformCapacity(*sats)
+    raise ValueError(
+        f"capacity must be 'constant:<sat>' or 'uniform:<lo>:<hi>' with 0 <= lo <= hi, got {text!r}"
+    )
+
+
 def cmd_gen_graph(args) -> int:
-    if args.capacity.startswith("constant:"):
-        dist = ConstantCapacity(int(args.capacity.split(":", 1)[1]))
-    elif args.capacity.startswith("uniform:"):
-        _, lo, hi = args.capacity.split(":")
-        dist = UniformCapacity(int(lo), int(hi))
-    else:
-        raise ValueError(f"capacity must be 'constant:<sat>' or 'uniform:<lo>:<hi>', got {args.capacity!r}")
-    graph = generate_scale_free(args.n, args.m, args.seed, dist)
+    graph = generate_scale_free(args.n, args.m, args.seed, _capacity_dist(args.capacity))
     _write_outputs(args, {"": to_edge_list(graph)})
     print(f"scale-free graph: {graph.node_count} nodes, {graph.channel_count} channels -> {Path(args.out)}")
     return EXIT_OK
@@ -348,20 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="greedy k-lopsided max-cut solutions and curves")
     solve.add_argument("--graph", required=True)
     solve.add_argument("--format", choices=["lnd", "csv"], default=None)
-    solve.add_argument("--k", type=int, default=None)
-    solve.add_argument("--k-max", type=int, default=None)
+    solve.add_argument("--k", type=_int_at_least(1), default=None)
+    solve.add_argument("--k-max", type=_int_at_least(0), default=None)
     solve.add_argument("--objective", choices=["edges", "capacity"], default="edges")
     solve.add_argument("--out", required=True, help="output path prefix")
     solve.set_defaults(func=cmd_solve)
 
     zombie = sub.add_parser("zombie", help="simulate mass forced channel closure")
     group = zombie.add_mutually_exclusive_group(required=True)
-    group.add_argument("--channels", type=int, default=None)
+    group.add_argument("--channels", type=_int_at_least(1), default=None)
     group.add_argument("--cut-file", default=None)
-    zombie.add_argument("--fee", default=None, help="static fee(s), sat/vByte, comma-separated sweeps")
+    zombie.add_argument(
+        "--fee", type=_checked(_fee_list), default=None, help="static fee(s), sat/vByte, comma-separated sweeps"
+    )
     zombie.add_argument("--dynamic", action="store_true")
-    zombie.add_argument("--initial-fee", default=None)
-    zombie.add_argument("--step", default="10", help="bump cadence in blocks, comma-separated sweeps")
+    zombie.add_argument("--initial-fee", type=_checked(_fee_list), default=None)
+    zombie.add_argument(
+        "--step", type=_checked(_step_list), default="10", help="bump cadence in blocks, comma-separated sweeps"
+    )
     zombie.add_argument("--beta", type=float, default=1.01)
     _add_scenario_args(zombie)
     zombie.add_argument("--out", required=True)
@@ -372,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--attacker-fee", required=True, help="commitment fee, sat/vByte")
     ds.add_argument("--sweep-fee", default="100")
     ds.add_argument("--sweep-dynamic", action="store_true")
-    ds.add_argument("--sweep-step", type=int, default=7)
+    ds.add_argument("--sweep-step", type=_int_at_least(1), default=7)
     ds.add_argument("--sweep-beta", type=float, default=1.1)
-    ds.add_argument("--delay", type=_delay_arg, default="scaled", help="'scaled' or 'fixed:<blocks>'")
-    ds.add_argument("--honest-step", type=int, default=None, help="dynamic victim bump cadence")
+    ds.add_argument("--delay", type=_checked(_parse_delay), default="scaled", help="'scaled' or 'fixed:<blocks>'")
+    ds.add_argument("--honest-step", type=_int_at_least(1), default=None, help="dynamic victim bump cadence")
     ds.add_argument("--honest-beta", type=float, default=1.1)
     ds.add_argument("--profit-mode", choices=["per-channel", "average"], default="per-channel")
     ds.add_argument("--avg-capacity", type=int, default=None, help="satoshis (average profit mode)")
@@ -393,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--m", type=int, required=True)
     gg.add_argument("--seed", type=int, default=0)
-    gg.add_argument("--capacity", default="constant:4500000")
+    gg.add_argument("--capacity", type=_checked(_capacity_dist), default="constant:4500000")
     gg.add_argument("--out", required=True)
     gg.set_defaults(func=cmd_gen_graph)
 
@@ -402,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     gt.add_argument("--bands", default=None, help="comma-separated band edges (default: dataset bands)")
     gt.add_argument("--counts", default=None, help="per-band counts")
     gt.add_argument("--count", type=int, default=0, help="same count for every band")
-    gt.add_argument("--snapshots", type=int, required=True)
+    gt.add_argument("--snapshots", type=_int_at_least(1), required=True)
     gt.add_argument("--interval", type=int, default=60)
     gt.add_argument("--start", type=int, default=1_600_000_000)
     gt.add_argument("--out", required=True)
     gt.set_defaults(func=cmd_gen_timeline)
 
     gb = gensub.add_parser("blocks", help="constant block trace CSV")
-    gb.add_argument("--count", type=int, required=True)
+    gb.add_argument("--count", type=_int_at_least(1), required=True)
     gb.add_argument("--txs", type=int, required=True)
     gb.add_argument("--interval", type=int, default=600)
     gb.add_argument("--start", type=int, default=1_600_000_000)

@@ -30,8 +30,9 @@ class Objective(Enum):
     EDGE_COUNT = "edges"
     CAPACITY = "capacity"
 
-    def weight(self, channel: Channel) -> int:
-        return 1 if self is Objective.EDGE_COUNT else channel.capacity
+    def weights(self, graph: LnGraph) -> list[int]:
+        """Each channel's weight, by channel index."""
+        return [1] * graph.channel_count if self is Objective.EDGE_COUNT else graph.capacity
 
 
 @dataclass(frozen=True)
@@ -65,33 +66,34 @@ class Cut:
         return self.edge_count if self.objective is Objective.EDGE_COUNT else self.cut_capacity
 
 
+def _crossing(graph: LnGraph, coalition) -> list[int]:
+    """Indices of the channels with exactly one endpoint in coalition."""
+    inside = bytearray(graph.node_count)
+    for v in coalition:
+        if not 0 <= v < graph.node_count:
+            raise ValueError(f"unknown node index {v}")
+        inside[v] = 1
+    node1, node2 = graph.node1, graph.node2
+    return [ci for ci in range(graph.channel_count) if inside[node1[ci]] != inside[node2[ci]]]
+
+
 def cut_value(graph: LnGraph, coalition) -> tuple[int, int]:
     """(crossing channel count, crossing capacity) of a coalition.
 
     A channel crosses when exactly one endpoint is in the coalition; the
     value is therefore symmetric under complementing the coalition.
     """
-    inside = bytearray(graph.node_count)
-    for v in coalition:
-        if not 0 <= v < graph.node_count:
-            raise ValueError(f"unknown node index {v}")
-        inside[v] = 1
-    edges = 0
-    capacity = 0
-    for ch in graph.channels:
-        if inside[ch.node1] != inside[ch.node2]:
-            edges += 1
-            capacity += ch.capacity
-    return edges, capacity
+    crossing = _crossing(graph, coalition)
+    return len(crossing), sum(map(graph.capacity.__getitem__, crossing))
 
 
 def build_cut(graph: LnGraph, coalition, objective: Objective) -> Cut:
     """Assemble a Cut for a given coalition, recomputing crossing channels
-    from scratch."""
-    inside = bytearray(graph.node_count)
-    for v in coalition:
-        inside[v] = 1
-    crossing = tuple(ch for ch in graph.channels if inside[ch.node1] != inside[ch.node2])
+    from scratch. Only the crossing channels become ``Channel`` objects."""
+    ids, node1, node2, capacity = graph.ids, graph.node1, graph.node2, graph.capacity
+    crossing = tuple(
+        Channel(ids[ci], node1[ci], node2[ci], capacity[ci]) for ci in _crossing(graph, coalition)
+    )
     return Cut(
         k=len(coalition),
         objective=objective,
@@ -115,18 +117,18 @@ def greedy_lopsided_cut(
     n = graph.node_count
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    weight = objective.weight
+    node1, node2, capacity = graph.node1, graph.node2, graph.capacity
+    weights = objective.weights(graph)
     gain = [0] * n
-    for ch in graph.channels:
-        w = weight(ch)
-        gain[ch.node1] += w
-        gain[ch.node2] += w
+    for a, b, w in zip(node1, node2, weights):
+        gain[a] += w
+        gain[b] += w
     heap = [(-g, v) for v, g in enumerate(gain)]
     heapq.heapify(heap)
     in_coalition = bytearray(n)
     coalition: list[int] = []
     steps: list[GreedyStep] = []
-    value = edges = capacity = 0
+    value = edges = cut_capacity = 0
     while len(coalition) < k:
         neg, v = heapq.heappop(heap)
         if in_coalition[v]:
@@ -138,16 +140,15 @@ def greedy_lopsided_cut(
         coalition.append(v)
         value += gain[v]
         for ci in graph.adjacency[v]:
-            ch = graph.channels[ci]
-            u = ch.other(v)
+            u = node2[ci] if node1[ci] == v else node1[ci]
             if in_coalition[u]:
                 edges -= 1
-                capacity -= ch.capacity
+                cut_capacity -= capacity[ci]
             else:
                 edges += 1
-                capacity += ch.capacity
-                gain[u] -= 2 * weight(ch)
-        steps.append(GreedyStep(len(coalition), v, gain[v], value, edges, capacity))
+                cut_capacity += capacity[ci]
+                gain[u] -= 2 * weights[ci]
+        steps.append(GreedyStep(len(coalition), v, gain[v], value, edges, cut_capacity))
     cut = build_cut(graph, coalition, objective)
     return cut, GreedyTrace(objective, tuple(steps))
 
@@ -169,8 +170,7 @@ def exact_lopsided_cut(
         raise EnumerationBudgetExceeded(
             f"C({n},{k}) = {total} subsets exceeds enumeration budget {budget}"
         )
-    weight = objective.weight
-    channels = [(ch.node1, ch.node2, weight(ch)) for ch in graph.channels]
+    channels = list(zip(graph.node1, graph.node2, objective.weights(graph)))
     inside = bytearray(n)
     best_value = -1
     best: tuple[int, ...] = ()

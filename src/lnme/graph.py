@@ -4,8 +4,10 @@ seeded preferential-attachment generator for desk-scale experiments."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -28,36 +30,73 @@ class Channel:
     node2: int
     capacity: int
 
-    def other(self, node: int) -> int:
-        return self.node2 if node == self.node1 else self.node1
-
 
 class LnGraph:
-    """Immutable channel graph.
+    """Immutable channel graph, stored as columns.
 
     Node labels (lnd pubkeys or synthetic names) are canonicalized to dense
-    indices 0..n-1 in first-appearance order. Parallel channels between the
-    same pair stay distinct; self-loops are rejected. Instances are safe to
-    share across concurrent readers.
+    indices 0..n-1 in first-appearance order. Channel ``i`` is
+    ``ids[i]``, ``node1[i]``, ``node2[i]`` and ``capacity[i]``: four
+    parallel lists of plain Python values, so capacities stay unbounded
+    ints. ``adjacency[v]`` lists the channel indices at node ``v``.
+    Parallel channels between the same pair stay distinct; self-loops are
+    rejected. ``channels`` builds the ``Channel`` objects on first access.
+    Instances are safe to share across concurrent readers.
     """
 
     def __init__(self, labels, channels):
+        channels = list(channels)
+        self._set_columns(
+            labels,
+            [ch.id for ch in channels],
+            [ch.node1 for ch in channels],
+            [ch.node2 for ch in channels],
+            [ch.capacity for ch in channels],
+        )
+
+    @classmethod
+    def from_columns(cls, labels, ids, node1, node2, capacity) -> LnGraph:
+        """The graph whose channel i is (ids[i], node1[i], node2[i], capacity[i])."""
+        graph = cls.__new__(cls)
+        graph._set_columns(labels, ids, node1, node2, capacity)
+        return graph
+
+    def _set_columns(self, labels, ids, node1, node2, capacity) -> None:
         self.labels: list[str] = list(labels)
         self.index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
             raise GraphError("duplicate node label")
-        self.channels: list[Channel] = list(channels)
+        self.ids: list[str] = list(ids)
+        self.node1: list[int] = list(node1)
+        self.node2: list[int] = list(node2)
+        self.capacity: list[int] = list(capacity)
+        n = len(self.labels)
+        if self.ids and (
+            min(self.node1) < 0 or min(self.node2) < 0
+            or max(self.node1) >= n or max(self.node2) >= n
+            or any(map(operator.eq, self.node1, self.node2))
+            or min(self.capacity) < 0
+        ):
+            self._raise_first_bad_channel()
         adjacency: list[list[int]] = [[] for _ in self.labels]
-        for ci, ch in enumerate(self.channels):
-            if not (0 <= ch.node1 < len(self.labels)) or not (0 <= ch.node2 < len(self.labels)):
-                raise GraphError(f"channel {ch.id!r} references an unknown node")
-            if ch.node1 == ch.node2:
-                raise GraphError(f"self-loop channel {ch.id!r}")
-            if ch.capacity < 0:
-                raise GraphError(f"negative capacity on channel {ch.id!r}")
-            adjacency[ch.node1].append(ci)
-            adjacency[ch.node2].append(ci)
+        for ci, (a, b) in enumerate(zip(self.node1, self.node2)):
+            adjacency[a].append(ci)
+            adjacency[b].append(ci)
         self.adjacency: list[list[int]] = adjacency
+
+    def _raise_first_bad_channel(self) -> None:
+        n = len(self.labels)
+        for cid, a, b, capacity in zip(self.ids, self.node1, self.node2, self.capacity):
+            if not (0 <= a < n) or not (0 <= b < n):
+                raise GraphError(f"channel {cid!r} references an unknown node")
+            if a == b:
+                raise GraphError(f"self-loop channel {cid!r}")
+            if capacity < 0:
+                raise GraphError(f"negative capacity on channel {cid!r}")
+
+    @functools.cached_property
+    def channels(self) -> list[Channel]:
+        return list(map(Channel, self.ids, self.node1, self.node2, self.capacity))
 
     @property
     def node_count(self) -> int:
@@ -65,7 +104,7 @@ class LnGraph:
 
     @property
     def channel_count(self) -> int:
-        return len(self.channels)
+        return len(self.ids)
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
@@ -80,6 +119,14 @@ def parse_lnd_graph(document: str) -> LnGraph:
     Expects top-level ``nodes`` (objects with ``pub_key``) and ``edges``
     (objects with ``node1_pub``, ``node2_pub``, ``capacity``, ``channel_id``).
     Unknown fields are ignored; nodes without channels are retained.
+
+    The edges are read in bulk when every one is an object with a string
+    ``channel_id``, known pub keys and a decimal-string capacity, as lnd
+    writes them. Otherwise they are read again edge by edge, and that
+    reading decides: it names the first bad edge and alone accepts integer
+    or integral-float capacities, signs, spaces and underscores, and a
+    missing or non-string ``channel_id``. Where the bulk read succeeds, the
+    edge-by-edge reading gives the same graph.
     """
     try:
         doc = json.loads(document)
@@ -100,7 +147,36 @@ def parse_lnd_graph(document: str) -> LnGraph:
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise GraphError("duplicate pub_key in nodes array")
-    channels: list[Channel] = []
+    try:
+        columns = _read_lnd_edges_bulk(edges, index)
+    except (KeyError, TypeError, ValueError):
+        columns = _read_lnd_edges(edges, index)
+    return LnGraph.from_columns(labels, *columns)
+
+
+def _read_lnd_edges_bulk(edges: list, index: dict[str, int]):
+    """The channel columns of edges in lnd's own shape; anything else raises
+    KeyError, TypeError or ValueError. Self-loops are left to LnGraph, which
+    names the first one as the edge-by-edge reading would."""
+    ids = [edge["channel_id"] for edge in edges]
+    if not all(type(cid) is str for cid in ids):
+        raise ValueError("non-string channel_id")
+    node1 = [index[edge["node1_pub"]] for edge in edges]
+    node2 = [index[edge["node2_pub"]] for edge in edges]
+    texts = [edge["capacity"] for edge in edges]
+    # isdecimal, not isdigit: "²".isdigit() holds but int("²") raises
+    if not all(map(str.isdecimal, texts)):
+        raise ValueError("capacity not a decimal string")
+    return ids, node1, node2, list(map(int, texts))
+
+
+def _read_lnd_edges(edges: list, index: dict[str, int]):
+    """The channel columns of edges read one at a time; the first bad edge
+    raises GraphError naming it."""
+    ids: list[str] = []
+    node1: list[int] = []
+    node2: list[int] = []
+    capacity: list[int] = []
     for pos, edge in enumerate(edges):
         if not isinstance(edge, dict):
             raise GraphError(f"edge entry {pos} is not an object")
@@ -112,8 +188,11 @@ def parse_lnd_graph(document: str) -> LnGraph:
         a, b = index[ends[0]], index[ends[1]]
         if a == b:
             raise GraphError(f"self-loop channel {cid!r}")
-        channels.append(Channel(cid, a, b, parse_capacity(edge.get("capacity"), cid)))
-    return LnGraph(labels, channels)
+        ids.append(cid)
+        node1.append(a)
+        node2.append(b)
+        capacity.append(parse_capacity(edge.get("capacity"), cid))
+    return ids, node1, node2, capacity
 
 
 def parse_capacity(raw, channel_id: str) -> int:
@@ -151,7 +230,9 @@ def parse_edge_list(document: str) -> LnGraph:
     """
     labels: list[str] = []
     index: dict[str, int] = {}
-    channels: list[Channel] = []
+    node1: list[int] = []
+    node2: list[int] = []
+    capacity: list[int] = []
 
     def canonical(label: str) -> int:
         if label not in index:
@@ -170,17 +251,19 @@ def parse_edge_list(document: str) -> LnGraph:
         a_label, b_label, cap_text = cells
         if not a_label or not b_label:
             raise GraphError(f"line {lineno}: empty node label")
-        cid = f"e{len(channels)}"
         try:
-            capacity = int(cap_text)
+            cap = int(cap_text)
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer capacity {cap_text!r}") from None
-        if capacity < 0:
+        if cap < 0:
             raise GraphError(f"line {lineno}: negative capacity")
         if a_label == b_label:
             raise GraphError(f"line {lineno}: self-loop on node {a_label!r}")
-        channels.append(Channel(cid, canonical(a_label), canonical(b_label), capacity))
-    return LnGraph(labels, channels)
+        node1.append(canonical(a_label))
+        node2.append(canonical(b_label))
+        capacity.append(cap)
+    ids = [f"e{i}" for i in range(len(capacity))]
+    return LnGraph.from_columns(labels, ids, node1, node2, capacity)
 
 
 def to_edge_list(graph: LnGraph) -> str:
@@ -188,9 +271,12 @@ def to_edge_list(graph: LnGraph) -> str:
 
     Isolated nodes are not representable in this format.
     """
+    labels = graph.labels
     lines = [",".join(EDGE_LIST_HEADER)]
-    for ch in graph.channels:
-        lines.append(f"{graph.labels[ch.node1]},{graph.labels[ch.node2]},{ch.capacity}")
+    lines += [
+        f"{labels[a]},{labels[b]},{capacity}"
+        for a, b, capacity in zip(graph.node1, graph.node2, graph.capacity)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -237,11 +323,14 @@ def generate_scale_free(n: int, m: int, seed: int, capacity_dist=None) -> LnGrap
         raise GraphError(f"need n > m, got n={n}, m={m}")
     rng = random.Random(seed)
     sampler = capacity_dist if capacity_dist is not None else ConstantCapacity()
-    labels = [str(i) for i in range(n)]
-    channels: list[Channel] = []
+    node1: list[int] = []
+    node2: list[int] = []
+    capacity: list[int] = []
 
     def add_channel(a: int, b: int) -> None:
-        channels.append(Channel(f"s{len(channels)}", a, b, sampler.sample(rng)))
+        node1.append(a)
+        node2.append(b)
+        capacity.append(sampler.sample(rng))
 
     # hub-and-spokes seed: node 0 connected to 1..m
     repeated: list[int] = []
@@ -256,7 +345,8 @@ def generate_scale_free(n: int, m: int, seed: int, capacity_dist=None) -> LnGrap
             add_channel(source, target)
             repeated.append(target)
         repeated.extend([source] * m)
-    return LnGraph(labels, channels)
+    ids = [f"s{i}" for i in range(len(capacity))]
+    return LnGraph.from_columns([str(i) for i in range(n)], ids, node1, node2, capacity)
 
 
 def degree_histogram(graph: LnGraph) -> dict[int, int]:

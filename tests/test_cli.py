@@ -51,6 +51,29 @@ class TestGen:
         assert bl[0] == "height,timestamp,tx_count"
         assert bl[1].endswith(",2000")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("blocks", "--count", -3, "--txs", 100), "--count"),
+        (("blocks", "--count", 0, "--txs", 100), "--count"),
+        (("timeline", "--snapshots", 0), "--snapshots"),
+        (("timeline", "--snapshots", -1), "--snapshots"),
+    ])
+    def test_empty_output_is_usage_error(self, workdir, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", *argv, "--out", "x.csv")
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "capacity", ["bogus", "constant:abc", "constant:-1", "uniform:5:3", "uniform:1:2:3"]
+    )
+    def test_bad_capacity_is_usage_error(self, workdir, capsys, capacity):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "graph", "--n", 10, "--m", 2, "--capacity", capacity, "--out", "g.csv")
+        assert exc.value.code == 2
+        assert "argument --capacity" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
 
 class TestSolve:
     def test_cut_and_curve(self, workdir):
@@ -86,6 +109,22 @@ class TestSolve:
         assert run("solve", "--graph", name, "--k", 1, "--out", "x") == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "x.manifest.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", 0), ("--k", -1), ("--k", "abc"), ("--k-max", -2), ("--k-max", "1.5"),
+    ])
+    def test_bad_k_is_usage_error(self, workdir, capsys, flag, value):
+        run("gen", "graph", "--scale-free", "--n", 10, "--m", 1, "--seed", 0, "--out", "g.csv")
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--graph", "g.csv", flag, value, "--out", "x")
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (workdir / "x.manifest.json").exists()
+
+    def test_k_above_node_count_is_data_error(self, workdir, capsys):
+        run("gen", "graph", "--scale-free", "--n", 10, "--m", 1, "--seed", 0, "--out", "g.csv")
+        assert run("solve", "--graph", "g.csv", "--k", 11, "--out", "x") == EXIT_DATA
+        assert "k must be in [1, 10], got 11" in capsys.readouterr().err
 
     def test_requires_k_or_kmax(self, workdir):
         run("gen", "graph", "--scale-free", "--n", 10, "--m", 1, "--seed", 0, "--out", "g.csv")
@@ -137,6 +176,25 @@ class TestZombie:
         assert exc.value.code == 2
         assert "--avg-block-txs" in capsys.readouterr().err
         assert not (workdir / "z.summary.json").exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (("--channels", 10, "--fee", "abc"), "--fee"),
+        (("--channels", 10, "--fee", ","), "--fee"),
+        (("--channels", 10, "--fee", -5), "--fee"),
+        (("--channels", -5, "--fee", 70), "--channels"),
+        (("--channels", 0, "--fee", 70), "--channels"),
+        (("--channels", 10, "--dynamic", "--initial-fee", "x"), "--initial-fee"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--step", 0), "--step"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--step", "5,-1"), "--step"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--step", "abc"), "--step"),
+    ])
+    def test_bad_flag_is_usage_error(self, workdir, capsys, flags, flag):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        with pytest.raises(SystemExit) as exc:
+            run("zombie", *flags, "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "z")
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (workdir / "z.manifest.json").exists()
 
     def test_non_finite_timeline_count_is_data_error(self, workdir, capsys):
         gen_inputs(workdir, snapshots=3, blocks=3)
@@ -202,6 +260,20 @@ class TestDoublespend:
                 "--delay", delay, "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "ds")
         assert exc.value.code == 2
         assert "--delay" in capsys.readouterr().err
+        assert not (workdir / "ds.report.json").exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (("--honest-step", 0), "--honest-step"),
+        (("--sweep-dynamic", "--sweep-step", 0), "--sweep-step"),
+    ])
+    def test_bad_step_is_usage_error(self, workdir, capsys, flags, flag):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        self.make_cut(workdir)
+        with pytest.raises(SystemExit) as exc:
+            run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, *flags,
+                "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "ds")
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not (workdir / "ds.report.json").exists()
 
     def test_average_mode_requires_avg_capacity(self, workdir):

@@ -19,7 +19,8 @@ from lnme.cut import (
     read_cut_json,
     value_vs_k_curve,
 )
-from lnme.graph import parse_edge_list
+import lnme.cut as cut_module
+from lnme.graph import generate_scale_free, parse_edge_list
 
 
 def brute_force_best(graph, k, objective):
@@ -252,6 +253,25 @@ class TestExport:
         assert cut.edge_count == len(cut.cut_channels)
         assert cut.cut_capacity == sum(ch.capacity for ch in cut.cut_channels)
         assert (cut.edge_count, cut.cut_capacity) == cut_value(g, coalition)
+
+    def test_build_cut_rejects_unknown_node(self):
+        with pytest.raises(ValueError, match="unknown node index -1"):
+            build_cut(triangle(), [0, -1], Objective.EDGE_COUNT)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_solve_builds_only_crossing_channels(self, monkeypatch, objective):
+        g = generate_scale_free(300, 2, seed=4)
+        built = []
+        channel = cut_module.Channel
+        monkeypatch.setattr(cut_module, "Channel", lambda *fields: built.append(fields) or channel(*fields))
+        cut, _ = greedy_lopsided_cut(g, 5, objective)
+        assert len(built) == cut.edge_count
+        value_vs_k_curve(g, 20, objective)
+        assert "channels" not in vars(g)
+        inside = set(cut.coalition)
+        assert list(cut.cut_channels) == [
+            ch for ch in g.channels if (ch.node1 in inside) != (ch.node2 in inside)
+        ]
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,13 +2,17 @@ import json
 import random
 import statistics
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lnme import graph as graph_module
 from lnme.graph import (
+    Channel,
     GraphError,
+    LnGraph,
     UniformCapacity,
     degree_histogram,
     generate_scale_free,
@@ -89,6 +93,194 @@ class TestParseLndGraph:
         )
         assert g.channel_count == 2
         assert {ch.id for ch in g.channels} == {"1", "2"}
+
+
+def lnd_outcome(document):
+    """What parse_lnd_graph makes of document: the graph's columns and
+    adjacency, or the GraphError message."""
+    try:
+        g = parse_lnd_graph(document)
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+    assert all(type(c) is int for c in g.capacity)
+    return g.labels, g.ids, g.node1, g.node2, g.capacity, g.adjacency
+
+
+def both_lnd_reads(document):
+    """lnd_outcome of document with the bulk read, then with the edge-by-edge
+    read alone."""
+    fast = lnd_outcome(document)
+    with mock.patch.object(graph_module, "_read_lnd_edges_bulk", side_effect=ValueError("bulk off")):
+        slow = lnd_outcome(document)
+    return fast, slow
+
+
+MISSING = object()
+GOOD_EDGE = {"channel_id": "7", "node1_pub": "A", "node2_pub": "B", "capacity": "5"}
+
+
+def edges_doc(*edges, nodes=("A", "B", "C")):
+    """An lnd document over nodes whose edges are GOOD_EDGE with the given
+    fields replaced (MISSING drops a field); a non-dict edge is kept as is."""
+    entries = [
+        {k: v for k, v in {**GOOD_EDGE, **edge}.items() if v is not MISSING}
+        if isinstance(edge, dict) else edge
+        for edge in edges
+    ]
+    return json.dumps({"nodes": [{"pub_key": n} for n in nodes], "edges": entries})
+
+
+@st.composite
+def lnd_documents(draw):
+    """lnd documents whose edges are mostly GOOD_EDGE-like, with hostile
+    channel ids, end points, capacities and non-object edges mixed in."""
+    def field(valid, hostile):
+        return draw(hostile) if draw(st.integers(0, 5)) == 0 else valid
+
+    pub = st.sampled_from(["A", "B", "C", "GHOST", "", ["A"], None, 5, MISSING])
+    capacity = st.one_of(
+        st.sampled_from([5, 5.0, 3.7, True, None, "+5", " 7 ", "1_000", "\u0665", "\u00b2",
+                         "-3", "", "9" * 4301, MISSING]),
+        st.integers(-5, 10**20),
+        st.text("0123456789+-_. ", max_size=6),
+    )
+    channel_id = st.sampled_from([MISSING, None, 7, "", "x"])
+    edges = []
+    for i in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 15)) == 0:
+            edges.append(draw(st.sampled_from([5, "edge", None, [], [GOOD_EDGE]])))
+            continue
+        a, b = draw(st.permutations(["A", "B", "C"]))[:2]
+        edges.append({
+            "channel_id": field(str(i), channel_id),
+            "node1_pub": field(a, pub),
+            "node2_pub": field(b, pub),
+            "capacity": field(str(draw(st.integers(0, 10**9))), capacity),
+        })
+    return edges_doc(*edges)
+
+
+class TestLndReadPathsAgree:
+    """The bulk read of lnd edges against the edge-by-edge reference: equal
+    columns and adjacency, or GraphErrors with equal messages."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            # capacities
+            *[
+                edges_doc({"capacity": capacity}, {"channel_id": "8", "node2_pub": "C"})
+                for capacity in [
+                    5, 5.0, "+5", " 7 ", "1_000", "\u0665", "\u00b2", "\uff15", "9" * 4301, "-3",
+                    "", "3.7", 3.7, True, None, [5], "0", "007", 10**30, str(10**30),
+                ]
+            ],
+            edges_doc({"capacity": MISSING}),
+            # channel ids
+            edges_doc({"channel_id": MISSING}),
+            edges_doc({"channel_id": None}),
+            edges_doc({"channel_id": 7}),
+            edges_doc({"channel_id": MISSING}, {"channel_id": MISSING, "node1_pub": "C"}),
+            # edge shape and end points
+            edges_doc(5),
+            edges_doc(GOOD_EDGE, [GOOD_EDGE]),
+            edges_doc(GOOD_EDGE, "edge"),
+            edges_doc(GOOD_EDGE, None),
+            edges_doc({"node1_pub": ["A"]}),
+            edges_doc({"node2_pub": {"B": 1}}),
+            edges_doc({"node1_pub": "GHOST"}),
+            edges_doc({"node2_pub": MISSING}),
+            edges_doc({"node1_pub": "B"}),
+            edges_doc(GOOD_EDGE, {"channel_id": "9", "node1_pub": "C", "node2_pub": "C"}),
+            # two faults: the later one is of a kind the bulk read meets first
+            edges_doc({"capacity": "lots"}, 5),
+            edges_doc({"node2_pub": "A"}, {"node1_pub": "GHOST"}),
+            edges_doc({"capacity": "-3"}, {"node2_pub": ["B"]}),
+            edges_doc({"node2_pub": "A"}, {"capacity": "\u00b2"}),
+            edges_doc({"capacity": 3.7}, {"node1_pub": "C", "node2_pub": "C"}),
+            # well-formed documents
+            edges_doc(),
+            edges_doc(GOOD_EDGE, GOOD_EDGE, {"channel_id": "8", "node1_pub": "C", "capacity": "0"}),
+            edges_doc({"node1_pub": "B", "node2_pub": "A", "capacity": "4500000", "extra": [1]}),
+        ],
+    )
+    def test_documents(self, document):
+        fast, slow = both_lnd_reads(document)
+        assert fast == slow
+
+    @settings(max_examples=400, deadline=None)
+    @given(lnd_documents())
+    def test_generated_documents(self, document):
+        fast, slow = both_lnd_reads(document)
+        assert fast == slow
+
+    def test_lnd_shaped_document_takes_the_bulk_read(self):
+        pubs = [f"02{i:064x}" for i in range(4)]
+        ends = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)]
+        document = json.dumps({
+            "nodes": [{"pub_key": pub, "alias": f"node-{i}"} for i, pub in enumerate(pubs)],
+            "edges": [
+                {"channel_id": str(600_000 << 40 | i << 16), "node1_pub": pubs[a],
+                 "node2_pub": pubs[b], "capacity": str(1_000_000 + i)}
+                for i, (a, b) in enumerate(ends)
+            ],
+        })
+        with mock.patch.object(graph_module, "_read_lnd_edges", side_effect=AssertionError("edge by edge")):
+            g = parse_lnd_graph(document)
+        assert g.ids == [str(600_000 << 40 | i << 16) for i in range(5)]
+        assert list(zip(g.node1, g.node2)) == ends
+        assert g.capacity == [1_000_000 + i for i in range(5)]
+        assert g.adjacency == [[0, 3, 4], [0, 1, 4], [1, 2], [2, 3]]
+
+
+class TestLnGraphValidation:
+    LABELS = ["A", "B", "C"]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Channel("x", 0, 3, 5), "channel 'x' references an unknown node"),
+            (Channel("x", -1, 1, 5), "channel 'x' references an unknown node"),
+            (Channel("x", 1, -2, 5), "channel 'x' references an unknown node"),
+            (Channel("x", 2, 2, 5), "self-loop channel 'x'"),
+            (Channel("x", 0, 1, -1), "negative capacity on channel 'x'"),
+        ],
+    )
+    def test_first_bad_channel_is_named(self, bad, message):
+        later = [Channel("y", 0, 9, 5), Channel("z", 1, 1, -5)]
+        channels = [Channel("ok", 0, 1, 5), bad, *later]
+        with pytest.raises(GraphError) as exc:
+            LnGraph(self.LABELS, channels)
+        assert str(exc.value) == message
+        columns = [[getattr(ch, f) for ch in channels] for f in ("id", "node1", "node2", "capacity")]
+        with pytest.raises(GraphError) as exc:
+            LnGraph.from_columns(self.LABELS, *columns)
+        assert str(exc.value) == message
+
+    def test_duplicate_label(self):
+        with pytest.raises(GraphError, match="duplicate node label"):
+            LnGraph(["A", "A"], [])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_constructors_agree(self, seed):
+        from conftest import random_graph
+
+        g = random_graph(random.Random(seed), 25, 0.2)
+        ids = [ch.id for ch in g.channels]
+        node1 = [ch.node1 for ch in g.channels]
+        node2 = [ch.node2 for ch in g.channels]
+        capacity = [ch.capacity for ch in g.channels]
+        h = LnGraph.from_columns(g.labels, ids, node1, node2, capacity)
+        assert h.channels == g.channels
+        assert h.adjacency == g.adjacency
+        assert [h.degree(v) for v in range(h.node_count)] == [g.degree(v) for v in range(g.node_count)]
+        assert (h.ids, h.node1, h.node2, h.capacity) == (g.ids, g.node1, g.node2, g.capacity)
+
+    def test_channels_built_on_first_access(self):
+        g = parse_edge_list("a,b,100\nb,c,200")
+        assert "channels" not in vars(g)
+        assert g.channels == [Channel("e0", 0, 1, 100), Channel("e1", 1, 2, 200)]
+        assert g.channels is g.channels
 
 
 class TestParseEdgeList:
