@@ -161,6 +161,13 @@ def _block_average(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _beta(text: str) -> float:
+    try:
+        return Dynamic(FeeRate(0), 1, float(text)).beta
+    except ValueError as exc:  # a usage error, not a data error
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _checked(parse):
     """An argparse type that keeps a flag's text, which the manifest
     records, once parse accepts it; parse's ValueError is a usage error."""
@@ -400,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     zombie.add_argument(
         "--step", type=_checked(_step_list), default="10", help="bump cadence in blocks, comma-separated sweeps"
     )
-    zombie.add_argument("--beta", type=float, default=1.01)
+    zombie.add_argument("--beta", type=_beta, default=1.01)
     _add_scenario_args(zombie)
     zombie.add_argument("--out", required=True)
     zombie.set_defaults(func=cmd_zombie)
@@ -411,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--sweep-fee", default="100")
     ds.add_argument("--sweep-dynamic", action="store_true")
     ds.add_argument("--sweep-step", type=_int_at_least(1), default=7)
-    ds.add_argument("--sweep-beta", type=float, default=1.1)
+    ds.add_argument("--sweep-beta", type=_beta, default=1.1)
     ds.add_argument("--delay", type=_checked(_parse_delay), default="scaled", help="'scaled' or 'fixed:<blocks>'")
     ds.add_argument("--honest-step", type=_int_at_least(1), default=None, help="dynamic victim bump cadence")
-    ds.add_argument("--honest-beta", type=float, default=1.1)
+    ds.add_argument("--honest-beta", type=_beta, default=1.1)
     ds.add_argument("--profit-mode", choices=["per-channel", "average"], default="per-channel")
-    ds.add_argument("--avg-capacity", type=int, default=None, help="satoshis (average profit mode)")
+    ds.add_argument("--avg-capacity", type=_int_at_least(0), default=None, help="satoshis (average profit mode)")
     ds.add_argument("--strict-expiry", action="store_true")
     ds.add_argument("--event-log", action="store_true")
     _add_scenario_args(ds)
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     gg = gensub.add_parser("graph", help="scale-free graph as edge-list CSV")
     gg.add_argument("--scale-free", action="store_true")
     gg.add_argument("--n", type=int, required=True)
-    gg.add_argument("--m", type=int, required=True)
+    gg.add_argument("--m", type=_int_at_least(1), required=True)
     gg.add_argument("--seed", type=int, default=0)
     gg.add_argument("--capacity", type=_checked(_capacity_dist), default="constant:4500000")
     gg.add_argument("--out", required=True)
@@ -466,6 +473,8 @@ def _validate(args, parser) -> None:
             parser.error("--dynamic requires --initial-fee")
         if not args.dynamic and args.fee is None:
             parser.error("either --fee or --dynamic --initial-fee is required")
+    if getattr(args, "gen_command", None) == "graph" and args.n <= args.m:
+        parser.error(f"--n must be > --m, got --n {args.n} --m {args.m}")
     if args.command == "doublespend" and args.profit_mode == "average" and args.avg_capacity is None:
         parser.error("--profit-mode average requires --avg-capacity")
     if getattr(args, "scenario", None) == "2" and args.avg_block_txs is None:

@@ -14,6 +14,7 @@ moved), defended when its penalty confirms first.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -96,8 +97,8 @@ class PenaltyPolicy:
         if self.dynamic:
             if self.step < 1:
                 raise ValueError("step must be >= 1")
-            if self.beta <= 1:
-                raise ValueError("beta must be > 1")
+            if not (math.isfinite(self.beta) and self.beta > 1):
+                raise ValueError("beta must be finite and > 1")
 
 
 class Outcome(Enum):
@@ -224,7 +225,7 @@ def simulate_double_spend(
     """
     scenario_start = scenario.start()
     blocks = scenario.attack_blocks()
-    engine = ReplayEngine(scenario.timeline, scenario.capacity_mode, record_events)
+    engine = ReplayEngine(scenario.timeline, scenario.capacity_mode)
     attacks: list[ChannelAttack] = []
     by_commit: dict[str, ChannelAttack] = {}
     by_racer: dict[str, ChannelAttack] = {}  # penalty and sweep ids
@@ -240,11 +241,15 @@ def simulate_double_spend(
     sweeps: defaultdict[int, list[ChannelAttack]] = defaultdict(list)
     bumps: defaultdict[int, list[tuple[str, int, float]]] = defaultdict(list)
     series: list[tuple[int, int]] = []
+    events: list[tuple[int, list[str]]] | None = [] if record_events else None
     compromised_total = 0
     undecided = len(attacks)
     for entry in blocks:
         height, now = entry.height, entry.timestamp
-        for tx in engine.apply_block(entry):
+        confirmed = engine.apply_block(entry)
+        if events is not None and confirmed:
+            events.append((height, [tx.id for tx in confirmed]))
+        for tx in confirmed:
             atk = by_commit.get(tx.id)
             if atk is not None:
                 atk.commitment_height = atk.penalty_submit_height = height
@@ -289,9 +294,7 @@ def simulate_double_spend(
         series.append((height, compromised_total))
         if undecided == 0:
             break
-    return DoubleSpendReport(
-        attacks, series, undecided > 0, events=engine.events if record_events else None
-    )
+    return DoubleSpendReport(attacks, series, undecided > 0, events)
 
 
 @dataclass(frozen=True)

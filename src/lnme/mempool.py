@@ -17,18 +17,19 @@ number of strictly-higher-priority historical transactions is below the
 block's remaining capacity. Displaced historical transactions are not
 re-queued; congestion is simply re-read from the next snapshot.
 
-The engine queues cohorts, not transactions. A cohort is every
-transaction that entered one band at one instant (a submission or a bump),
-keyed by ``(band, queued_at)``. The cohort alone holds the queue position
-and outflow mark its members were given, so all of them have the same
-``same_band_ahead`` (``ReplayEngine.same_band_ahead``) for as long as they
-stay. Inside a band, cohorts are ordered by ``(same_band_ahead,
-queued_at)`` and members by id, which is the priority order above. With
-``above`` historical transactions in higher bands, one block confirms
-``max(0, min(live, remaining - above - same_band_ahead))`` of a cohort's
-``live`` members, exactly what confirming them one by one would do. So
-queue order and the confirmation test cost one step per cohort, however
-many identical transactions a mass exit submits and bumps together.
+The engine queues cohorts, not transactions. A cohort, keyed by ``(band,
+queued_at)``, holds exactly the pending transactions that entered that
+band at that instant (a submission or a bump), in id order; bumps
+elsewhere, withdrawals and confirmations take them out. Only the cohort
+holds its members' queue position and outflow mark, so all of them have
+the same ``same_band_ahead``. Inside a band, cohorts are ordered by
+``(same_band_ahead, queued_at)`` and members by id, which is the priority
+order above. With ``above`` historical transactions in higher bands, one
+block confirms ``max(0, min(live, remaining - above - same_band_ahead))``
+of a cohort's ``live`` members, exactly what confirming them one by one
+would do. So queue order and the confirmation test cost one step per
+cohort, however many identical transactions a mass exit submits and bumps
+together.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -395,12 +396,11 @@ class MonitoredTx:
 
     ``band`` and ``queued_at`` name the cohort that holds its queue
     position; ``queued_at`` is the replace-by-fee re-submission time used
-    for FIFO tie-breaking, and ``submitted_at`` never changes.
+    for FIFO tie-breaking.
     """
 
     id: str
     fee: FeeRate
-    submitted_at: int
     band: int
     status: TxStatus = TxStatus.PENDING
     confirmed_height: int | None = None
@@ -408,17 +408,16 @@ class MonitoredTx:
 
 
 class _Cohort:
-    """Transactions that entered one band at one instant, in id order.
+    """The pending transactions that entered one band at one instant.
 
-    A transaction belongs to the cohort of its current ``(band,
-    queued_at)`` while it is pending. Members that leave (bumped into
-    another cohort, confirmed or withdrawn) stay in the list and are
-    skipped. ``pos`` and ``mark`` are the band's count and cumulative
-    outflow when the cohort was created: the queue position every member
-    holds, drained by the band's outflow since then.
+    ``members[head:]`` are exactly the pending transactions whose current
+    ``(band, queued_at)`` is the cohort's, in id order; entries before
+    ``head`` have confirmed or left. ``pos`` and ``mark`` are the band's
+    count and cumulative outflow when the cohort was created: the queue
+    position every member holds, drained by the band's outflow since then.
     """
 
-    __slots__ = ("band", "queued_at", "pos", "mark", "members", "head", "in_order")
+    __slots__ = ("band", "queued_at", "pos", "mark", "members", "head")
 
     def __init__(self, band: int, queued_at: int, pos: int, mark: int, members: list[MonitoredTx]):
         self.band = band
@@ -426,8 +425,7 @@ class _Cohort:
         self.pos = pos
         self.mark = mark
         self.members = members
-        self.head = 0  # every member before head has left
-        self.in_order = True  # members ascend by id
+        self.head = 0
 
     def ahead(self, outflow: list[int]) -> int:
         """Historical transactions of the band still queued before every
@@ -437,52 +435,37 @@ class _Cohort:
         remaining = self.pos - (outflow[self.band] - self.mark)
         return remaining if remaining > 0 else 0
 
-    def _holds(self, tx: MonitoredTx) -> bool:
-        return tx.status is TxStatus.PENDING and tx.queued_at == self.queued_at and tx.band == self.band
-
     def add(self, tx: MonitoredTx) -> None:
         members = self.members
-        if members and tx.id < members[-1].id:
-            self.in_order = False
-        members.append(tx)
+        if self.head == len(members) or tx.id > members[-1].id:
+            members.append(tx)
+        else:
+            insort(members, tx, lo=self.head, key=attrgetter("id"))
+
+    def remove(self, tx: MonitoredTx) -> None:
+        members, head = self.members, self.head
+        if head < len(members) and members[head] is tx:
+            self.head = head + 1  # members mostly leave in id order
+            return
+        i = bisect_left(members, tx.id, lo=head, key=attrgetter("id"))
+        if i == len(members) or members[i] is not tx:
+            raise ReplayError(f"transaction {tx.id!r} is not in its cohort")
+        del members[i]
 
     def live(self) -> list[MonitoredTx]:
-        # _holds inlined here and in confirm: both visit every member
-        band, queued_at, pending = self.band, self.queued_at, TxStatus.PENDING
-        return [
-            tx
-            for tx in self.members[self.head:]
-            if tx.status is pending and tx.queued_at == queued_at and tx.band == band
-        ]
-
-    def first(self) -> MonitoredTx | None:
-        """The live member with the smallest id, or None once all left."""
-        if not self.in_order:
-            self.members = sorted(self.live(), key=attrgetter("id"))
-            self.head = 0
-            self.in_order = True
-        members, i = self.members, self.head
-        while i < len(members) and not self._holds(members[i]):
-            i += 1
-        self.head = i
-        return members[i] if i < len(members) else None
+        return self.members[self.head:]
 
     def confirm(self, room: int, height: int, out: list[MonitoredTx]) -> int:
-        """Confirm up to room live members in id order (after ``first``),
-        appending them to out; returns how many confirmed."""
-        members, band, queued_at = self.members, self.band, self.queued_at
-        pending, confirmed = TxStatus.PENDING, TxStatus.CONFIRMED
-        i, took = self.head, 0
-        while took < room and i < len(members):
-            tx = members[i]
-            i += 1
-            if tx.status is pending and tx.queued_at == queued_at and tx.band == band:
-                tx.status = confirmed
-                tx.confirmed_height = height
-                out.append(tx)
-                took += 1
-        self.head = i
-        return took
+        """Confirm up to room members in id order, appending them to out;
+        returns how many confirmed."""
+        taken = self.members[self.head:self.head + room]
+        confirmed = TxStatus.CONFIRMED
+        for tx in taken:
+            tx.status = confirmed
+            tx.confirmed_height = height
+        out.extend(taken)
+        self.head += len(taken)
+        return len(taken)
 
 
 class ReplayEngine:
@@ -493,17 +476,10 @@ class ReplayEngine:
     run in parallel; one engine must not be mutated concurrently.
     """
 
-    def __init__(
-        self,
-        timeline: MempoolTimeline,
-        capacity_mode: CapacityMode = Historical(),
-        record_events: bool = False,
-    ):
+    def __init__(self, timeline: MempoolTimeline, capacity_mode: CapacityMode = Historical()):
         self.timeline = timeline
         self._edges = [edge.centi for edge in timeline.band_edges]  # bisected as ints
         self.capacity_mode = capacity_mode
-        self.record_events = record_events
-        self.events: list[tuple[int, list[str]]] = []
         self.transactions: dict[str, MonitoredTx] = {}
         # band -> queued_at -> cohort
         self._bands: dict[int, dict[int, _Cohort]] = {}
@@ -562,7 +538,7 @@ class ReplayEngine:
             raise ReplayError(f"duplicate transaction id {tx_id!r}")
         self._advance(at)
         band = self._band_index(fee)
-        tx = MonitoredTx(id=tx_id, fee=fee, submitted_at=at, band=band, queued_at=at)
+        tx = MonitoredTx(id=tx_id, fee=fee, band=band, queued_at=at)
         self.transactions[tx_id] = tx
         self._cohort(band, at).add(tx)
         return tx
@@ -578,7 +554,7 @@ class ReplayEngine:
         self._advance(at)
         band = self._band_index(new_fee)
         if band != tx.band or at != tx.queued_at:
-            # band and time only rise, so the old cohort never takes tx back
+            self._bands[tx.band][tx.queued_at].remove(tx)
             tx.band = band
             tx.queued_at = at
             self._cohort(band, at).add(tx)
@@ -598,20 +574,21 @@ class ReplayEngine:
         top = FeeRate(max(map(attrgetter("fee.centi"), movers)))
         if new_fee <= top:
             raise ReplayError(f"bump must increase the fee ({new_fee} <= {top})")
+        if len(sources) > 1:
+            movers.sort(key=attrgetter("id"))
         self._advance(at)
         band = self._band_index(new_fee)
         for tx in movers:
             tx.fee = new_fee
             tx.band = band
             tx.queued_at = at
-        merged = _Cohort(band, at, *self._position(band), movers)
-        merged.in_order = len(sources) == 1 and sources[0].in_order
-        self._bands = {band: {at: merged}}
+        self._bands = {band: {at: _Cohort(band, at, *self._position(band), movers)}}
 
     def withdraw(self, tx_id: str) -> MonitoredTx:
         tx = self.transactions.get(tx_id)
         if tx is None or tx.status is not TxStatus.PENDING:
             raise ReplayError(f"transaction {tx_id!r} is not pending")
+        self._bands[tx.band][tx.queued_at].remove(tx)
         tx.status = TxStatus.WITHDRAWN
         return tx
 
@@ -641,8 +618,6 @@ class ReplayEngine:
                 if room <= 0:
                     break  # cohorts ascend by position: the rest of the band fails too
                 remaining -= cohort.confirm(room, entry.height, confirmed)
-        if self.record_events and confirmed:
-            self.events.append((entry.height, [tx.id for tx in confirmed]))
         return confirmed
 
     def pending(self) -> list[MonitoredTx]:
@@ -681,7 +656,7 @@ class ReplayEngine:
         cohorts, outflow = self._bands[band], self._outflow
         order = []
         for queued_at, cohort in list(cohorts.items()):
-            if cohort.first() is None:
+            if cohort.head == len(cohort.members):
                 del cohorts[queued_at]
             else:
                 order.append((cohort.ahead(outflow), queued_at, cohort))

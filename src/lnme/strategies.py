@@ -3,6 +3,7 @@ replace-by-fee bumping every fixed number of blocks."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .mempool import FeeRate
@@ -28,8 +29,8 @@ class Dynamic:
     def __post_init__(self):
         if self.step < 1:
             raise ValueError("step must be >= 1")
-        if self.beta <= 1:
-            raise ValueError("beta must be > 1")
+        if not (math.isfinite(self.beta) and self.beta > 1):
+            raise ValueError("beta must be finite and > 1")
 
 
 FeeStrategy = Static | Dynamic

@@ -74,6 +74,19 @@ class TestGen:
         assert "argument --capacity" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
+    @pytest.mark.parametrize("n, m, message", [
+        (3, 3, "--n must be > --m, got --n 3 --m 3"),
+        (2, 5, "--n must be > --m, got --n 2 --m 5"),
+        (10, 0, "argument --m: must be >= 1"),
+        (10, -2, "argument --m: must be >= 1"),
+    ])
+    def test_bad_graph_size_is_usage_error(self, workdir, capsys, n, m, message):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "graph", "--n", n, "--m", m, "--out", "g.csv")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
 
 class TestSolve:
     def test_cut_and_curve(self, workdir):
@@ -187,6 +200,11 @@ class TestZombie:
         (("--channels", 10, "--dynamic", "--initial-fee", 5, "--step", 0), "--step"),
         (("--channels", 10, "--dynamic", "--initial-fee", 5, "--step", "5,-1"), "--step"),
         (("--channels", 10, "--dynamic", "--initial-fee", 5, "--step", "abc"), "--step"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--beta", "nan"), "--beta"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--beta", "inf"), "--beta"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--beta", 0.5), "--beta"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--beta", 1), "--beta"),
+        (("--channels", 10, "--dynamic", "--initial-fee", 5, "--beta", "abc"), "--beta"),
     ])
     def test_bad_flag_is_usage_error(self, workdir, capsys, flags, flag):
         gen_inputs(workdir, snapshots=3, blocks=3)
@@ -275,6 +293,24 @@ class TestDoublespend:
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not (workdir / "ds.report.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--honest-step", 7, "--honest-beta", "nan"), "argument --honest-beta: beta must be finite and > 1"),
+        (("--honest-step", 7, "--honest-beta", 0), "argument --honest-beta: beta must be finite and > 1"),
+        (("--sweep-dynamic", "--sweep-beta", 0.9), "argument --sweep-beta: beta must be finite and > 1"),
+        (("--sweep-dynamic", "--sweep-beta", "inf"), "argument --sweep-beta: beta must be finite and > 1"),
+        (("--profit-mode", "average", "--avg-capacity", -5), "argument --avg-capacity: must be >= 0"),
+        (("--profit-mode", "average", "--avg-capacity", "1.5"), "argument --avg-capacity: not an integer"),
+    ])
+    def test_bad_flag_is_usage_error(self, workdir, capsys, flags, message):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        self.make_cut(workdir)
+        with pytest.raises(SystemExit) as exc:
+            run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, *flags,
+                "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "ds")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "ds.manifest.json").exists()
 
     def test_average_mode_requires_avg_capacity(self, workdir):
         gen_inputs(workdir)

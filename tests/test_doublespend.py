@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,12 @@ class TestToSelfDelay:
     def test_bad_policy_rejected(self, policy, kwargs):
         with pytest.raises(ValueError):
             policy(**kwargs)
+
+
+@pytest.mark.parametrize("beta", [1, 0.5, math.nan, math.inf])
+def test_dynamic_penalty_beta_must_be_finite_and_above_one(beta):
+    with pytest.raises(ValueError, match="beta must be finite and > 1"):
+        PenaltyPolicy(dynamic=True, beta=beta)
 
 
 class TestSimulate:
@@ -195,6 +202,31 @@ class TestSimulate:
         strict = simulate_double_spend(*args, Fixed(5), scn, strict_expiry=True)
         assert relaxed.defended == 5
         assert strict.compromised == 5
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_event_log_records_confirmations(self, monkeypatch, record_events):
+        blocks = []
+        real_apply_block = ReplayEngine.apply_block
+
+        def recording_apply_block(engine, entry):
+            confirmed = real_apply_block(engine, entry)
+            blocks.append((entry.height, [tx.id for tx in confirmed]))
+            return confirmed
+
+        monkeypatch.setattr(ReplayEngine, "apply_block", recording_apply_block)
+        report = simulate_double_spend(
+            channels(30),
+            PenaltyPolicy(),
+            AttackerStrategy(fee(70)),
+            Fixed(3),
+            congested_scenario(txs=10),
+            record_events=record_events,
+        )
+        assert any(not ids for _, ids in blocks)  # a block that confirms nothing
+        if record_events:
+            assert report.events == [(height, ids) for height, ids in blocks if ids]
+        else:
+            assert report.events is None
 
     def test_determinism(self):
         def run():

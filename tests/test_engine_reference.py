@@ -63,6 +63,7 @@ class NaiveEngine:
             "band": band,
             "sba": counts[band] if band >= 0 else 0,
             "queued_at": t,
+            "submitted_at": t,
             "status": "pending",
             "height": None,
         }
@@ -132,7 +133,9 @@ def random_scenario(seed, mass_bumps=False):
     """Random events, several of them at one instant: submit bursts whose ids
     arrive out of lexical order, bumps of several transactions by one beta,
     withdrawals and, with ``mass_bumps``, bumps of every pending
-    transaction to one new fee."""
+    transaction to one new fee. The clock stands still for a share of the
+    events, and a burst may be followed at its own instant by a withdrawal
+    and a same-fee replacement, or by a bump of one of its transactions."""
     rng = random.Random(seed)
     timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)])
     start = timeline.timestamps[0]
@@ -147,10 +150,20 @@ def random_scenario(seed, mass_bumps=False):
         roll = rng.random()
         if roll < 0.35:
             burst_fees = rng.sample(SUBMIT_FEES, rng.choice([1, 1, 2]))
+            burst = []
             for _ in range(rng.choice([1, 1, 2, 3, 5])):
                 tid = fresh_ids.pop()
                 tx_ids.append(tid)
-                events.append(("submit", t, tid, fee(rng.choice(burst_fees))))
+                burst.append(("submit", t, tid, fee(rng.choice(burst_fees))))
+            events += burst
+            follow = rng.random()
+            if follow < 0.25:  # one leaves, and a same-fee replacement re-joins its cohort
+                _, _, gone, rate = rng.choice(burst)
+                tid = fresh_ids.pop()
+                tx_ids.append(tid)
+                events += [("withdraw", t, gone), ("submit", t, tid, rate)]
+            elif follow < 0.5:  # one is bumped at once, often inside its band
+                events.append(("bump", t, rng.choice(burst)[2], 1.5))
         elif roll < 0.50 and tx_ids:
             beta = rng.choice([1.5, 2.0, 4.0])
             for tid in rng.sample(tx_ids, min(len(tx_ids), rng.choice([1, 1, 2, 4]))):
@@ -162,18 +175,26 @@ def random_scenario(seed, mass_bumps=False):
         else:
             events.append(("block", t, height, rng.randint(0, 10)))
             height += 1
-        t += rng.randint(20, 150)
+        if rng.random() < 0.6:  # otherwise the next event shares this instant
+            t += rng.randint(20, 150)
     return timeline, events
 
 
 def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
+    """Replay one random scenario on both engines and compare them. Returns
+    how often a transaction re-joined a ``(band, at)`` cohort that a
+    withdrawal left at that instant, and how often a bump kept a
+    transaction in its band at the instant it was submitted."""
     timeline, events = random_scenario(seed, mass_bumps)
     fast = ReplayEngine(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
+    left = set()  # (band, at) of cohorts that a withdrawal left at their instant
+    rejoined = same_band = 0
     for event in events:
         kind = event[0]
         if kind == "submit":
             _, t, tid, fee_rate = event
+            rejoined += (naive._band(fee_rate), t) in left
             fast.submit(tid, fee_rate, t)
             naive.submit(tid, fee_rate, t)
         elif kind == "bump":
@@ -184,6 +205,9 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
             new_fee = ref["fee"].bumped(beta)
             if new_fee <= ref["fee"]:
                 continue
+            band = naive._band(new_fee)
+            same_band += band == ref["band"] and ref["submitted_at"] == t
+            rejoined += band != ref["band"] and (band, t) in left
             naive.bump(tid, new_fee, t)
             fast.bump(tid, new_fee, t)
         elif kind == "bump_all":
@@ -196,8 +220,11 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
             fast.bump_all(new_fee, t)
         elif kind == "withdraw":
             _, t, tid = event
-            if naive.txs[tid]["status"] != "pending":
+            ref = naive.txs[tid]
+            if ref["status"] != "pending":
                 continue
+            if ref["queued_at"] == t:
+                left.add((ref["band"], t))
             naive.withdraw(tid)
             fast.withdraw(tid)
         else:
@@ -214,15 +241,21 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
             assert fast.same_band_ahead(tid) == ref["sba"], f"seed {seed} {tid}"
         else:
             assert tx.confirmed_height == ref["height"], f"seed {seed} {tid}"
+    return rejoined, same_band
 
 
 def test_matches_naive_reference_across_seeds():
     shared = 0  # same-instant, same-fee submits whose ids arrive in reverse
+    rejoined = same_band = 0
     for seed in range(30):
-        replay_both(seed)
+        seed_rejoined, seed_same_band = replay_both(seed)
+        rejoined += seed_rejoined
+        same_band += seed_same_band
         submits = [e for e in random_scenario(seed)[1] if e[0] == "submit"]
         shared += sum(a[1] == b[1] and a[3] == b[3] and a[2] > b[2] for a, b in zip(submits, submits[1:]))
     assert shared >= 30
+    assert rejoined >= 30
+    assert same_band >= 30
 
 
 def test_bump_all_matches_per_transaction_bumps():

@@ -544,12 +544,31 @@ class TestApplyBlock:
         assert eng.apply_block(BlockEntry(1, T0, 5)) == []
         assert eng.transactions["a"].status is TxStatus.WITHDRAWN
 
-    def test_event_log_records_confirmations(self):
-        eng = simple_engine([[0, 0, 0]] * 3, record_events=True)
-        eng.submit("a", fee(70), T0)
-        eng.apply_block(BlockEntry(1, T0, 5))
-        eng.apply_block(BlockEntry(2, T0 + 60, 5))
-        assert eng.events == [(1, ["a"])]
+    def test_cohort_members_leave_from_the_middle(self):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        for tid in ("d", "b", "e", "a", "c"):
+            eng.submit(tid, fee(20), T0)
+        eng.withdraw("c")
+        eng.bump("b", fee(70), T0)  # another band at the same instant
+        eng.bump("d", fee(30), T0 + 60)  # the same band at a later instant
+        assert [tx.id for tx in eng._bands[1][T0].live()] == ["a", "e"]
+        confirmed = eng.apply_block(BlockEntry(1, T0 + 60, 10))
+        assert [tx.id for tx in confirmed] == ["b", "a", "e", "d"]
+        assert eng.transactions["c"].status is TxStatus.WITHDRAWN
+
+    @pytest.mark.parametrize("block_between", [False, True])
+    def test_emptied_cohort_rejoined_at_its_instant_keeps_its_position(self, block_between):
+        eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
+        eng.submit("a", fee(20), T0)
+        eng.withdraw("a")
+        if block_between:  # drops the emptied cohort
+            assert eng.apply_block(BlockEntry(1, T0, 5)) == []
+        eng.submit("b", fee(20), T0)
+        assert list(eng._bands[1]) == [T0]
+        assert eng.same_band_ahead("b") == 40
+        eng.step_snapshot()
+        assert eng.same_band_ahead("b") == 25  # drained 15 by outflow
+        assert [tx.id for tx in eng.apply_block(BlockEntry(2, T0 + 60, 26))] == ["b"]
 
     def test_constant_average_capacity(self):
         tl = constant_timeline([0, 10, 50], [0, 0, 0], 5)

@@ -116,6 +116,11 @@ class TestSimulateZombie:
         with pytest.raises(ValueError):
             ZombieConfig(0, Static(fee(10)), empty_scenario())
 
+    @pytest.mark.parametrize("beta", [1, 0.5, math.nan, math.inf])
+    def test_dynamic_beta_must_be_finite_and_above_one(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite and > 1"):
+            Dynamic(fee(10), 2, beta)
+
 
 class TestSweep:
     def test_single_config_matches_simulate(self):
