@@ -31,6 +31,7 @@ from .graph import (
 from .mempool import (
     DEFAULT_BAND_EDGES_SAT,
     ConstantAverage,
+    FeeHistogram,
     FeeRate,
     Historical,
     ReplayError,
@@ -154,6 +155,15 @@ def _step_list(text: str) -> list[int]:
     return steps
 
 
+def _band_grid(text: str) -> FeeHistogram:
+    edges = tuple(FeeRate.from_sat(part) for part in text.split(","))
+    return FeeHistogram(edges, (0,) * len(edges))  # which rejects edges that do not ascend
+
+
+def _count_list(text: str) -> list[int]:
+    return [_int_at_least(0)(part) for part in text.split(",")]
+
+
 def _block_average(text: str) -> float:
     try:
         return ConstantAverage(float(text)).avg_tx_per_block
@@ -266,10 +276,8 @@ def _parse_delay(text: str):
 def cmd_doublespend(args) -> int:
     scenario = _build_scenario(args)
     cut_file = read_cut_json(Path(args.cut_file).read_text())
-    if args.sweep_dynamic:
-        sweep = Dynamic(FeeRate.from_sat(args.sweep_fee), args.sweep_step, args.sweep_beta)
-    else:
-        sweep = Static(FeeRate.from_sat(args.sweep_fee))
+    sweep_fee = FeeRate.from_sat(args.sweep_fee)
+    sweep = Dynamic(sweep_fee, args.sweep_step, args.sweep_beta) if args.sweep_dynamic else Static(sweep_fee)
     attacker = AttackerStrategy(FeeRate.from_sat(args.attacker_fee), sweep)
     honest = (
         PenaltyPolicy(dynamic=True, step=args.honest_step, beta=args.honest_beta)
@@ -338,12 +346,7 @@ def cmd_gen_graph(args) -> int:
 
 def cmd_gen_timeline(args) -> int:
     edges = [e.strip() for e in args.bands.split(",")] if args.bands else [str(e) for e in DEFAULT_BAND_EDGES_SAT]
-    if args.counts:
-        counts = [int(c) for c in args.counts.split(",")]
-        if len(counts) != len(edges):
-            raise ValueError(f"{len(counts)} counts for {len(edges)} bands")
-    else:
-        counts = [args.count] * len(edges)
+    counts = _count_list(args.counts) if args.counts else [args.count] * len(edges)
     lines = ["timestamp," + ",".join(edges)]
     for i in range(args.snapshots):
         t = args.start + i * args.interval
@@ -414,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ds = sub.add_parser("doublespend", help="simulate the mass double-spend attack")
     ds.add_argument("--cut-file", required=True)
-    ds.add_argument("--attacker-fee", required=True, help="commitment fee, sat/vByte")
-    ds.add_argument("--sweep-fee", default="100")
+    ds.add_argument(
+        "--attacker-fee", type=_checked(FeeRate.from_sat), required=True, help="commitment fee, sat/vByte"
+    )
+    ds.add_argument("--sweep-fee", type=_checked(FeeRate.from_sat), default="100")
     ds.add_argument("--sweep-dynamic", action="store_true")
     ds.add_argument("--sweep-step", type=_int_at_least(1), default=7)
     ds.add_argument("--sweep-beta", type=_beta, default=1.1)
@@ -444,19 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     gt = gensub.add_parser("timeline", help="flat timeline CSV")
     gt.add_argument("--constant", action="store_true")
-    gt.add_argument("--bands", default=None, help="comma-separated band edges (default: dataset bands)")
-    gt.add_argument("--counts", default=None, help="per-band counts")
-    gt.add_argument("--count", type=int, default=0, help="same count for every band")
+    gt.add_argument("--bands", type=_checked(_band_grid), default=None, help="band edges (default: dataset bands)")
+    gt.add_argument("--counts", type=_checked(_count_list), default=None, help="per-band counts")
+    gt.add_argument("--count", type=_int_at_least(0), default=0, help="same count for every band")
     gt.add_argument("--snapshots", type=_int_at_least(1), required=True)
-    gt.add_argument("--interval", type=int, default=60)
+    gt.add_argument("--interval", type=_int_at_least(1), default=60)
     gt.add_argument("--start", type=int, default=1_600_000_000)
     gt.add_argument("--out", required=True)
     gt.set_defaults(func=cmd_gen_timeline)
 
     gb = gensub.add_parser("blocks", help="constant block trace CSV")
     gb.add_argument("--count", type=_int_at_least(1), required=True)
-    gb.add_argument("--txs", type=int, required=True)
-    gb.add_argument("--interval", type=int, default=600)
+    gb.add_argument("--txs", type=_int_at_least(0), required=True)
+    gb.add_argument("--interval", type=_int_at_least(0), default=600)
     gb.add_argument("--start", type=int, default=1_600_000_000)
     gb.add_argument("--start-height", type=int, default=1)
     gb.set_defaults(func=cmd_gen_blocks)
@@ -475,6 +480,10 @@ def _validate(args, parser) -> None:
             parser.error("either --fee or --dynamic --initial-fee is required")
     if getattr(args, "gen_command", None) == "graph" and args.n <= args.m:
         parser.error(f"--n must be > --m, got --n {args.n} --m {args.m}")
+    if getattr(args, "gen_command", None) == "timeline" and args.counts:
+        bands = len(args.bands.split(",")) if args.bands else len(DEFAULT_BAND_EDGES_SAT)
+        if len(args.counts.split(",")) != bands:
+            parser.error(f"--counts needs one count per band ({bands}), got {args.counts!r}")
     if args.command == "doublespend" and args.profit_mode == "average" and args.avg_capacity is None:
         parser.error("--profit-mode average requires --avg-capacity")
     if getattr(args, "scenario", None) == "2" and args.avg_block_txs is None:

@@ -21,7 +21,7 @@ from enum import Enum
 
 from .cut import Cut, Objective, greedy_lopsided_cut
 from .graph import Channel, LnGraph
-from .mempool import FeeRate, ReplayEngine, TxStatus, average_fee
+from .mempool import FeeRate, ReplayEngine, TxStatus, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
 
@@ -68,12 +68,8 @@ def to_self_delay(capacity: int, policy: DelayPolicy) -> int:
         raise ValueError("capacity must be non-negative")
     if isinstance(policy, Fixed):
         return policy.blocks
-    scaled = _div_round_half_up(capacity * policy.max_delay, policy.max_funding)
+    scaled = div_round_half_up(capacity * policy.max_delay, policy.max_funding)
     return min(policy.max_delay, max(policy.min_delay, scaled))
-
-
-def _div_round_half_up(num: int, den: int) -> int:
-    return (2 * num + den) // (2 * den)
 
 
 @dataclass(frozen=True)

@@ -66,17 +66,18 @@ class ReplayError(RuntimeError):
     """An invalid replay-engine transition was requested."""
 
 
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def div_round_half_up(num: int, den: int) -> int:
+    """num / den rounded half up to an integer, for den >= 1."""
+    return (2 * num + den) // (2 * den)
 
 
 @lru_cache(maxsize=64, typed=True)
-def _ratio(beta) -> tuple[int, int]:
-    """beta as an exact integer ratio, read from its decimal string.
+def _ratio(value) -> tuple[int, int]:
+    """A beta or a block average as an exact integer ratio, read from its string.
 
     Typed, because equal keys of two types can print differently:
     ``1.1 == Fraction(1.1)``, but their strings are not the same number."""
-    return Fraction(str(beta)).as_integer_ratio()
+    return Fraction(str(value)).as_integer_ratio()
 
 
 @dataclass(frozen=True, order=True)
@@ -94,19 +95,15 @@ class FeeRate:
         """Build from a sat/vByte number or numeric string, rounding half
         up to the 0.01 grid."""
         try:
-            frac = Fraction(str(value)) * SAT_CENTS
+            num, den = Fraction(str(value)).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"not a fee rate: {value!r}") from None
-        return cls(_round_half_up(frac))
-
-    @property
-    def sat(self) -> float:
-        return self.centi / SAT_CENTS
+        return cls(div_round_half_up(num * SAT_CENTS, den))
 
     def bumped(self, beta) -> "FeeRate":
         """Multiply by beta, rounding half up to the fixed-point grid."""
         num, den = _ratio(beta)
-        return FeeRate((2 * num * self.centi + den) // (2 * den))
+        return FeeRate(div_round_half_up(num * self.centi, den))
 
     def __str__(self):
         return f"{self.centi // SAT_CENTS}.{self.centi % SAT_CENTS:02d}"
@@ -125,9 +122,9 @@ class FeeHistogram:
             raise ValueError("at least one band required")
         if len(self.counts) != len(self.band_edges):
             raise ValueError("one count per band required")
-        if any(lo >= hi for lo, hi in zip(self.band_edges, self.band_edges[1:])):
+        if any(lo.centi >= hi.centi for lo, hi in zip(self.band_edges, self.band_edges[1:])):
             raise ValueError("band edges must be strictly ascending")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("negative band count")
 
     def band_index(self, fee: FeeRate) -> int:
@@ -154,7 +151,7 @@ def average_fee(histogram: FeeHistogram) -> FeeRate:
     lows = [edge.centi for edge in edges]
     highs = lows[1:] + lows[-1:]
     acc2 = sum(count * (lo + hi) for count, lo, hi in zip(histogram.counts, lows, highs))
-    return FeeRate((acc2 + total) // (2 * total))  # acc2 / (2 * total), rounded half up
+    return FeeRate(div_round_half_up(acc2, 2 * total))
 
 
 class MempoolTimeline:
@@ -221,7 +218,7 @@ class MempoolTimeline:
     def snapshot_at(self, t: int) -> FeeHistogram:
         """Latest snapshot with timestamp <= t (step interpolation)."""
         i = self.index_at(t)
-        return FeeHistogram(self.band_edges, tuple(int(c) for c in self.counts[i]))
+        return FeeHistogram(self.band_edges, tuple(self.counts[i].tolist()))
 
     def __len__(self):
         return len(self.timestamps)
@@ -485,16 +482,13 @@ class ReplayEngine:
         self._bands: dict[int, dict[int, _Cohort]] = {}
         self._snap = 0
         self._clock = timeline.timestamps[0]
-        self._counts = [int(c) for c in timeline.counts[0]]
-        self._outflow = [int(c) for c in timeline.cum_outflow[0]]
+        self._hist = timeline.snapshot_at(self._clock)  # replaced when the snapshot changes
+        self._outflow = timeline.cum_outflow[0].tolist()
         self._last_height: int | None = None
-        # the average is read once from its decimal string; None: historical
-        self._avg = (
-            Fraction(str(capacity_mode.avg_tx_per_block))
-            if isinstance(capacity_mode, ConstantAverage)
-            else None
-        )
-        self._carry = Fraction(0)
+        self._avg = None  # the block average as an integer ratio num / den
+        if isinstance(capacity_mode, ConstantAverage):
+            self._avg = _ratio(capacity_mode.avg_tx_per_block)
+        self._carry = 0  # blocks * num mod den
 
     # -- snapshot cursor -------------------------------------------------
 
@@ -510,8 +504,8 @@ class ReplayEngine:
         idx = self.timeline.index_at(t)
         if idx != self._snap:
             self._snap = idx
-            self._counts = [int(c) for c in self.timeline.counts[idx]]
-            self._outflow = [int(c) for c in self.timeline.cum_outflow[idx]]
+            self._hist = self.timeline.snapshot_at(t)
+            self._outflow = self.timeline.cum_outflow[idx].tolist()
         self._clock = t
 
     def step_snapshot(self) -> None:
@@ -523,8 +517,8 @@ class ReplayEngine:
         self._advance(self.timeline.timestamps[self._snap + 1])
 
     def histogram(self) -> FeeHistogram:
-        """Congestion at the engine clock."""
-        return FeeHistogram(self.timeline.band_edges, tuple(self._counts))
+        """Congestion at the engine clock: the current snapshot itself."""
+        return self._hist
 
     def _band_index(self, fee: FeeRate) -> int:
         return bisect_right(self._edges, fee.centi) - 1
@@ -605,7 +599,7 @@ class ReplayEngine:
         self._last_height = entry.height
         remaining = self._block_capacity(entry)
         confirmed: list[MonitoredTx] = []
-        counts = self._counts
+        counts = self._hist.counts
         suffix = [0] * (len(counts) + 1)
         for i in range(len(counts) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + counts[i]
@@ -639,7 +633,7 @@ class ReplayEngine:
         """Queue position and outflow mark of a cohort entering band now."""
         if band < 0:
             return 0, 0
-        return self._counts[band], self._outflow[band]
+        return self._hist.counts[band], self._outflow[band]
 
     def _cohort(self, band: int, at: int) -> _Cohort:
         cohorts = self._bands.get(band)
@@ -668,8 +662,7 @@ class ReplayEngine:
     def _block_capacity(self, entry: BlockEntry) -> int:
         if self._avg is None:
             return entry.tx_count
-        # an exact carry keeps the cumulative capacity at floor(blocks * avg)
-        self._carry += self._avg
-        cap = int(self._carry)
-        self._carry -= cap
+        # an integer carry keeps the cumulative capacity at floor(blocks * avg)
+        num, den = self._avg
+        cap, self._carry = divmod(self._carry + num, den)
         return cap

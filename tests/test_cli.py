@@ -56,6 +56,7 @@ class TestGen:
         (("blocks", "--count", 0, "--txs", 100), "--count"),
         (("timeline", "--snapshots", 0), "--snapshots"),
         (("timeline", "--snapshots", -1), "--snapshots"),
+        (("timeline", "--snapshots", 2, "--interval", 0), "--interval"),
     ])
     def test_empty_output_is_usage_error(self, workdir, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -63,6 +64,29 @@ class TestGen:
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (("blocks", "--count", 2, "--txs", -5), "argument --txs: must be >= 0"),
+        (("blocks", "--count", 2, "--txs", 1, "--interval", -600), "argument --interval: must be >= 0"),
+        (("timeline", "--snapshots", 2, "--count", -4), "argument --count: must be >= 0"),
+        (("timeline", "--snapshots", 2, "--bands", "0,abc"), "argument --bands: not a fee rate: 'abc'"),
+        (("timeline", "--snapshots", 2, "--bands", "5,5"), "argument --bands: band edges must be strictly"),
+        (("timeline", "--snapshots", 2, "--bands", "0,5", "--counts", "1,x"), "argument --counts: not an integer"),
+        (("timeline", "--snapshots", 2, "--bands", "0,5", "--counts", "1,-2"), "argument --counts: must be >= 0"),
+        (("timeline", "--snapshots", 2, "--bands", "0,5", "--counts", "1,2,3"), "one count per band (2)"),
+        (("timeline", "--snapshots", 2, "--counts", "1,2"), "one count per band (36)"),
+    ])
+    def test_bad_value_is_usage_error(self, workdir, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", *argv, "--out", "x.csv")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    def test_zero_txs_and_interval_are_accepted(self, workdir):
+        assert run("gen", "blocks", "--count", 2, "--txs", 0, "--interval", 0, "--out", "b.csv") == EXIT_OK
+        rows = (workdir / "b.csv").read_text().splitlines()
+        assert rows[1:] == ["1,1600000000,0", "2,1600000000,0"]
 
     @pytest.mark.parametrize(
         "capacity", ["bogus", "constant:abc", "constant:-1", "uniform:5:3", "uniform:1:2:3"]
@@ -294,6 +318,14 @@ class TestDoublespend:
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not (workdir / "ds.report.json").exists()
 
+    def test_fee_flags_echo_their_text(self, workdir):
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        self.make_cut(workdir)
+        run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", "70.0", "--sweep-fee", "40.5",
+            "--delay", "fixed:5", "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "ds")
+        parameters = json.loads((workdir / "ds.manifest.json").read_text())["parameters"]
+        assert (parameters["attacker_fee"], parameters["sweep_fee"]) == ("70.0", "40.5")
+
     @pytest.mark.parametrize("flags, message", [
         (("--honest-step", 7, "--honest-beta", "nan"), "argument --honest-beta: beta must be finite and > 1"),
         (("--honest-step", 7, "--honest-beta", 0), "argument --honest-beta: beta must be finite and > 1"),
@@ -301,6 +333,9 @@ class TestDoublespend:
         (("--sweep-dynamic", "--sweep-beta", "inf"), "argument --sweep-beta: beta must be finite and > 1"),
         (("--profit-mode", "average", "--avg-capacity", -5), "argument --avg-capacity: must be >= 0"),
         (("--profit-mode", "average", "--avg-capacity", "1.5"), "argument --avg-capacity: not an integer"),
+        (("--attacker-fee", "abc"), "argument --attacker-fee: not a fee rate: 'abc'"),
+        (("--attacker-fee", "nan"), "argument --attacker-fee: not a fee rate: 'nan'"),
+        (("--sweep-fee", -3), "argument --sweep-fee: fee rate must be non-negative"),
     ])
     def test_bad_flag_is_usage_error(self, workdir, capsys, flags, message):
         gen_inputs(workdir, snapshots=3, blocks=3)

@@ -232,6 +232,8 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
             got = [tx.id for tx in fast.apply_block(BlockEntry(height, t, capacity))]
             want = naive.apply_block(BlockEntry(height, t, capacity))
             assert got == want, f"seed {seed} height {height}: {got} != {want}"
+        # the kept snapshot view must follow every snapshot change
+        assert fast.histogram() == fast.timeline.snapshot_at(fast.clock), f"seed {seed} {event}"
     statuses = {"pending": TxStatus.PENDING, "confirmed": TxStatus.CONFIRMED, "withdrawn": TxStatus.WITHDRAWN}
     for tid, ref in naive.txs.items():
         tx = fast.transactions[tid]
@@ -263,7 +265,7 @@ def test_bump_all_matches_per_transaction_bumps():
         replay_both(seed, mass_bumps=True)
 
 
-@pytest.mark.parametrize("avg", [0.3, 1.5, 2.7, 4.1])
+@pytest.mark.parametrize("avg", [0.3, 1.5, 2.7, 4.1, 3, Fraction(7, 3)])
 def test_constant_average_matches_exact_carry(avg):
     for seed in range(10):
         replay_both(seed, ConstantAverage(avg))

@@ -21,6 +21,7 @@ from lnme.mempool import (
     TimelineError,
     TxStatus,
     average_fee,
+    div_round_half_up,
     load_block_trace,
     load_timeline,
 )
@@ -78,6 +79,12 @@ class TestFeeRate:
             assert nxt >= f
             f = nxt
         assert f > fee(300)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**40), st.integers(1, 10**40))
+def test_div_round_half_up_matches_fraction(num, den):
+    assert div_round_half_up(num, den) == math.floor(Fraction(num, den) + Fraction(1, 2))
 
 
 class TestFeeHistogram:
@@ -367,6 +374,19 @@ class TestLoadBlockTrace:
 def simple_engine(rows, interval=60, **kw):
     tl = make_timeline([0, 10, 50], rows, start=T0, interval=interval)
     return ReplayEngine(tl, **kw)
+
+
+def test_histogram_is_kept_until_the_snapshot_changes():
+    eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    first = eng.histogram()
+    assert first == FeeHistogram((fee(0), fee(10), fee(50)), (1, 2, 3))
+    eng.submit("a", fee(20), T0 + 30)  # the clock moves inside the first snapshot
+    eng.apply_block(BlockEntry(1, T0 + 59, 0))
+    assert eng.histogram() is first
+    eng.apply_block(BlockEntry(2, T0 + 60, 0))
+    assert eng.histogram().counts == (4, 5, 6)
+    eng.step_snapshot()
+    assert eng.histogram().counts == (7, 8, 9)
 
 
 class TestSubmitAndBump:
