@@ -59,6 +59,7 @@ EXIT_DATA = 3
 EXIT_EXHAUSTED = 4
 
 SAT_PER_BTC = 100_000_000
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1  # the range of timeline timestamps and counts
 
 
 def format_btc(sat: int) -> str:
@@ -161,7 +162,7 @@ def _band_grid(text: str) -> FeeHistogram:
 
 
 def _count_list(text: str) -> list[int]:
-    return [_int_at_least(0)(part) for part in text.split(",")]
+    return [_int_at_least(0, INT64_MAX)(part) for part in text.split(",")]
 
 
 def _block_average(text: str) -> float:
@@ -192,8 +193,9 @@ def _checked(parse):
     return check
 
 
-def _int_at_least(low: int):
-    """An argparse type for an integer flag of at least low."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type for an integer flag of at least low and, when high
+    is given, at most high."""
 
     def parse(text: str) -> int:
         try:
@@ -202,6 +204,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -451,10 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     gt.add_argument("--constant", action="store_true")
     gt.add_argument("--bands", type=_checked(_band_grid), default=None, help="band edges (default: dataset bands)")
     gt.add_argument("--counts", type=_checked(_count_list), default=None, help="per-band counts")
-    gt.add_argument("--count", type=_int_at_least(0), default=0, help="same count for every band")
+    gt.add_argument("--count", type=_int_at_least(0, INT64_MAX), default=0, help="same count for every band")
     gt.add_argument("--snapshots", type=_int_at_least(1), required=True)
     gt.add_argument("--interval", type=_int_at_least(1), default=60)
-    gt.add_argument("--start", type=int, default=1_600_000_000)
+    gt.add_argument("--start", type=_int_at_least(INT64_MIN, INT64_MAX), default=1_600_000_000)
     gt.add_argument("--out", required=True)
     gt.set_defaults(func=cmd_gen_timeline)
 
@@ -480,10 +484,15 @@ def _validate(args, parser) -> None:
             parser.error("either --fee or --dynamic --initial-fee is required")
     if getattr(args, "gen_command", None) == "graph" and args.n <= args.m:
         parser.error(f"--n must be > --m, got --n {args.n} --m {args.m}")
-    if getattr(args, "gen_command", None) == "timeline" and args.counts:
+    if getattr(args, "gen_command", None) == "timeline":
         bands = len(args.bands.split(",")) if args.bands else len(DEFAULT_BAND_EDGES_SAT)
-        if len(args.counts.split(",")) != bands:
+        if args.counts and len(args.counts.split(",")) != bands:
             parser.error(f"--counts needs one count per band ({bands}), got {args.counts!r}")
+        last = args.start + (args.snapshots - 1) * args.interval
+        if last > INT64_MAX:
+            parser.error(
+                f"the last timestamp, --start + (--snapshots - 1) * --interval = {last}, exceeds int64"
+            )
     if args.command == "doublespend" and args.profit_mode == "average" and args.avg_capacity is None:
         parser.error("--profit-mode average requires --avg-capacity")
     if getattr(args, "scenario", None) == "2" and args.avg_block_txs is None:

@@ -21,7 +21,7 @@ from enum import Enum
 
 from .cut import Cut, Objective, greedy_lopsided_cut
 from .graph import Channel, LnGraph
-from .mempool import FeeRate, ReplayEngine, TxStatus, average_fee, div_round_half_up
+from .mempool import FeeRate, MonitoredTx, ReplayEngine, TxStatus, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
 
@@ -209,12 +209,16 @@ def simulate_double_spend(
 
     Future work waits in one schedule keyed by the height at which it falls
     due: ``sweeps[h]`` holds the channels whose dispute delay ends at height
-    h, and ``bumps[h]`` the ``(tx_id, step, beta)`` of dynamic penalties and
-    sweeps due for a bump. Each block pops its own height and files every
-    still-pending bumped transaction again ``step`` heights on, so bumping
-    (honest or sweep) counts from each transaction's own submission block.
-    Popping exact heights misses nothing, because the block window is a run
-    of consecutive heights and delays are non-negative. With
+    h, and ``bumps[h]`` the ``(members, step, beta)`` groups of dynamic
+    penalties and sweeps due for a bump. The penalties submitted in one
+    block form one group, and the sweeps submitted in one block another:
+    each group shares one fee and one cadence, so its pending members share
+    one fee path. Each block pops its own height, drops the members of each
+    due group that are no longer pending, bumps the rest in one engine call
+    and files them again ``step`` heights on, so bumping (honest or sweep)
+    counts from each transaction's own submission block. Popping exact
+    heights misses nothing, because the block window is a run of
+    consecutive heights and delays are non-negative. With
     ``strict_expiry`` the penalty is withdrawn the moment the sweep is
     submitted, so an expired channel can no longer be defended; the default
     lets a late penalty still win the race until the sweep confirms.
@@ -235,7 +239,7 @@ def simulate_double_spend(
 
     sweep = attacker.sweep
     sweeps: defaultdict[int, list[ChannelAttack]] = defaultdict(list)
-    bumps: defaultdict[int, list[tuple[str, int, float]]] = defaultdict(list)
+    bumps: defaultdict[int, list[tuple[list[MonitoredTx], int, float]]] = defaultdict(list)
     series: list[tuple[int, int]] = []
     events: list[tuple[int, list[str]]] | None = [] if record_events else None
     compromised_total = 0
@@ -245,15 +249,14 @@ def simulate_double_spend(
         confirmed = engine.apply_block(entry)
         if events is not None and confirmed:
             events.append((height, [tx.id for tx in confirmed]))
+        penalties: list[MonitoredTx] = []
         for tx in confirmed:
             atk = by_commit.get(tx.id)
             if atk is not None:
                 atk.commitment_height = atk.penalty_submit_height = height
-                engine.submit(atk.penalty_id, average_fee(engine.histogram()), now)
+                penalties.append(engine.submit(atk.penalty_id, average_fee(engine.histogram()), now))
                 by_racer[atk.penalty_id] = atk
                 sweeps[height + atk.delay].append(atk)
-                if honest.dynamic:
-                    bumps[height + honest.step].append((atk.penalty_id, honest.step, honest.beta))
                 continue
             atk = by_racer.get(tx.id)
             if atk is None or atk.outcome is not Outcome.UNDECIDED:
@@ -266,27 +269,31 @@ def simulate_double_spend(
             loser = engine.transactions.get(atk.penalty_id if swept else atk.sweep_id)
             if loser is not None and loser.status is TxStatus.PENDING:
                 engine.withdraw(loser.id)
+        if honest.dynamic and penalties:
+            bumps[height + honest.step].append((penalties, honest.step, honest.beta))
         # each channel is filed once, and its penalty is pending while it is
         # undecided, so an undecided channel has no sweep yet
+        swept_now: list[MonitoredTx] = []
         for atk in sweeps.pop(height, ()):
             if atk.outcome is not Outcome.UNDECIDED:
                 continue
-            engine.submit(atk.sweep_id, initial_fee(sweep), now)
+            swept_now.append(engine.submit(atk.sweep_id, initial_fee(sweep), now))
             atk.sweep_submit_height = height
             by_racer[atk.sweep_id] = atk
-            if isinstance(sweep, Dynamic):
-                bumps[height + sweep.step].append((atk.sweep_id, sweep.step, sweep.beta))
             if strict_expiry:
                 engine.withdraw(atk.penalty_id)
+        if isinstance(sweep, Dynamic) and swept_now:
+            bumps[height + sweep.step].append((swept_now, sweep.step, sweep.beta))
         # bumps at one instant join id-ordered cohorts, so their order is moot
-        for tx_id, step, beta in bumps.pop(height, ()):
-            tx = engine.transactions[tx_id]
-            if tx.status is not TxStatus.PENDING:
+        for members, step, beta in bumps.pop(height, ()):
+            members = [tx for tx in members if tx.status is TxStatus.PENDING]
+            if not members:
                 continue
-            new_fee = tx.fee.bumped(beta)
-            if new_fee > tx.fee:
-                engine.bump(tx_id, new_fee, now)
-            bumps[height + step].append((tx_id, step, beta))
+            fee = members[0].fee  # shared by the whole group
+            new_fee = fee.bumped(beta)
+            if new_fee > fee:
+                engine.bump_group(members, new_fee, now)
+            bumps[height + step].append((members, step, beta))
         series.append((height, compromised_total))
         if undecided == 0:
             break

@@ -38,17 +38,22 @@ import io
 import math
 import warnings
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, is_
 
 import numpy as np
 
 from .graph import csv_records
 
 SAT_CENTS = 100  # fee rates are fixed-point hundredths of sat/vByte
+# A parsed fee rate stays below 10**16 sat/vByte, more than every bitcoin
+# there is (2.1e15 sat) per vByte.
+FEE_LIMIT_DIGITS = 16
 
 # Band lower edges (sat/vByte) of the public per-minute mempool dataset.
 DEFAULT_BAND_EDGES_SAT = (
@@ -93,12 +98,30 @@ class FeeRate:
     @classmethod
     def from_sat(cls, value) -> "FeeRate":
         """Build from a sat/vByte number or numeric string, rounding half
-        up to the 0.01 grid."""
+        up to the 0.01 grid. The rate's size must stay below
+        ``10**FEE_LIMIT_DIGITS`` sat/vByte. The size is read from the text
+        before the number is built, so a huge exponent is refused at once
+        and a tiny one gives 0.00 at once."""
+        text = str(value)
         try:
-            num, den = Fraction(str(value)).as_integer_ratio()
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a fee rate: {value!r}") from None
-        return cls(div_round_half_up(num * SAT_CENTS, den))
+            magnitude = Decimal(text).adjusted()  # the power of ten of the leading digit
+        except InvalidOperation:
+            if "/" not in text:  # neither a decimal nor a ratio such as "7/3"
+                raise ValueError(f"not a fee rate: {value!r}") from None
+            magnitude = 0
+        if magnitude < -3:  # below 0.001 in size, which rounds to 0.00
+            return cls(0)
+        if magnitude < FEE_LIMIT_DIGITS:
+            try:
+                num, den = Fraction(text).as_integer_ratio()
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"not a fee rate: {value!r}") from None
+            centi = div_round_half_up(num * SAT_CENTS, den)
+            if abs(centi) < SAT_CENTS * 10**FEE_LIMIT_DIGITS:
+                return cls(centi)
+        raise ValueError(
+            f"fee rate {value!r} out of range: its size must stay below 1e{FEE_LIMIT_DIGITS} sat/vByte"
+        )
 
     def bumped(self, beta) -> "FeeRate":
         """Multiply by beta, rounding half up to the fixed-point grid."""
@@ -449,6 +472,19 @@ class _Cohort:
             raise ReplayError(f"transaction {tx.id!r} is not in its cohort")
         del members[i]
 
+    def discard(self, ids: set[str]) -> None:
+        """Take out the live members whose id is in ids."""
+        self.members = [tx for tx in self.live() if tx.id not in ids]
+        self.head = 0
+
+    def merge(self, txs: list[MonitoredTx]) -> None:
+        """Add txs, none of them a member yet, keeping id order."""
+        members = self.members[self.head:]
+        members += txs
+        members.sort(key=attrgetter("id"))  # a merge pass when both runs are in id order
+        self.members = members
+        self.head = 0
+
     def live(self) -> list[MonitoredTx]:
         return self.members[self.head:]
 
@@ -539,23 +575,59 @@ class ReplayEngine:
 
     def bump(self, tx_id: str, new_fee: FeeRate, at: int) -> MonitoredTx:
         """Replace-by-fee: re-submission semantics, so the queue position
-        resets to the new band's current historical count."""
+        resets to the new band's current historical count. A one-member
+        ``bump_group``."""
         tx = self.transactions.get(tx_id)
-        if tx is None or tx.status is not TxStatus.PENDING:
+        if tx is None:
             raise ReplayError(f"transaction {tx_id!r} is not pending")
-        if new_fee <= tx.fee:
-            raise ReplayError(f"bump must increase the fee ({new_fee} <= {tx.fee})")
+        self.bump_group([tx], new_fee, at)
+        return tx
+
+    def bump_group(self, txs: list[MonitoredTx], new_fee: FeeRate, at: int) -> None:
+        """Bump every transaction of txs to new_fee, as one ``bump`` per
+        member would: afterwards all of them are in new_fee's band's cohort
+        at ``at``, and a member already queued there keeps its place.
+        Nothing changes unless every member is a distinct pending
+        transaction of this engine paying less than new_fee."""
+        if not txs:
+            return
+        lookup = self.transactions.get
+        ids = list(map(attrgetter("id"), txs))
+        known = all(map(is_, map(lookup, ids), txs))
+        if not known or set(map(attrgetter("status"), txs)) != {TxStatus.PENDING}:
+            bad = next(tx for tx in txs if lookup(tx.id) is not tx or tx.status is not TxStatus.PENDING)
+            raise ReplayError(f"transaction {bad.id!r} is not pending")
+        leaving = set(ids)
+        if len(leaving) != len(ids):
+            raise ReplayError("a transaction is listed twice in one bump")
+        top = max(map(attrgetter("fee.centi"), txs))
+        if new_fee.centi <= top:
+            raise ReplayError(f"bump must increase the fee ({new_fee} <= {FeeRate(top)})")
         self._advance(at)
         band = self._band_index(new_fee)
-        if band != tx.band or at != tx.queued_at:
-            self._bands[tx.band][tx.queued_at].remove(tx)
+        sources = Counter(map(attrgetter("band", "queued_at"), txs))
+        if sources.pop((band, at), 0):
+            # members queued at this instant in the new band stay: the clock
+            # has not moved since their cohort was created, so their position
+            # is the band's count still
+            movers = [tx for tx in txs if tx.band != band or tx.queued_at != at]
+        else:
+            movers = txs
+        for (source_band, queued_at), count in sources.items():
+            cohorts = self._bands[source_band]
+            cohort = cohorts[queued_at]
+            if count == len(cohort.members) - cohort.head:
+                del cohorts[queued_at]  # every live member leaves
+                if not cohorts:
+                    del self._bands[source_band]
+            else:
+                cohort.discard(leaving)
+        for tx in txs:
+            tx.fee = new_fee
             tx.band = band
             tx.queued_at = at
-            self._cohort(band, at).add(tx)
-        # else tx stays in its cohort: the clock has not moved since the
-        # cohort was created, so its position is the band's count still
-        tx.fee = new_fee
-        return tx
+        if movers:
+            self._cohort(band, at).merge(movers)
 
     def bump_all(self, new_fee: FeeRate, at: int) -> None:
         """Bump every pending transaction to new_fee, as one ``bump`` per

@@ -75,6 +75,13 @@ class TestGen:
         (("timeline", "--snapshots", 2, "--bands", "0,5", "--counts", "1,-2"), "argument --counts: must be >= 0"),
         (("timeline", "--snapshots", 2, "--bands", "0,5", "--counts", "1,2,3"), "one count per band (2)"),
         (("timeline", "--snapshots", 2, "--counts", "1,2"), "one count per band (36)"),
+        (("timeline", "--snapshots", 2, "--count", 10**19), "argument --count: must be <= 9223372036854775807"),
+        (("timeline", "--snapshots", 2, "--bands", "0,5", "--counts", f"1,{2**63}"),
+         "argument --counts: must be <= 9223372036854775807"),
+        (("timeline", "--snapshots", 2, "--start", 2**63 - 1), "= 9223372036854775867, exceeds int64"),
+        (("timeline", "--snapshots", 2, "--start", 2**63), "argument --start: must be <= 9223372036854775807"),
+        (("timeline", "--snapshots", 2, "--start", -(2**63) - 1), "argument --start: must be >= -9223372036854775808"),
+        (("timeline", "--snapshots", 10**17, "--interval", 100), "exceeds int64"),
     ])
     def test_bad_value_is_usage_error(self, workdir, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -82,6 +89,12 @@ class TestGen:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
+
+    def test_int64_extremes_are_accepted(self, workdir):
+        assert run("gen", "timeline", "--snapshots", 2, "--start", 2**63 - 2, "--interval", 1, "--bands", "0,5",
+                   "--count", 2**63 - 1, "--out", "tl.csv") == EXIT_OK
+        rows = (workdir / "tl.csv").read_text().splitlines()
+        assert rows[-1] == f"{2**63 - 1},{2**63 - 1},{2**63 - 1}"
 
     def test_zero_txs_and_interval_are_accepted(self, workdir):
         assert run("gen", "blocks", "--count", 2, "--txs", 0, "--interval", 0, "--out", "b.csv") == EXIT_OK
@@ -384,6 +397,24 @@ class TestDoublespend:
             run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70,
                 "--scenario", "2", "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "ds")
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e4000000"])
+@pytest.mark.parametrize("argv, flag", [
+    (("zombie", "--channels", 10, "--fee"), "--fee"),
+    (("zombie", "--channels", 10, "--dynamic", "--initial-fee"), "--initial-fee"),
+    (("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee"), "--attacker-fee"),
+    (("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, "--sweep-fee"), "--sweep-fee"),
+    (("gen", "timeline", "--snapshots", 2, "--bands"), "--bands"),
+])
+def test_fee_flag_with_huge_exponent_is_usage_error(workdir, capsys, argv, flag, value):
+    # refused from the exponent alone, before the number is built
+    scenario = () if argv[0] == "gen" else ("--timeline", "tl.csv", "--blocks", "bl.csv")
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, value, *scenario, "--out", "x")
+    assert exc.value.code == 2
+    assert f"argument {flag}: fee rate '{value}' out of range" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [

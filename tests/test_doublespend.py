@@ -249,13 +249,13 @@ class TestSchedule:
         # and delays of 0-8 blocks spread the sweeps, so penalties and sweeps
         # start their cadences at many heights; 10 blocks cut the race short
         bumped = []
-        real_bump = ReplayEngine.bump
+        real_bump_group = ReplayEngine.bump_group
 
-        def recording_bump(engine, tx_id, new_fee, at):
-            bumped.append((at, tx_id))
-            return real_bump(engine, tx_id, new_fee, at)
+        def recording_bump_group(engine, txs, new_fee, at):
+            bumped.extend((at, tx.id) for tx in txs)
+            return real_bump_group(engine, txs, new_fee, at)
 
-        monkeypatch.setattr(ReplayEngine, "bump", recording_bump)
+        monkeypatch.setattr(ReplayEngine, "bump_group", recording_bump_group)
         scenario = congested_scenario(blocks=blocks, txs=10)
         report = simulate_double_spend(
             [Channel(f"c{i}", 0, i + 1, rng.randint(1, MAX_FUNDING_SAT)) for i in range(40)],

@@ -12,6 +12,7 @@ bug in the optimized bookkeeping.
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from math import floor
 
@@ -86,6 +87,10 @@ class NaiveEngine:
             if tx["status"] == "pending":
                 self.bump(tid, new_fee, t)
 
+    def bump_group(self, tx_ids, new_fee, t):
+        for tid in tx_ids:
+            self.bump(tid, new_fee, t)
+
     def withdraw(self, tx_id):
         assert self.txs[tx_id]["status"] == "pending"
         self.txs[tx_id]["status"] = "withdrawn"
@@ -129,13 +134,16 @@ def random_timeline(rng, band_edges, snapshots=50, start=1_000_000, interval=60)
     return make_timeline(band_edges, counts, start=start, interval=interval)
 
 
-def random_scenario(seed, mass_bumps=False):
+def random_scenario(seed, mass_bumps=False, group_bumps=False):
     """Random events, several of them at one instant: submit bursts whose ids
     arrive out of lexical order, bumps of several transactions by one beta,
-    withdrawals and, with ``mass_bumps``, bumps of every pending
-    transaction to one new fee. The clock stands still for a share of the
-    events, and a burst may be followed at its own instant by a withdrawal
-    and a same-fee replacement, or by a bump of one of its transactions."""
+    withdrawals, with ``mass_bumps`` bumps of every pending transaction to
+    one new fee, and with ``group_bumps`` bumps of a group of pending
+    transactions to one new fee, drawn when the event is replayed. The
+    clock stands still for a share of the events, and a burst may be
+    followed at its own instant by a withdrawal and a same-fee replacement,
+    by a bump of one of its transactions or, with ``group_bumps``, by a
+    group bump."""
     rng = random.Random(seed)
     timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)])
     start = timeline.timestamps[0]
@@ -164,6 +172,8 @@ def random_scenario(seed, mass_bumps=False):
                 events += [("withdraw", t, gone), ("submit", t, tid, rate)]
             elif follow < 0.5:  # one is bumped at once, often inside its band
                 events.append(("bump", t, rng.choice(burst)[2], 1.5))
+            elif group_bumps and follow < 0.9:  # a group, often with a member of the burst
+                events.append(("bump_group", t, rng.choice([1.05, 1.1, 1.5]), rng.random()))
         elif roll < 0.50 and tx_ids:
             beta = rng.choice([1.5, 2.0, 4.0])
             for tid in rng.sample(tx_ids, min(len(tx_ids), rng.choice([1, 1, 2, 4]))):
@@ -172,6 +182,8 @@ def random_scenario(seed, mass_bumps=False):
             events.append(("withdraw", t, rng.choice(tx_ids)))
         elif mass_bumps and roll < 0.64:
             events.append(("bump_all", t, rng.choice([1.5, 2.0])))
+        elif group_bumps and roll < 0.71:
+            events.append(("bump_group", t, rng.choice([1.1, 1.5, 2.0]), rng.random()))
         else:
             events.append(("block", t, height, rng.randint(0, 10)))
             height += 1
@@ -180,21 +192,55 @@ def random_scenario(seed, mass_bumps=False):
     return timeline, events
 
 
-def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
+def draw_group(rng, naive, t):
+    """A random group of pending transactions. Half the time it holds a
+    transaction queued at t and no fee above that one's, so that a small
+    beta keeps the group's target at that transaction's own cohort."""
+    pending = [tid for tid, ref in naive.txs.items() if ref["status"] == "pending"]
+    fresh = [tid for tid in pending if naive.txs[tid]["queued_at"] == t]
+    if fresh and rng.random() < 0.5:
+        anchor = rng.choice(fresh)
+        top = naive.txs[anchor]["fee"]
+        others = [tid for tid in pending if tid != anchor and naive.txs[tid]["fee"] <= top]
+        return [anchor] + rng.sample(others, rng.randint(0, len(others)))
+    return rng.sample(pending, rng.randint(1, len(pending))) if pending else []
+
+
+def group_cases(naive, group, new_fee, t):
+    """Which of the group-bump cases a group about to be bumped exercises."""
+    cohort = {
+        tid: (ref["band"], ref["queued_at"]) for tid, ref in naive.txs.items() if ref["status"] == "pending"
+    }
+    target = (naive._band(new_fee), t)
+    sources = {cohort[tid] for tid in group}
+    outsiders = set(cohort) - set(group)
+    return {
+        "group_from_several_cohorts": len(sources) > 1,
+        "group_targets_own_cohort": target in sources,
+        "group_merges_into_others": sources != {target} and any(cohort[tid] == target for tid in outsiders),
+        "group_empties_a_source": any(
+            key != target and all(cohort[tid] != key for tid in outsiders) for key in sources
+        ),
+    }
+
+
+def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=False):
     """Replay one random scenario on both engines and compare them. Returns
-    how often a transaction re-joined a ``(band, at)`` cohort that a
-    withdrawal left at that instant, and how often a bump kept a
-    transaction in its band at the instant it was submitted."""
-    timeline, events = random_scenario(seed, mass_bumps)
+    a count per case: how often a transaction re-joined a ``(band, at)``
+    cohort that a withdrawal left at that instant (``rejoined``), how often
+    a bump kept a transaction in its band at the instant it was submitted
+    (``same_band``), and how often a group bump exercised each case of
+    ``group_cases``."""
+    timeline, events = random_scenario(seed, mass_bumps, group_bumps)
     fast = ReplayEngine(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
     left = set()  # (band, at) of cohorts that a withdrawal left at their instant
-    rejoined = same_band = 0
+    cases = Counter()
     for event in events:
         kind = event[0]
         if kind == "submit":
             _, t, tid, fee_rate = event
-            rejoined += (naive._band(fee_rate), t) in left
+            cases["rejoined"] += (naive._band(fee_rate), t) in left
             fast.submit(tid, fee_rate, t)
             naive.submit(tid, fee_rate, t)
         elif kind == "bump":
@@ -206,10 +252,22 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
             if new_fee <= ref["fee"]:
                 continue
             band = naive._band(new_fee)
-            same_band += band == ref["band"] and ref["submitted_at"] == t
-            rejoined += band != ref["band"] and (band, t) in left
+            cases["same_band"] += band == ref["band"] and ref["submitted_at"] == t
+            cases["rejoined"] += band != ref["band"] and (band, t) in left
             naive.bump(tid, new_fee, t)
             fast.bump(tid, new_fee, t)
+        elif kind == "bump_group":
+            _, t, beta, pick = event
+            group = draw_group(random.Random(pick), naive, t)
+            if not group:
+                continue
+            top = max(naive.txs[tid]["fee"] for tid in group)
+            new_fee = top.bumped(beta)
+            if new_fee <= top:
+                continue
+            cases.update(group_cases(naive, group, new_fee, t))
+            naive.bump_group(group, new_fee, t)
+            fast.bump_group([fast.transactions[tid] for tid in group], new_fee, t)
         elif kind == "bump_all":
             _, t, beta = event
             fees = naive.pending_fees()
@@ -243,26 +301,40 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False):
             assert fast.same_band_ahead(tid) == ref["sba"], f"seed {seed} {tid}"
         else:
             assert tx.confirmed_height == ref["height"], f"seed {seed} {tid}"
-    return rejoined, same_band
+    return cases
 
 
 def test_matches_naive_reference_across_seeds():
     shared = 0  # same-instant, same-fee submits whose ids arrive in reverse
-    rejoined = same_band = 0
+    cases = Counter()
     for seed in range(30):
-        seed_rejoined, seed_same_band = replay_both(seed)
-        rejoined += seed_rejoined
-        same_band += seed_same_band
+        cases += replay_both(seed)
         submits = [e for e in random_scenario(seed)[1] if e[0] == "submit"]
         shared += sum(a[1] == b[1] and a[3] == b[3] and a[2] > b[2] for a, b in zip(submits, submits[1:]))
     assert shared >= 30
-    assert rejoined >= 30
-    assert same_band >= 30
+    assert cases["rejoined"] >= 30
+    assert cases["same_band"] >= 30
 
 
 def test_bump_all_matches_per_transaction_bumps():
     for seed in range(30):
         replay_both(seed, mass_bumps=True)
+
+
+GROUP_CASES = (
+    "group_from_several_cohorts",
+    "group_targets_own_cohort",
+    "group_merges_into_others",
+    "group_empties_a_source",
+)
+
+
+@pytest.mark.parametrize("capacity_mode", [Historical(), ConstantAverage(2.7)], ids=["historical", "constant"])
+def test_bump_group_matches_per_transaction_bumps(capacity_mode):
+    cases = Counter()
+    for seed in range(30):
+        cases += replay_both(seed, capacity_mode, group_bumps=True)
+    assert {case: cases[case] >= 30 for case in GROUP_CASES} == dict.fromkeys(GROUP_CASES, True), cases
 
 
 @pytest.mark.parametrize("avg", [0.3, 1.5, 2.7, 4.1, 3, Fraction(7, 3)])

@@ -33,6 +33,25 @@ class TestFeeRate:
         assert FeeRate.from_sat("0.25").centi == 25
         assert FeeRate.from_sat(1.005).centi == 101  # half rounds up
 
+    @pytest.mark.parametrize(
+        "value", ["1e16", "9999999999999999.995", "1e5000", "1e4000000", 1e300, f"{10**20}/3"]
+    )
+    def test_size_beyond_the_limit_rejected(self, value):
+        with pytest.raises(ValueError, match="out of range"):
+            FeeRate.from_sat(value)
+
+    @pytest.mark.parametrize("value, centi", [
+        ("9999999999999999.99", 999999999999999999), ("1e-4000000", 0), ("-0.0009", 0), ("0.0049", 0),
+        ("0.005", 1), ("7/3", 233),
+    ])
+    def test_sizes_inside_the_limit(self, value, centi):
+        assert FeeRate.from_sat(value).centi == centi
+
+    @pytest.mark.parametrize("value", ["1e" + "9" * 4000, "1e", "inf", "1/0"])
+    def test_not_a_number_rejected(self, value):
+        with pytest.raises(ValueError, match="not a fee rate"):
+            FeeRate.from_sat(value)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             FeeRate.from_sat(-1)
@@ -448,6 +467,41 @@ class TestSubmitAndBump:
         with pytest.raises(ReplayError, match="increase"):
             eng.bump_all(fee(60), T0)
         assert eng.transactions["a"].fee == fee(20)
+
+    def test_bump_group_moves_members_of_several_cohorts_into_one(self):
+        eng = simple_engine([[0, 40, 9]] * 3)
+        for tid, rate in (("d", 20), ("a", 12), ("c", 60), ("b", 20)):
+            eng.submit(tid, fee(rate), T0)
+        eng.submit("e", fee(70), T0 + 60)
+        eng.bump_group([eng.transactions[t] for t in ("d", "c", "a")], fee(65), T0 + 60)
+        assert [tx.id for tx in eng._bands[1][T0].live()] == ["b"]
+        assert [tx.id for tx in eng._bands[2][T0 + 60].live()] == ["a", "c", "d", "e"]
+        assert {eng.transactions[t].fee for t in "acd"} == {fee(65)}
+        assert T0 not in eng._bands[2]  # "c" was its cohort's only member
+
+    def test_bump_group_needs_pending_members(self):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        for tid in ("a", "b"):
+            eng.submit(tid, fee(20), T0)
+        eng.withdraw("b")
+        with pytest.raises(ReplayError, match="'b' is not pending"):
+            eng.bump_group([eng.transactions["a"], eng.transactions["b"]], fee(70), T0)
+        other = ReplayEngine(eng.timeline)
+        stranger = other.submit("c", fee(20), T0)  # pending, but in another engine
+        with pytest.raises(ReplayError, match="'c' is not pending"):
+            eng.bump_group([eng.transactions["a"], stranger], fee(70), T0)
+        assert eng.transactions["a"].fee == fee(20)
+
+    def test_bump_group_requires_fee_above_every_member_fee(self):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        eng.submit("a", fee(20), T0)
+        eng.submit("b", fee(60), T0)
+        members = [eng.transactions["a"], eng.transactions["b"]]
+        with pytest.raises(ReplayError, match=r"increase the fee \(60.00 <= 60.00\)"):
+            eng.bump_group(members, fee(60), T0)
+        with pytest.raises(ReplayError, match="twice"):
+            eng.bump_group(members + members[:1], fee(70), T0)
+        assert [tx.fee for tx in members] == [fee(20), fee(60)]
 
     def test_bump_confirmed_tx_rejected(self):
         eng = simple_engine([[0, 0, 0]] * 3)
