@@ -103,30 +103,33 @@ class Outcome(Enum):
     DEFENDED = "defended"
 
 
+# Channel i's commitment, penalty and sweep are the engine transactions
+# 3*i + COMMIT, PENALTY and SWEEP, so ties inside a cohort confirm in
+# channel order, then commit < penalty < sweep.
+COMMIT, PENALTY, SWEEP = range(3)
+ROLES = ("commit", "penalty", "sweep")
+
+
+def tx_name(tx_id: int) -> str:
+    """Event-log name of a transaction id: the channel index, six digits
+    wide, and the role."""
+    i, role = divmod(tx_id, 3)
+    return f"{i:06d}-{ROLES[role]}"
+
+
 @dataclass
 class ChannelAttack:
     """Per-channel race state between commitment, penalty, and sweep."""
 
     channel: Channel
     delay: int
-    stem: str
+    index: int  # position in the attack, which keys its transactions
     outcome: Outcome = Outcome.UNDECIDED
     commitment_height: int | None = None
-    penalty_submit_height: int | None = None
     sweep_submit_height: int | None = None
     decided_height: int | None = None
-
-    @property
-    def commitment_id(self) -> str:
-        return f"{self.stem}-commit"
-
-    @property
-    def penalty_id(self) -> str:
-        return f"{self.stem}-penalty"
-
-    @property
-    def sweep_id(self) -> str:
-        return f"{self.stem}-sweep"
+    penalty: MonitoredTx | None = None
+    sweep: MonitoredTx | None = None
 
 
 @dataclass
@@ -134,7 +137,7 @@ class DoubleSpendReport:
     attacks: list[ChannelAttack]
     series: list[tuple[int, int]]  # (block height, cumulative compromised)
     horizon_exhausted: bool
-    events: list[tuple[int, list[str]]] | None = None  # (height, confirmed ids)
+    events: list[tuple[int, list[str]]] | None = None  # (height, tx_name of each confirmed)
 
     @property
     def attacked(self) -> int:
@@ -227,15 +230,9 @@ def simulate_double_spend(
     blocks = scenario.attack_blocks()
     engine = ReplayEngine(scenario.timeline, scenario.capacity_mode)
     attacks: list[ChannelAttack] = []
-    by_commit: dict[str, ChannelAttack] = {}
-    by_racer: dict[str, ChannelAttack] = {}  # penalty and sweep ids
     for i, ch in enumerate(channels):
-        atk = ChannelAttack(
-            channel=ch, delay=to_self_delay(ch.capacity, delay_policy), stem=f"{i:06d}"
-        )
-        engine.submit(atk.commitment_id, attacker.commitment_fee, scenario_start)
-        by_commit[atk.commitment_id] = atk
-        attacks.append(atk)
+        attacks.append(ChannelAttack(ch, to_self_delay(ch.capacity, delay_policy), i))
+        engine.submit(3 * i + COMMIT, attacker.commitment_fee, scenario_start)
 
     sweep = attacker.sweep
     sweeps: defaultdict[int, list[ChannelAttack]] = defaultdict(list)
@@ -248,25 +245,25 @@ def simulate_double_spend(
         height, now = entry.height, entry.timestamp
         confirmed = engine.apply_block(entry)
         if events is not None and confirmed:
-            events.append((height, [tx.id for tx in confirmed]))
+            events.append((height, [tx_name(tx.id) for tx in confirmed]))
         penalties: list[MonitoredTx] = []
         for tx in confirmed:
-            atk = by_commit.get(tx.id)
-            if atk is not None:
-                atk.commitment_height = atk.penalty_submit_height = height
-                penalties.append(engine.submit(atk.penalty_id, average_fee(engine.histogram()), now))
-                by_racer[atk.penalty_id] = atk
+            i, role = divmod(tx.id, 3)
+            atk = attacks[i]
+            if role == COMMIT:
+                atk.commitment_height = height
+                atk.penalty = engine.submit(3 * i + PENALTY, average_fee(engine.histogram()), now)
+                penalties.append(atk.penalty)
                 sweeps[height + atk.delay].append(atk)
                 continue
-            atk = by_racer.get(tx.id)
-            if atk is None or atk.outcome is not Outcome.UNDECIDED:
+            if atk.outcome is not Outcome.UNDECIDED:
                 continue
-            swept = tx.id == atk.sweep_id
+            swept = role == SWEEP
             atk.outcome = Outcome.COMPROMISED if swept else Outcome.DEFENDED
             atk.decided_height = height
             undecided -= 1
             compromised_total += swept
-            loser = engine.transactions.get(atk.penalty_id if swept else atk.sweep_id)
+            loser = atk.penalty if swept else atk.sweep
             if loser is not None and loser.status is TxStatus.PENDING:
                 engine.withdraw(loser.id)
         if honest.dynamic and penalties:
@@ -277,11 +274,11 @@ def simulate_double_spend(
         for atk in sweeps.pop(height, ()):
             if atk.outcome is not Outcome.UNDECIDED:
                 continue
-            swept_now.append(engine.submit(atk.sweep_id, initial_fee(sweep), now))
+            atk.sweep = engine.submit(3 * atk.index + SWEEP, initial_fee(sweep), now)
             atk.sweep_submit_height = height
-            by_racer[atk.sweep_id] = atk
+            swept_now.append(atk.sweep)
             if strict_expiry:
-                engine.withdraw(atk.penalty_id)
+                engine.withdraw(atk.penalty.id)
         if isinstance(sweep, Dynamic) and swept_now:
             bumps[height + sweep.step].append((swept_now, sweep.step, sweep.beta))
         # bumps at one instant join id-ordered cohorts, so their order is moot
@@ -383,12 +380,3 @@ def profit_vs_k(
             }
         )
     return rows
-
-
-def profit_table_csv(rows) -> str:
-    lines = ["k,attacked,compromised,defended,undecided,profit_sat"]
-    for r in rows:
-        lines.append(
-            f"{r['k']},{r['attacked']},{r['compromised']},{r['defended']},{r['undecided']},{r['profit_sat']}"
-        )
-    return "\n".join(lines) + "\n"

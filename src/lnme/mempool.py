@@ -15,7 +15,10 @@ A block confirms pending monitored transactions in priority order (fee
 band descending, queue position ascending, submission time, id) while the
 number of strictly-higher-priority historical transactions is below the
 block's remaining capacity. Displaced historical transactions are not
-re-queued; congestion is simply re-read from the next snapshot.
+re-queued; congestion is simply re-read from the next snapshot. A
+transaction id is the caller's key: any hashable value ordered against
+the engine's other ids (the simulators use integers), so ties inside a
+cohort confirm in id order.
 
 The engine queues cohorts, not transactions. A cohort, keyed by ``(band,
 queued_at)``, holds exactly the pending transactions that entered that
@@ -39,6 +42,7 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -410,6 +414,9 @@ class TxStatus(Enum):
     WITHDRAWN = "withdrawn"
 
 
+TxId = Hashable  # and ordered against the engine's other ids
+
+
 @dataclass
 class MonitoredTx:
     """A simulated transaction tracked against historical congestion.
@@ -419,7 +426,7 @@ class MonitoredTx:
     for FIFO tie-breaking.
     """
 
-    id: str
+    id: TxId  # unique in its engine; breaks ties inside a cohort
     fee: FeeRate
     band: int
     status: TxStatus = TxStatus.PENDING
@@ -472,8 +479,8 @@ class _Cohort:
             raise ReplayError(f"transaction {tx.id!r} is not in its cohort")
         del members[i]
 
-    def discard(self, ids: set[str]) -> None:
-        """Take out the live members whose id is in ids."""
+    def discard(self, ids: set[TxId]) -> None:
+        """Take out the live members whose id is in ids, keeping id order."""
         self.members = [tx for tx in self.live() if tx.id not in ids]
         self.head = 0
 
@@ -513,7 +520,7 @@ class ReplayEngine:
         self.timeline = timeline
         self._edges = [edge.centi for edge in timeline.band_edges]  # bisected as ints
         self.capacity_mode = capacity_mode
-        self.transactions: dict[str, MonitoredTx] = {}
+        self.transactions: dict[TxId, MonitoredTx] = {}
         # band -> queued_at -> cohort
         self._bands: dict[int, dict[int, _Cohort]] = {}
         self._snap = 0
@@ -561,7 +568,7 @@ class ReplayEngine:
 
     # -- operations --------------------------------------------------------
 
-    def submit(self, tx_id: str, fee: FeeRate, at: int) -> MonitoredTx:
+    def submit(self, tx_id: TxId, fee: FeeRate, at: int) -> MonitoredTx:
         """Register a pending transaction; its queue position is the
         historical count of its band at the submission-time snapshot."""
         if tx_id in self.transactions:
@@ -573,7 +580,7 @@ class ReplayEngine:
         self._cohort(band, at).add(tx)
         return tx
 
-    def bump(self, tx_id: str, new_fee: FeeRate, at: int) -> MonitoredTx:
+    def bump(self, tx_id: TxId, new_fee: FeeRate, at: int) -> MonitoredTx:
         """Replace-by-fee: re-submission semantics, so the queue position
         resets to the new band's current historical count. A one-member
         ``bump_group``."""
@@ -650,7 +657,7 @@ class ReplayEngine:
             tx.queued_at = at
         self._bands = {band: {at: _Cohort(band, at, *self._position(band), movers)}}
 
-    def withdraw(self, tx_id: str) -> MonitoredTx:
+    def withdraw(self, tx_id: TxId) -> MonitoredTx:
         tx = self.transactions.get(tx_id)
         if tx is None or tx.status is not TxStatus.PENDING:
             raise ReplayError(f"transaction {tx_id!r} is not pending")
@@ -690,7 +697,7 @@ class ReplayEngine:
         """Pending transactions in submission order."""
         return [tx for tx in self.transactions.values() if tx.status is TxStatus.PENDING]
 
-    def same_band_ahead(self, tx_id: str) -> int:
+    def same_band_ahead(self, tx_id: TxId) -> int:
         """Historical transactions in a pending transaction's band that must
         confirm before it: the band count when it entered its cohort,
         drained by the band's outflow since then, floored at zero."""

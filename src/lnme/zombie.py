@@ -76,7 +76,7 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
     n = config.channel_count
     fee = initial_fee(config.strategy)
     for i in range(n):
-        engine.submit(f"close-{i:08d}", fee, start)
+        engine.submit(i, fee, start)
     series: list[tuple[int, int]] = []
     remaining = n
     closed_at = None

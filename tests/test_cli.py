@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -389,6 +390,28 @@ class TestDoublespend:
         first = json.loads(lines[0])
         assert set(first) == {"height", "confirmed"}
         assert first["confirmed"]
+
+    def test_event_log_golden(self, workdir):
+        # 12 transactions a block against 75 channels, so commitments,
+        # penalties and sweeps that share a cohort confirm in tie order;
+        # both sides bump, and 49 channels are compromised, 26 defended
+        run("gen", "timeline", "--bands", "0,10,50", "--counts", "0,30,0",
+            "--snapshots", 80, "--interval", 600, "--out", "tl.csv")
+        run("gen", "blocks", "--count", 80, "--txs", 12, "--interval", 600, "--out", "bl.csv")
+        run("gen", "graph", "--scale-free", "--n", 80, "--m", 2, "--seed", 3,
+            "--capacity", "uniform:20000:16000000", "--out", "g.csv")
+        run("solve", "--graph", "g.csv", "--k", 5, "--objective", "capacity", "--out", "sol")
+        assert run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70,
+                   "--delay", "fixed:3", "--honest-step", 2, "--honest-beta", 1.2,
+                   "--sweep-fee", 40, "--sweep-dynamic", "--sweep-step", 3, "--sweep-beta", 1.5,
+                   "--event-log", "--timeline", "tl.csv", "--blocks", "bl.csv",
+                   "--out", "ds") == EXIT_OK
+        digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+                   for name in ("ds.events.jsonl", "ds.report.json")}
+        assert digests == {
+            "ds.events.jsonl": "598bc8d3a6c1e303a12e81c161fda0b1b50bc6adfef07b94be0ced9c35dde56d",
+            "ds.report.json": "113c90884cd8459b8dfe7208c0f7b2983679b2d47145038af13d056aa1149e16",
+        }
 
     def test_scenario2_requires_average(self, workdir):
         gen_inputs(workdir)

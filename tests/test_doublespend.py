@@ -7,6 +7,8 @@ import pytest
 from conftest import constant_scenario, fee, make_blocks
 from lnme.doublespend import (
     MAX_FUNDING_SAT,
+    PENALTY,
+    SWEEP,
     AttackerStrategy,
     AverageCapacity,
     CapacityScaled,
@@ -21,6 +23,7 @@ from lnme.doublespend import (
     realized_profit,
     simulate_double_spend,
     to_self_delay,
+    tx_name,
 )
 from lnme.cut import Objective, build_cut
 from lnme.graph import Channel, generate_scale_free
@@ -149,15 +152,22 @@ class TestSimulate:
         assert report.compromised + report.defended + report.undecided == 60
 
     def test_penalty_causality(self):
+        # 10 commitments confirm per block, so two blocks leave 10 of 30 unconfirmed
+        scenario = congested_scenario(blocks=2, txs=10)
         report = simulate_double_spend(
             channels(30),
             PenaltyPolicy(),
             AttackerStrategy(fee(70)),
             Fixed(3),
-            congested_scenario(),
+            scenario,
         )
+        timestamp_at = {entry.height: entry.timestamp for entry in scenario.trace}
+        assert [atk.commitment_height for atk in report.attacks] == [1] * 10 + [2] * 10 + [None] * 10
         for atk in report.attacks:
-            assert atk.penalty_submit_height == atk.commitment_height
+            assert (atk.penalty is None) == (atk.commitment_height is None)
+            if atk.penalty is not None:
+                # a static penalty is never bumped, so it stays queued at its submission
+                assert atk.penalty.queued_at == timestamp_at[atk.commitment_height]
 
     def test_unconfirmed_commitments_stay_undecided(self):
         # commitment fee sits inside the jammed band and never confirms
@@ -210,7 +220,7 @@ class TestSimulate:
 
         def recording_apply_block(engine, entry):
             confirmed = real_apply_block(engine, entry)
-            blocks.append((entry.height, [tx.id for tx in confirmed]))
+            blocks.append((entry.height, [tx_name(tx.id) for tx in confirmed]))
             return confirmed
 
         monkeypatch.setattr(ReplayEngine, "apply_block", recording_apply_block)
@@ -266,7 +276,7 @@ class TestSchedule:
             strict_expiry=strict_expiry,
         )
         height_at = {entry.timestamp: entry.height for entry in scenario.trace}
-        actual: dict[str, list[int]] = {}
+        actual: dict[int, list[int]] = {}
         for at, tx_id in bumped:
             actual.setdefault(tx_id, []).append(height_at[at])
 
@@ -275,18 +285,18 @@ class TestSchedule:
             # in the block where it confirms or is withdrawn, nor after
             return list(range(submitted + step, ends, step))
 
-        expected: dict[str, list[int]] = {}
+        expected: dict[int, list[int]] = {}
         beyond = report.series[-1][0] + 1
         for atk in report.attacks:
             ends = atk.decided_height or beyond
-            if atk.penalty_submit_height is not None:
+            if atk.penalty is not None:
                 # strict expiry withdraws the penalty when the sweep is submitted
                 withdrawn = atk.sweep_submit_height if strict_expiry else None
-                expected[atk.penalty_id] = cadence(atk.penalty_submit_height, 3, withdrawn or ends)
-            if atk.sweep_submit_height is not None:
-                expected[atk.sweep_id] = cadence(atk.sweep_submit_height, 2, ends)
+                expected[atk.penalty.id] = cadence(atk.commitment_height, 3, withdrawn or ends)
+            if atk.sweep is not None:
+                expected[atk.sweep.id] = cadence(atk.sweep_submit_height, 2, ends)
         assert actual == {tx_id: hs for tx_id, hs in expected.items() if hs}
-        assert {tx_id.rsplit("-", 1)[1] for tx_id in actual} == {"penalty", "sweep"}
+        assert {tx_id % 3 for tx_id in actual} == {PENALTY, SWEEP}
         assert len({atk.commitment_height for atk in report.attacks}) > 1
         if blocks == 10:
             assert report.undecided  # still racing when the window ends
@@ -307,19 +317,31 @@ class TestSchedule:
             assert atk.sweep_submit_height == atk.commitment_height
 
 
+class TestTxName:
+    def test_names_channel_and_role(self):
+        assert [tx_name(i) for i in range(4)] == [
+            "000000-commit", "000000-penalty", "000000-sweep", "000001-commit",
+        ]
+        assert tx_name(3 * 1_000_000 + 2) == "1000000-sweep"
+
+    def test_id_order_is_name_order_below_a_million_channels(self, rng):
+        ids = rng.sample(range(3 * 1_000_000), 2000)
+        assert sorted(ids, key=tx_name) == sorted(ids)
+
+
 class TestRealizedProfit:
     def outcomes(self, caps_compromised, caps_defended, caps_undecided=()):
         attacks = []
         for i, cap in enumerate(caps_compromised):
             attacks.append(
-                ChannelAttack(Channel(f"w{i}", 0, 1, cap), 5, f"w{i}", outcome=Outcome.COMPROMISED)
+                ChannelAttack(Channel(f"w{i}", 0, 1, cap), 5, len(attacks), outcome=Outcome.COMPROMISED)
             )
         for i, cap in enumerate(caps_defended):
             attacks.append(
-                ChannelAttack(Channel(f"l{i}", 0, 1, cap), 5, f"l{i}", outcome=Outcome.DEFENDED)
+                ChannelAttack(Channel(f"l{i}", 0, 1, cap), 5, len(attacks), outcome=Outcome.DEFENDED)
             )
         for i, cap in enumerate(caps_undecided):
-            attacks.append(ChannelAttack(Channel(f"u{i}", 0, 1, cap), 5, f"u{i}"))
+            attacks.append(ChannelAttack(Channel(f"u{i}", 0, 1, cap), 5, len(attacks)))
         return DoubleSpendReport(attacks, [], bool(caps_undecided))
 
     def test_per_channel_hand_example(self):

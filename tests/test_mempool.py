@@ -575,6 +575,14 @@ class TestApplyBlock:
         confirmed = eng.apply_block(BlockEntry(1, T0, 1))
         assert [tx.id for tx in confirmed] == ["a"]
 
+    def test_integer_ids_break_ties_numerically(self):
+        # as strings, "10" would sort before "9"
+        eng = simple_engine([[0, 0, 0]] * 5)
+        eng.submit(10, fee(70), T0)
+        eng.submit(9, fee(70), T0)
+        confirmed = eng.apply_block(BlockEntry(1, T0, 1))
+        assert [tx.id for tx in confirmed] == [9]
+
     def test_higher_band_first(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("low", fee(20), T0)
