@@ -11,6 +11,7 @@ from .cut import (
     Cut,
     GreedyTrace,
     Objective,
+    crossing_channels,
     cut_value,
     exact_lopsided_cut,
     greedy_lopsided_cut,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Channel, LnGraph, parse_capacity
+from .graph import Channel, LnGraph, parse_capacity, parse_count
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -47,18 +47,17 @@ class GreedyStep:
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    objective: Objective
     steps: tuple[GreedyStep, ...]
 
 
 @dataclass(frozen=True)
 class Cut:
-    """A coalition together with its crossing channels."""
+    """A coalition and the totals of its crossing channels; the channels
+    themselves are ``crossing_channels(graph, cut.coalition)``."""
 
     k: int
     objective: Objective
     coalition: tuple[int, ...]
-    cut_channels: tuple[Channel, ...]
     edge_count: int
     cut_capacity: int
 
@@ -87,21 +86,11 @@ def cut_value(graph: LnGraph, coalition) -> tuple[int, int]:
     return len(crossing), sum(map(graph.capacity.__getitem__, crossing))
 
 
-def build_cut(graph: LnGraph, coalition, objective: Objective) -> Cut:
-    """Assemble a Cut for a given coalition, recomputing crossing channels
-    from scratch. Only the crossing channels become ``Channel`` objects."""
+def crossing_channels(graph: LnGraph, coalition) -> tuple[Channel, ...]:
+    """The channels with exactly one endpoint in coalition, in channel order.
+    This is the only place a cut's ``Channel`` objects are built."""
     ids, node1, node2, capacity = graph.ids, graph.node1, graph.node2, graph.capacity
-    crossing = tuple(
-        Channel(ids[ci], node1[ci], node2[ci], capacity[ci]) for ci in _crossing(graph, coalition)
-    )
-    return Cut(
-        k=len(coalition),
-        objective=objective,
-        coalition=tuple(coalition),
-        cut_channels=crossing,
-        edge_count=len(crossing),
-        cut_capacity=sum(ch.capacity for ch in crossing),
-    )
+    return tuple(Channel(ids[ci], node1[ci], node2[ci], capacity[ci]) for ci in _crossing(graph, coalition))
 
 
 def greedy_lopsided_cut(
@@ -149,8 +138,7 @@ def greedy_lopsided_cut(
                 cut_capacity += capacity[ci]
                 gain[u] -= 2 * weights[ci]
         steps.append(GreedyStep(len(coalition), v, gain[v], value, edges, cut_capacity))
-    cut = build_cut(graph, coalition, objective)
-    return cut, GreedyTrace(objective, tuple(steps))
+    return Cut(k, objective, tuple(coalition), edges, cut_capacity), GreedyTrace(tuple(steps))
 
 
 def exact_lopsided_cut(
@@ -186,7 +174,7 @@ def exact_lopsided_cut(
             best = combo
         for v in combo:
             inside[v] = 0
-    return build_cut(graph, best, objective)
+    return Cut(k, objective, best, *cut_value(graph, best))
 
 
 def value_vs_k_curve(
@@ -205,18 +193,14 @@ def value_vs_k_curve(
 
 def cut_to_json(graph: LnGraph, cut: Cut, manifest: str | None = None) -> str:
     """Cut export consumed by the simulators and the CLI."""
+    labels, ids, node1, node2, capacity = graph.labels, graph.ids, graph.node1, graph.node2, graph.capacity
     doc = {
         "k": cut.k,
         "objective": cut.objective.value,
-        "coalition": [graph.labels[v] for v in cut.coalition],
+        "coalition": [labels[v] for v in cut.coalition],
         "cut_channels": [
-            {
-                "id": ch.id,
-                "node1": graph.labels[ch.node1],
-                "node2": graph.labels[ch.node2],
-                "capacity_sat": ch.capacity,
-            }
-            for ch in cut.cut_channels
+            {"id": ids[ci], "node1": labels[node1[ci]], "node2": labels[node2[ci]], "capacity_sat": capacity[ci]}
+            for ci in _crossing(graph, cut.coalition)
         ],
         "edge_count": cut.edge_count,
         "cut_capacity_sat": cut.cut_capacity,
@@ -241,8 +225,9 @@ class CutFile:
 
 def read_cut_json(document: str) -> CutFile:
     """Re-read a ``cut_to_json`` export. A document of another shape, one
-    with a negative or non-integer capacity, or one whose ``edge_count`` or
-    ``cut_capacity_sat`` disagrees with its ``cut_channels`` raises
+    with a negative or non-integer capacity, ``k``, ``edge_count`` or
+    ``cut_capacity_sat``, or one whose ``edge_count`` or ``cut_capacity_sat``
+    disagrees with its ``cut_channels`` raises
     ``ValueError("malformed cut JSON: ...")``."""
     try:
         doc = json.loads(document)
@@ -270,13 +255,13 @@ def read_cut_json(document: str) -> CutFile:
             for entry in doc.get("cut_channels", [])
         )
         cut = CutFile(
-            k=int(doc["k"]),
+            k=parse_count(doc["k"], "k"),
             objective=str(doc.get("objective", "")),
             coalition=tuple(doc.get("coalition", [])),
             labels=tuple(labels),
             channels=channels,
-            edge_count=int(doc["edge_count"]),
-            cut_capacity=int(doc["cut_capacity_sat"]),
+            edge_count=parse_count(doc["edge_count"], "edge_count"),
+            cut_capacity=parse_count(doc["cut_capacity_sat"], "cut_capacity_sat"),
         )
     except KeyError as exc:
         raise ValueError(f"malformed cut JSON: missing {exc}") from None

@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .cut import Cut, Objective, greedy_lopsided_cut
+from .cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
 from .graph import Channel, LnGraph
 from .mempool import FeeRate, MonitoredTx, ReplayEngine, TxStatus, average_fee, div_round_half_up
 from .scenario import Scenario
@@ -358,8 +358,15 @@ def profit_vs_k(
     scenario: Scenario,
     profit_mode: ProfitMode = PerChannel(),
 ) -> list[dict]:
-    """Solve the capacity cut greedily at each k, attack its channels, and
-    report realized profit (undecided channels excluded)."""
+    """Solve the capacity cut greedily once, to the largest k, attack the
+    channels crossing each k's prefix of that coalition, and report realized
+    profit (undecided channels excluded). The greedy coalition at k is a
+    prefix of the one at any larger k."""
+    ks = list(ks)
+    if min(ks, default=0) < 0:
+        raise ValueError(f"k must be non-negative, got {min(ks)}")
+    k_max = max(ks, default=0)
+    coalition = greedy_lopsided_cut(graph, k_max, Objective.CAPACITY)[0].coalition if k_max else ()
     rows = []
     for k in ks:
         if k == 0:
@@ -367,8 +374,8 @@ def profit_vs_k(
                 {"k": 0, "attacked": 0, "compromised": 0, "defended": 0, "undecided": 0, "profit_sat": 0}
             )
             continue
-        cut, _ = greedy_lopsided_cut(graph, k, Objective.CAPACITY)
-        report = simulate_double_spend(cut.cut_channels, honest, attacker, delay_policy, scenario)
+        attacked = crossing_channels(graph, coalition[:k])
+        report = simulate_double_spend(attacked, honest, attacker, delay_policy, scenario)
         rows.append(
             {
                 "k": k,

@@ -196,19 +196,25 @@ def _read_lnd_edges(edges: list, index: dict[str, int]):
 
 
 def parse_capacity(raw, channel_id: str) -> int:
-    """A JSON capacity in satoshis: an integer, a decimal integer string or an
-    integral number. Anything else, or a negative value, raises GraphError."""
+    """A JSON capacity in satoshis, read by the rule of ``parse_count``."""
+    return parse_count(raw, "capacity", f" on channel {channel_id!r}")
+
+
+def parse_count(raw, name: str, where: str = "") -> int:
+    """A non-negative JSON integer: an integer, a decimal integer string or an
+    integral number. Anything else, or a negative value, raises GraphError
+    naming the value's name and where it was read."""
     if isinstance(raw, float) and raw.is_integer():
         raw = int(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise GraphError(f"non-integer capacity {raw!r} on channel {channel_id!r}")
+        raise GraphError(f"non-integer {name} {raw!r}{where}")
     try:
-        capacity = int(raw)
+        value = int(raw)
     except ValueError:
-        raise GraphError(f"non-integer capacity {raw!r} on channel {channel_id!r}") from None
-    if capacity < 0:
-        raise GraphError(f"negative capacity on channel {channel_id!r}")
-    return capacity
+        raise GraphError(f"non-integer {name} {raw!r}{where}") from None
+    if value < 0:
+        raise GraphError(f"negative {name}{where}")
+    return value
 
 
 def csv_records(document: str, error: type[ValueError]):

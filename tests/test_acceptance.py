@@ -31,7 +31,14 @@ from conftest import (
     random_graph,
     uniform_attachment_graph,
 )
-from lnme.cut import Objective, cut_value, exact_lopsided_cut, greedy_lopsided_cut, value_vs_k_curve
+from lnme.cut import (
+    Objective,
+    crossing_channels,
+    cut_value,
+    exact_lopsided_cut,
+    greedy_lopsided_cut,
+    value_vs_k_curve,
+)
 from lnme.doublespend import (
     AttackerStrategy,
     AverageCapacity,
@@ -407,7 +414,7 @@ def test_dataset_doublespend_profit(snapshot_graph, scenario1):
     started = time.monotonic()
     cut, _ = greedy_lopsided_cut(snapshot_graph, 30, Objective.CAPACITY)
     report = simulate_double_spend(
-        cut.cut_channels,
+        crossing_channels(snapshot_graph, cut.coalition),
         PenaltyPolicy(dynamic=True, step=7, beta=1.1),
         AttackerStrategy(fee(50), sweep=Dynamic(fee(100), 7, 1.1)),
         CapacityScaled(),

@@ -448,6 +448,8 @@ def test_fee_flag_with_huge_exponent_is_usage_error(workdir, capsys, argv, flag,
     "[1, 2]",
     '{"k": 1}',
     '{"k": 1, "edge_count": 5, "cut_capacity_sat": 0, "cut_channels": []}',
+    '{"k": 1, "edge_count": 1.9, "cut_capacity_sat": 100,'
+    ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 100}]}',
 ])
 def test_malformed_cut_is_data_error(workdir, capsys, command, cut):
     gen_inputs(workdir, snapshots=3, blocks=3)

@@ -10,7 +10,7 @@ from conftest import random_graph
 from lnme.cut import (
     EnumerationBudgetExceeded,
     Objective,
-    build_cut,
+    crossing_channels,
     cut_to_json,
     cut_value,
     curve_to_csv,
@@ -174,6 +174,19 @@ class TestExact:
                 assert exact.value() >= greedy.value()
 
 
+class TestCutTotals:
+    def test_totals_equal_a_fresh_count(self, rng):
+        # the solvers keep their own running totals; a cut's totals must equal a recount
+        for _ in range(10):
+            g = random_graph(rng, 10, 0.3)
+            for objective in Objective:
+                for k in (1, 2, 4, 10):
+                    greedy, _ = greedy_lopsided_cut(g, k, objective)
+                    for cut in (greedy, exact_lopsided_cut(g, k, objective)):
+                        assert (cut.k, cut.objective, len(cut.coalition)) == (k, objective, k)
+                        assert (cut.edge_count, cut.cut_capacity) == cut_value(g, cut.coalition)
+
+
 class TestCurve:
     def test_empty_for_kmax_zero(self):
         assert value_vs_k_curve(triangle(), 0) == []
@@ -211,9 +224,10 @@ class TestExport:
         assert loaded.objective == "capacity"
         assert loaded.edge_count == cut.edge_count
         assert loaded.cut_capacity == cut.cut_capacity
-        assert sorted(ch.capacity for ch in loaded.channels) == sorted(
-            ch.capacity for ch in cut.cut_channels
-        )
+        expected = crossing_channels(g, cut.coalition)
+        assert [(ch.id, loaded.labels[ch.node1], loaded.labels[ch.node2], ch.capacity) for ch in loaded.channels] == [
+            (ch.id, g.labels[ch.node1], g.labels[ch.node2], ch.capacity) for ch in expected
+        ]
 
     @pytest.mark.parametrize("doc, message", [
         ("[1, 2]", "not an object"),
@@ -228,6 +242,13 @@ class TestExport:
         ('{"k": 1, "edge_count": 1, "cut_capacity_sat": -5,'
          ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": -5}]}',
          "negative capacity"),
+        ('{"k": 1, "edge_count": 1.9, "cut_capacity_sat": 5, "cut_channels": []}',
+         "non-integer edge_count 1.9"),
+        ('{"k": 1, "edge_count": true, "cut_capacity_sat": 5, "cut_channels": []}',
+         "non-integer edge_count True"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 100.5, "cut_channels": []}',
+         "non-integer cut_capacity_sat 100.5"),
+        ('{"k": -3, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": []}', "negative k"),
     ])
     def test_malformed_shape(self, doc, message):
         with pytest.raises(ValueError, match=f"malformed cut JSON: .*{message}"):
@@ -246,32 +267,34 @@ class TestExport:
         with pytest.raises(ValueError, match=f"do not match the {channels} cut_channels of {100 * channels} sat"):
             read_cut_json(json.dumps(doc))
 
-    def test_build_cut_consistency(self, rng):
+    def test_crossing_channels_consistency(self, rng):
         g = random_graph(rng, 15, 0.3)
         coalition = [1, 3, 5]
-        cut = build_cut(g, coalition, Objective.EDGE_COUNT)
-        assert cut.edge_count == len(cut.cut_channels)
-        assert cut.cut_capacity == sum(ch.capacity for ch in cut.cut_channels)
-        assert (cut.edge_count, cut.cut_capacity) == cut_value(g, coalition)
+        crossing = crossing_channels(g, coalition)
+        inside = set(coalition)
+        assert list(crossing) == [ch for ch in g.channels if (ch.node1 in inside) != (ch.node2 in inside)]
+        assert (len(crossing), sum(ch.capacity for ch in crossing)) == cut_value(g, coalition)
 
-    def test_build_cut_rejects_unknown_node(self):
+    def test_crossing_channels_rejects_unknown_node(self):
         with pytest.raises(ValueError, match="unknown node index -1"):
-            build_cut(triangle(), [0, -1], Objective.EDGE_COUNT)
+            crossing_channels(triangle(), [0, -1])
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_solve_builds_only_crossing_channels(self, monkeypatch, objective):
         g = generate_scale_free(300, 2, seed=4)
+        small = generate_scale_free(12, 2, seed=4)
         built = []
         channel = cut_module.Channel
         monkeypatch.setattr(cut_module, "Channel", lambda *fields: built.append(fields) or channel(*fields))
         cut, _ = greedy_lopsided_cut(g, 5, objective)
-        assert len(built) == cut.edge_count
         value_vs_k_curve(g, 20, objective)
+        exact = exact_lopsided_cut(small, 3, objective)
+        assert built == []
+        assert len(crossing_channels(g, cut.coalition)) == len(built) == cut.edge_count
+        built.clear()
+        assert len(crossing_channels(small, exact.coalition)) == len(built) == exact.edge_count
         assert "channels" not in vars(g)
-        inside = set(cut.coalition)
-        assert list(cut.cut_channels) == [
-            ch for ch in g.channels if (ch.node1 in inside) != (ch.node2 in inside)
-        ]
+        assert "channels" not in vars(small)
 
 
 @settings(max_examples=40, deadline=None)

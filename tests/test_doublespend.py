@@ -25,8 +25,8 @@ from lnme.doublespend import (
     to_self_delay,
     tx_name,
 )
-from lnme.cut import Objective, build_cut
-from lnme.graph import Channel, generate_scale_free
+from lnme.cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
+from lnme.graph import Channel, UniformCapacity, generate_scale_free
 from lnme.mempool import ReplayEngine
 from lnme.scenario import Scenario
 from lnme.strategies import Dynamic, Static
@@ -394,10 +394,7 @@ class TestRealizedProfit:
 
 class TestExpectedProfit:
     def cut_with_capacity(self, cap):
-        g = generate_scale_free(10, 2, seed=1)
-        cut = build_cut(g, [0], Objective.CAPACITY)
-        object.__setattr__(cut, "cut_capacity", cap)
-        return cut
+        return Cut(1, Objective.CAPACITY, (0,), 1, cap)
 
     def test_half_probability_is_zero(self):
         assert expected_profit(self.cut_with_capacity(10**9), 0.5) == 0
@@ -453,3 +450,31 @@ class TestProfitVsK:
         assert [r["k"] for r in rows] == [0, 1, 3]
         assert rows[1]["attacked"] > 0
         assert rows[1]["profit_sat"] > 0  # everything compromised under congestion
+
+    def test_rows_match_independent_solves(self):
+        # one greedy run to max(ks) serves every k: each row equals its own solve and attack
+        g = generate_scale_free(40, 2, seed=8, capacity_dist=UniformCapacity(100_000, 10_000_000))
+        honest, attacker = PenaltyPolicy(), AttackerStrategy(fee(70))
+        delay, scn = CapacityScaled(min_delay=1, max_delay=6), constant_scenario(BANDS, [0, 0, 0], 80, 20)
+        ks = [3, 0, 1, 3, 7]
+        rows = profit_vs_k(g, ks, honest, attacker, delay, scn)
+        assert [r["k"] for r in rows] == ks
+        assert rows[1] == {"k": 0, "attacked": 0, "compromised": 0, "defended": 0, "undecided": 0, "profit_sat": 0}
+        for row in rows[:1] + rows[2:]:
+            cut, _ = greedy_lopsided_cut(g, row["k"], Objective.CAPACITY)
+            report = simulate_double_spend(crossing_channels(g, cut.coalition), honest, attacker, delay, scn)
+            assert row == {
+                "k": row["k"],
+                "attacked": report.attacked,
+                "compromised": report.compromised,
+                "defended": report.defended,
+                "undecided": report.undecided,
+                "profit_sat": realized_profit(report, PerChannel(), exclude_undecided=True),
+            }
+        assert 0 < rows[-1]["compromised"] < rows[-1]["attacked"]  # a mixed outcome
+        assert profit_vs_k(g, [], honest, attacker, delay, scn) == []
+
+    def test_negative_k_rejected(self):
+        g = generate_scale_free(30, 2, seed=4)
+        with pytest.raises(ValueError, match="non-negative"):
+            profit_vs_k(g, [2, -1], PenaltyPolicy(), AttackerStrategy(fee(70)), Fixed(5), empty_scenario())
