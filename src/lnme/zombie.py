@@ -75,8 +75,9 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
     engine = ReplayEngine(scenario.timeline, scenario.capacity_mode)
     n = config.channel_count
     fee = initial_fee(config.strategy)
+    submit = engine.submit
     for i in range(n):
-        engine.submit(i, fee, start)
+        submit(i, fee, start)
     series: list[tuple[int, int]] = []
     remaining = n
     closed_at = None

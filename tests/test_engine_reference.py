@@ -19,7 +19,7 @@ from math import floor
 import pytest
 
 from conftest import fee, make_timeline
-from lnme.mempool import BlockEntry, ConstantAverage, Historical, ReplayEngine, TxStatus
+from lnme.mempool import BlockEntry, ConstantAverage, Historical, ReplayEngine, TxStatus, _Cohort
 
 BAND_GRIDS = (
     [0, 5, 20, 60],
@@ -314,6 +314,39 @@ def test_matches_naive_reference_across_seeds():
     assert shared >= 30
     assert cases["rejoined"] >= 30
     assert cases["same_band"] >= 30
+
+
+def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
+    """A submit whose id sorts last in its cohort appends at the tail; one
+    whose id sorts below the cohort's last id falls back to ``_Cohort.add``.
+    Both paths run, in one fixed burst and across the shuffled ids of the
+    random scenarios, and confirm what the naive engine confirms."""
+    add = _Cohort.add
+    fallbacks = 0
+
+    def counting_add(cohort, tx):
+        nonlocal fallbacks
+        fallbacks += 1
+        add(cohort, tx)
+
+    monkeypatch.setattr(_Cohort, "add", counting_add)
+    timeline = make_timeline([0, 5], [[4, 2], [1, 2]])
+    start = timeline.timestamps[0]
+    fast, naive = ReplayEngine(timeline), NaiveEngine(timeline)
+    for tid in (5, 7, 3, 9, 1, 8, 10):  # 3, 1 and 8 land below the tail
+        fast.submit(tid, fee(1), start)
+        naive.submit(tid, fee(1), start)
+    assert fallbacks == 3
+    for height, t in ((1, start), (2, start + 60)):
+        got = [tx.id for tx in fast.apply_block(BlockEntry(height, t, 9))]
+        assert got == naive.apply_block(BlockEntry(height, t, 9))
+    assert got == [7, 8, 9, 10]
+    submits = 0
+    for seed in range(30):
+        replay_both(seed)
+        submits += sum(e[0] == "submit" for e in random_scenario(seed)[1])
+    assert fallbacks >= 3 + 30
+    assert submits - (fallbacks - 3) >= 30
 
 
 def test_bump_all_matches_per_transaction_bumps():

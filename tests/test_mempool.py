@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -16,6 +17,7 @@ from lnme.mempool import (
     ConstantAverage,
     FeeHistogram,
     FeeRate,
+    MonitoredTx,
     ReplayEngine,
     ReplayError,
     TimelineError,
@@ -204,6 +206,29 @@ class TestLoadTimeline:
         monkeypatch.setattr(mempool, "_parse_int", refuse)
         tl = load_timeline("timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4")
         assert tl.timestamps == [1600000000, 1600000060]
+        assert tl.counts.tolist() == [[7, 3], [2, 4]]
+        assert tl.cum_outflow.tolist() == [[0, 0], [5, 0]]
+
+    def test_no_text_stream_is_alive_during_the_numpy_parse(self, monkeypatch):
+        # a csv reader or a StringIO would hold the text at four bytes a character
+        csv_records, loadtxt = mempool.csv_records, np.loadtxt
+        open_readers, parses = [], []
+
+        def tracked_records(document, error):
+            open_readers.append(document)
+            try:
+                yield from csv_records(document, error)
+            finally:
+                open_readers.remove(document)
+
+        def tracked_loadtxt(lines, **kwargs):
+            parses.append((type(lines), len(open_readers)))
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(mempool, "csv_records", tracked_records)
+        monkeypatch.setattr(np, "loadtxt", tracked_loadtxt)
+        tl = load_timeline("timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4\n\n")
+        assert parses == [(list, 0)]
         assert tl.counts.tolist() == [[7, 3], [2, 4]]
         assert tl.cum_outflow.tolist() == [[0, 0], [5, 0]]
 
@@ -424,6 +449,46 @@ class TestSubmitAndBump:
         eng.submit("a", fee(70), T0)
         with pytest.raises(ReplayError, match="duplicate"):
             eng.submit("a", fee(70), T0)
+
+    @pytest.mark.parametrize(
+        "tx_id, at, error, match",
+        [
+            ("a", T0 + 160, ReplayError, "duplicate"),
+            ("late", T0 + 40, ReplayError, "precedes engine clock"),
+            (7, T0 + 100, TypeError, "not supported"),  # an id the cohort's ids do not order against
+        ],
+        ids=["duplicate-at-a-later-instant", "before-the-clock", "unordered-id"],
+    )
+    def test_rejected_submit_changes_nothing(self, tx_id, at, error, match):
+        eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        eng.submit("b", fee(20), T0 + 100)
+        eng.submit("a", fee(20), T0 + 100)
+
+        def state():
+            cohorts = {
+                (band, queued_at): (c.pos, c.mark, [tx.id for tx in c.live()])
+                for band, by_time in eng._bands.items()
+                for queued_at, c in by_time.items()
+            }
+            return eng.clock, eng.histogram(), dict(eng.transactions), eng.pending(), cohorts
+
+        before = state()
+        with pytest.raises(error, match=match):
+            eng.submit(tx_id, fee(20), at)
+        assert state() == before
+        assert before[0] == T0 + 100 and before[4] == {(1, T0 + 100): (5, 0, ["a", "b"])}
+
+    def test_monitored_tx_is_a_slotted_record(self):
+        tx = simple_engine([[0, 0, 0]] * 3).submit("a", fee(20), T0)
+        assert not hasattr(tx, "__dict__")
+        assert [f.name for f in dataclasses.fields(MonitoredTx)] == [
+            "id", "fee", "band", "status", "confirmed_height", "queued_at",
+        ]
+        assert tx == MonitoredTx("a", fee(20), 1, TxStatus.PENDING, None, T0)
+        assert repr(tx) == (
+            "MonitoredTx(id='a', fee=FeeRate(centi=2000), band=1, "
+            f"status=<TxStatus.PENDING: 'pending'>, confirmed_height=None, queued_at={T0})"
+        )
 
     def test_bump_to_empty_band_resets_queue(self):
         eng = simple_engine([[0, 40, 0]] * 3)
