@@ -5,6 +5,7 @@ run writes a manifest so it can be reproduced bit-for-bit."""
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -500,14 +501,24 @@ def _validate(args, parser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(args, parser)
+    # A run's data hold no reference cycles: the only cyclic garbage it
+    # leaves is its argument parser's and JSON encoder's, a few hundred
+    # objects whatever the input. So the cyclic collector would only rescan
+    # the replay's records, a million in a mass exit, and free nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (GraphError, TimelineError, ReplayError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _validate(args, parser)
+        try:
+            return args.func(args)
+        except (GraphError, TimelineError, ReplayError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:

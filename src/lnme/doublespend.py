@@ -21,7 +21,7 @@ from enum import Enum
 
 from .cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
 from .graph import Channel, LnGraph
-from .mempool import FeeRate, MonitoredTx, ReplayEngine, TxStatus, average_fee, div_round_half_up
+from .mempool import PENDING, FeeRate, MonitoredTx, ReplayEngine, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
 
@@ -264,7 +264,7 @@ def simulate_double_spend(
             undecided -= 1
             compromised_total += swept
             loser = atk.penalty if swept else atk.sweep
-            if loser is not None and loser.status is TxStatus.PENDING:
+            if loser is not None and loser.status is PENDING:
                 engine.withdraw(loser.id)
         if honest.dynamic and penalties:
             bumps[height + honest.step].append((penalties, honest.step, honest.beta))
@@ -283,7 +283,7 @@ def simulate_double_spend(
             bumps[height + sweep.step].append((swept_now, sweep.step, sweep.beta))
         # bumps at one instant join id-ordered cohorts, so their order is moot
         for members, step, beta in bumps.pop(height, ()):
-            members = [tx for tx in members if tx.status is TxStatus.PENDING]
+            members = [tx for tx in members if tx.status is PENDING]
             if not members:
                 continue
             fee = members[0].fee  # shared by the whole group

@@ -1,9 +1,16 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lnme.cli import EXIT_DATA, EXIT_EXHAUSTED, EXIT_OK, format_btc, main
+import lnme
+from lnme import cli
+from lnme.cli import EXIT_DATA, EXIT_EXHAUSTED, EXIT_OK, EXIT_USAGE, format_btc, main
 
 
 @pytest.fixture
@@ -602,3 +609,137 @@ def test_every_command_manifest_is_pinned(workdir):
         assert {key: doc[key] for key in expected} == expected, argv
         for output in expected["outputs"]:
             assert (workdir / output).is_file(), output
+
+
+# -- the cyclic collector ------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back in the state the test found it in."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def run_code(*argv):
+    """main's exit code, argparse's SystemExit included."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv, code", [
+        (("gen", "blocks", "--count", 2, "--txs", 1, "--out", "b.csv"), EXIT_OK),
+        (("zombie", "--channels", 5, "--fee", 70, "--timeline", "missing.csv",
+          "--blocks", "missing.csv", "--out", "z"), EXIT_DATA),
+        (("gen", "blocks", "--count", 0, "--txs", 1, "--out", "b.csv"), EXIT_USAGE),
+        (("solve", "--graph", "g.csv", "--out", "s"), EXIT_USAGE),
+    ], ids=["ok", "data-error", "bad-flag", "failed-validation"])
+    def test_main_restores_the_callers_state(self, workdir, capsys, collector, enabled, argv, code):
+        (gc.enable if enabled else gc.disable)()
+        assert run_code(*argv) == code
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_off_while_a_command_runs(self, workdir, monkeypatch, collector):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("a fault no handler in main catches")
+
+        monkeypatch.setattr(cli, "cmd_gen_blocks", command)
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            run("gen", "blocks", "--count", 2, "--txs", 1, "--out", "b.csv")
+        assert seen == [False]
+        assert gc.isenabled()
+
+
+# Runs whose input grows with a size: (argv for a size, the two sizes).
+GROWING_RUNS = {
+    "zombie-static": (lambda n: ("zombie", "--channels", n, "--fee", 70, *SCENARIO, "--out", "z"), (50, 20_000)),
+    "zombie-dynamic": (
+        lambda n: ("zombie", "--channels", n, "--dynamic", "--initial-fee", 5, "--step", 2, "--beta", 2,
+                   *SCENARIO, "--out", "z"),
+        (50, 20_000),
+    ),
+    "doublespend": (
+        lambda k: ("doublespend", "--cut-file", f"c{k}.cut.json", "--attacker-fee", 70, "--delay", "fixed:5",
+                   "--honest-step", 2, "--event-log", *SCENARIO, "--out", "ds"),
+        (2, 12),
+    ),
+    "solve": (lambda k: ("solve", "--graph", "g.csv", "--k", k, "--out", "s"), (2, 20)),
+}
+
+
+@pytest.mark.parametrize("name", GROWING_RUNS)
+def test_cyclic_garbage_does_not_grow_with_the_input(workdir, capsys, collector, name):
+    # the CLI runs without the collector, so a reference cycle built per
+    # transaction, channel or node would pile up uncollected during a run
+    gen_inputs(workdir)
+    run("gen", "graph", "--scale-free", "--n", 200, "--m", 2, "--seed", 1, "--out", "g.csv")
+    for k in GROWING_RUNS["doublespend"][1]:
+        run("solve", "--graph", "g.csv", "--k", k, "--objective", "capacity", "--out", f"c{k}")
+    argv_for, sizes = GROWING_RUNS[name]
+    gc.collect()
+    gc.disable()
+    garbage = []
+    for size in sizes:
+        assert run(*argv_for(size)) == EXIT_OK
+        garbage.append(gc.collect())
+    assert garbage[0] == garbage[1]
+
+
+# -- reruns across processes ---------------------------------------------------
+
+RERUN_COMMANDS = [
+    ("gen", "timeline", "--bands", "0,10,50", "--counts", "0,5000,0", "--snapshots", 40,
+     "--interval", 600, "--out", "tl.csv"),
+    ("gen", "blocks", "--count", 40, "--txs", 2000, "--interval", 600, "--out", "bl.csv"),
+    ("gen", "graph", "--scale-free", "--n", 80, "--m", 2, "--seed", 3,
+     "--capacity", "uniform:1000:9000000", "--out", "g.csv"),
+    ("solve", "--graph", "g.csv", "--k", 5, "--k-max", 8, "--objective", "capacity", "--out", "sol"),
+    ("zombie", "--channels", 300, "--dynamic", "--initial-fee", "5,8", "--step", "2,3", "--beta", 1.5,
+     *SCENARIO, "--out", "zs"),
+    ("zombie", "--cut-file", "sol.cut.json", "--dynamic", "--initial-fee", 5, "--step", 2,
+     "--beta", 1.5, *SCENARIO, "--out", "zc"),
+    ("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, "--delay", "fixed:5",
+     "--honest-step", 2, "--sweep-dynamic", "--sweep-step", 3, "--event-log", *SCENARIO, "--out", "ds"),
+]
+
+RERUN_SCRIPT = """
+import json, sys
+from lnme.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_reruns_are_byte_identical_across_processes_and_hash_seeds(tmp_path):
+    src = str(Path(lnme.__file__).resolve().parents[1])
+    commands = json.dumps([[str(a) for a in argv] for argv in RERUN_COMMANDS])
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", RERUN_SCRIPT, commands], cwd=out, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs.append((done.stdout, files))
+    (stdout0, files0), (stdout1, files1) = runs
+    assert json.loads(stdout0.splitlines()[-1]) == [EXIT_OK] * len(RERUN_COMMANDS)
+    assert stdout0 == stdout1
+    assert sorted(files0) == sorted(files1)
+    for name in ("sol.cut.json", "zs.sweep.csv", "zc.summary.json", "ds.events.jsonl", "ds.manifest.json"):
+        assert name in files0
+    for name, data in files0.items():
+        assert data == files1[name], name
