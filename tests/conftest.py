@@ -1,11 +1,12 @@
 """Shared builders for synthetic graphs, timelines, and block traces."""
 
+import functools
 import random
 
 import pytest
 
 from lnme.graph import Channel, LnGraph
-from lnme.mempool import BlockEntry, BlockTrace, FeeRate, MempoolTimeline
+from lnme.mempool import BlockEntry, BlockTrace, FeeHistogram, FeeRate, MempoolTimeline
 from lnme.scenario import Scenario
 
 T0 = 1_600_000_000
@@ -72,3 +73,25 @@ def uniform_attachment_graph(n: int, m: int, seed: int) -> LnGraph:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def histogram_work(monkeypatch):
+    """Lists of the ``FeeHistogram``s built and of those whose average was
+    computed, one entry per build and per computation."""
+    built, averaged = [], []
+    post_init, average = FeeHistogram.__post_init__, FeeHistogram.average.func
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_average(self):
+        averaged.append(self)
+        return average(self)
+
+    cached = functools.cached_property(counting_average)
+    cached.__set_name__(FeeHistogram, "average")
+    monkeypatch.setattr(FeeHistogram, "__post_init__", counting_post_init)
+    monkeypatch.setattr(FeeHistogram, "average", cached)
+    return built, averaged

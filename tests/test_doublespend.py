@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import constant_scenario, fee, make_blocks
+from conftest import BLOCK_INTERVAL, constant_scenario, fee, make_blocks, make_timeline
+from lnme import doublespend
 from lnme.doublespend import (
     MAX_FUNDING_SAT,
     PENALTY,
@@ -91,6 +92,21 @@ def test_dynamic_penalty_beta_must_be_finite_and_above_one(beta):
 
 
 class TestSimulate:
+    def test_reads_each_snapshot_histogram_once(self, histogram_work, monkeypatch):
+        # every snapshot's counts differ, so a snapshot built twice would show
+        # as a repeated count tuple
+        calls = []
+        average_fee = doublespend.average_fee
+        monkeypatch.setattr(doublespend, "average_fee", lambda hist: calls.append(hist) or average_fee(hist))
+        blocks = 40
+        timeline = make_timeline(BANDS, [[0, 1000 + i, i] for i in range(blocks + 1)], interval=BLOCK_INTERVAL)
+        scenario = Scenario(timeline, make_blocks(blocks, 7))
+        report = simulate_double_spend(channels(60), PenaltyPolicy(), AttackerStrategy(fee(70)), Fixed(5), scenario)
+        built, averaged = histogram_work
+        assert len(calls) == len(report.attacks) == 60  # one penalty per committed channel
+        assert len({hist.counts for hist in built}) == len(built) == len(averaged) < len(calls)
+        assert len(set(map(id, averaged))) == len(averaged)
+
     def test_empty_timeline_all_defended(self):
         report = simulate_double_spend(
             channels(1000),

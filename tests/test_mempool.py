@@ -147,6 +147,45 @@ class TestAverageFee:
         assert average_fee(FeeHistogram((FeeRate(0), FeeRate(3)), (2, 0))) == FeeRate(2)  # 1.5
         assert average_fee(FeeHistogram(edges, (3, 1))) == FeeRate(1)  # 2.5 / 4 = 0.625
 
+    def test_computed_once_per_histogram(self, histogram_work):
+        _, averaged = histogram_work
+        hist = FeeHistogram((fee(0), fee(10), fee(20)), (2, 2, 0))
+        assert [average_fee(hist), average_fee(hist), hist.average] == [fee(10)] * 3
+        assert averaged == [hist]
+
+    def test_read_average_leaves_equality_and_hash(self):
+        hist = FeeHistogram((fee(0), fee(10), fee(20)), (2, 2, 0))
+        assert average_fee(hist) == fee(10)
+        fresh = FeeHistogram((fee(0), fee(10), fee(20)), (2, 2, 0))
+        assert hist == fresh and hash(hist) == hash(fresh)
+        assert {hist: 1}[fresh] == 1
+        assert dataclasses.replace(hist) == hist
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=8, unique=True).flatmap(
+            lambda lows: st.tuples(
+                st.just(tuple(sorted(lows))),
+                st.one_of(
+                    st.just((0,) * len(lows)),
+                    st.lists(st.integers(0, 10**9), min_size=len(lows), max_size=len(lows)).map(tuple),
+                ),
+            )
+        )
+    )
+    def test_cached_average_matches_the_formula(self, grid):
+        lows, counts = grid
+        hist = FeeHistogram(tuple(map(FeeRate, lows)), counts)
+        total = sum(counts)
+        if total == 0:
+            expected = lows[0]
+        else:
+            reps = [Fraction(lo + hi, 2) for lo, hi in zip(lows, lows[1:])] + [lows[-1]]
+            mean = sum(count * rep for count, rep in zip(counts, reps)) / total
+            expected = math.floor(mean + Fraction(1, 2))
+        assert hist.average == FeeRate(expected)
+        assert average_fee(hist) is hist.average
+
 
 class TestLoadTimeline:
     def test_basic(self):
@@ -420,6 +459,18 @@ def simple_engine(rows, interval=60, **kw):
     return ReplayEngine(tl, **kw)
 
 
+def test_histogram_is_built_on_demand(histogram_work):
+    built, _ = histogram_work
+    eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    eng.submit("a", fee(20), T0)
+    eng.step_snapshot()
+    eng.apply_block(BlockEntry(1, T0 + 120, 0))
+    assert built == []
+    assert eng.histogram().counts == (7, 8, 9)
+    assert eng.histogram().counts == (7, 8, 9)
+    assert [h.counts for h in built] == [(7, 8, 9)]
+
+
 def test_histogram_is_kept_until_the_snapshot_changes():
     eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     first = eng.histogram()
@@ -529,9 +580,42 @@ class TestSubmitAndBump:
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("a", fee(20), T0)
         eng.submit("b", fee(60), T0)
-        with pytest.raises(ReplayError, match="increase"):
+        with pytest.raises(ReplayError, match=r"increase the fee \(60.00 <= 60.00\)"):
             eng.bump_all(fee(60), T0)
         assert eng.transactions["a"].fee == fee(20)
+
+    @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
+    def test_bump_all_below_a_fee_that_has_left(self, leave):
+        # "c" lifted the engine's bound on pending fees to 80 and then left,
+        # so a bump to 50 must read the pending fees, 20 and 30, and proceed
+        eng = simple_engine([[0, 0, 0]] * 3)
+        for tid, rate in (("a", 20), ("b", 30), ("c", 80)):
+            eng.submit(tid, fee(rate), T0)
+        if leave == "withdraw":
+            eng.withdraw("c")
+        else:
+            assert [tx.id for tx in eng.apply_block(BlockEntry(1, T0, 1))] == ["c"]
+        eng.bump_all(fee(50), T0 + 60)
+        assert [(tx.id, tx.fee, tx.queued_at) for tx in eng.pending()] == [
+            ("a", fee(50), T0 + 60), ("b", fee(50), T0 + 60),
+        ]
+        assert [tx.id for tx in eng._bands[2][T0 + 60].live()] == ["a", "b"]
+        with pytest.raises(ReplayError, match=r"increase the fee \(50.00 <= 50.00\)"):
+            eng.bump_all(fee(50), T0 + 60)
+
+    @pytest.mark.parametrize("first", ["bump", "bump_all"])
+    def test_bump_all_stays_above_an_earlier_bump(self, first):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        for tid in ("a", "b"):
+            eng.submit(tid, fee(20), T0)
+        if first == "bump":
+            eng.bump("a", fee(80), T0)  # a one-member bump_group
+        else:
+            eng.bump_all(fee(80), T0)
+        before = [(tx.fee, tx.band, tx.queued_at) for tx in eng.pending()]
+        with pytest.raises(ReplayError, match=r"increase the fee \(70.00 <= 80.00\)"):
+            eng.bump_all(fee(70), T0 + 60)
+        assert [(tx.fee, tx.band, tx.queued_at) for tx in eng.pending()] == before
 
     def test_bump_group_moves_members_of_several_cohorts_into_one(self):
         eng = simple_engine([[0, 40, 9]] * 3)

@@ -26,6 +26,14 @@ def mid_band_congestion(blocks=50, txs=2000, backlog=10**6):
 
 
 class TestSimulateZombie:
+    @pytest.mark.parametrize("strategy", [Static(fee(70)), Dynamic(fee(5), 2, 1.5)], ids=["static", "dynamic"])
+    def test_replay_builds_no_histogram(self, histogram_work, strategy):
+        # a snapshot per block, and dynamic fees climb past the mid-band
+        # backlog only after six bumps
+        report = simulate_zombie(ZombieConfig(3000, strategy, mid_band_congestion(blocks=30, backlog=3000)))
+        assert report.blocks_to_close_all == (14 if isinstance(strategy, Dynamic) else 2)
+        assert histogram_work == ([], [])
+
     @pytest.mark.parametrize("n", [1, 1999, 2000, 2001, 10911])
     def test_empty_mempool_limit(self, n):
         report = simulate_zombie(ZombieConfig(n, Static(fee(70)), empty_scenario()))
