@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -70,26 +71,31 @@ def format_btc(sat: int) -> str:
     return f"{sign}{sat // SAT_PER_BTC}.{sat % SAT_PER_BTC:08d}"
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # Parsed arguments that are not run parameters: the command and its handler;
 # paths, since the manifest hashes the inputs and lists the outputs;
 # --event-log, which only selects an output; the no-op --scale-free and
-# --constant; and the seed, which the manifest records under "seeds".
+# --constant; the seed, which the manifest records under "seeds"; and the
+# digests of the inputs read.
 NOT_PARAMETERS = frozenset({
     "command", "gen_command", "func",
     "out", "graph", "timeline", "blocks", "cut_file",
-    "event_log", "scale_free", "constant", "seed",
+    "event_log", "scale_free", "constant", "seed", "digests",
 })
 
 # Manifest input name -> the argument that holds its path.
 INPUTS = {"graph": "graph", "timeline": "timeline", "blocks": "blocks", "cut": "cut_file"}
+
+
+def _read_input(args, name: str) -> str:
+    """The text of input ``name``, read once. The manifest records the
+    SHA-256 of these very bytes, so a file replaced during the run cannot
+    lend its digest to outputs computed from the old one. The bytes are
+    decoded as ``Path.read_text`` decodes them (the locale's encoding,
+    universal newlines) and dropped before the text is parsed."""
+    data = Path(getattr(args, INPUTS[name])).read_bytes()
+    args.digests[name] = hashlib.sha256(data).hexdigest()
+    with io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)) as stream:
+        return stream.read()
 
 
 def _output_path(args, suffix: str) -> Path:
@@ -104,8 +110,8 @@ def _manifest_name(args) -> str:
 def _write_outputs(args, outputs: dict[str, str], **overrides) -> None:
     """Write each ``{suffix: text}`` output to ``<out><suffix>``, then
     ``<out>.manifest.json``. The manifest echoes every run parameter in
-    ``args`` (``overrides`` replace some), hashes the input files and lists
-    the outputs and itself."""
+    ``args`` (``overrides`` replace some), gives the digest of each input as
+    the run read it and lists the outputs and itself."""
     paths = [_output_path(args, suffix) for suffix in outputs]
     for path, text in zip(paths, outputs.values()):
         path.write_text(text)
@@ -114,11 +120,7 @@ def _write_outputs(args, outputs: dict[str, str], **overrides) -> None:
     doc = {
         "command": " ".join(filter(None, (args.command, getattr(args, "gen_command", None)))),
         "parameters": {**parameters, **overrides},
-        "inputs": {
-            name: _sha256_file(Path(getattr(args, attr)))
-            for name, attr in INPUTS.items()
-            if getattr(args, attr, None)
-        },
+        "inputs": args.digests,
         "outputs": sorted(str(path) for path in paths + [manifest]),
         "seeds": [args.seed] if "seed" in args else [],
         "tool_version": __version__,
@@ -126,16 +128,17 @@ def _write_outputs(args, outputs: dict[str, str], **overrides) -> None:
     manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_graph(path: str, fmt: str | None):
-    text = Path(path).read_text()
+def _load_graph(args):
+    text = _read_input(args, "graph")
+    fmt = args.format
     if fmt is None:
-        fmt = "lnd" if path.endswith(".json") else "csv"
+        fmt = "lnd" if args.graph.endswith(".json") else "csv"
     return parse_lnd_graph(text) if fmt == "lnd" else parse_edge_list(text)
 
 
 def _build_scenario(args) -> Scenario:
-    timeline = load_timeline(Path(args.timeline).read_text())
-    trace = load_block_trace(Path(args.blocks).read_text())
+    timeline = load_timeline(_read_input(args, "timeline"))
+    trace = load_block_trace(_read_input(args, "blocks"))
     if args.scenario in ("1", "2"):
         return preset_scenario(int(args.scenario), timeline, trace, args.avg_block_txs)
     start = args.start if args.start is not None else timeline.start
@@ -216,7 +219,7 @@ def _int_at_least(low: int, high: int | None = None):
 
 
 def cmd_solve(args) -> int:
-    graph = _load_graph(args.graph, args.format)
+    graph = _load_graph(args)
     objective = Objective(args.objective)
     outputs = {}
     if args.k is not None:
@@ -238,7 +241,7 @@ def cmd_solve(args) -> int:
 def cmd_zombie(args) -> int:
     scenario = _build_scenario(args)
     if args.cut_file is not None:
-        n = read_cut_json(Path(args.cut_file).read_text()).edge_count
+        n = read_cut_json(_read_input(args, "cut")).edge_count
     else:
         n = args.channels
     if args.dynamic:
@@ -280,7 +283,7 @@ def _parse_delay(text: str):
 
 def cmd_doublespend(args) -> int:
     scenario = _build_scenario(args)
-    cut_file = read_cut_json(Path(args.cut_file).read_text())
+    cut_file = read_cut_json(_read_input(args, "cut"))
     sweep_fee = FeeRate.from_sat(args.sweep_fee)
     sweep = Dynamic(sweep_fee, args.sweep_step, args.sweep_beta) if args.sweep_dynamic else Static(sweep_fee)
     attacker = AttackerStrategy(FeeRate.from_sat(args.attacker_fee), sweep)
@@ -511,6 +514,7 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         _validate(args, parser)
+        args.digests = {}  # input name -> SHA-256, filled as the run reads its inputs
         try:
             return args.func(args)
         except (GraphError, TimelineError, ReplayError, ValueError, OSError) as exc:

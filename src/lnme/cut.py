@@ -224,42 +224,37 @@ class CutFile:
 
 
 def read_cut_json(document: str) -> CutFile:
-    """Re-read a ``cut_to_json`` export. A document of another shape, one
-    with a negative or non-integer capacity, ``k``, ``edge_count`` or
-    ``cut_capacity_sat``, or one whose ``edge_count`` or ``cut_capacity_sat``
-    disagrees with its ``cut_channels`` raises
-    ``ValueError("malformed cut JSON: ...")``."""
+    """Re-read a ``cut_to_json`` export. A document of another shape raises
+    ``ValueError("malformed cut JSON: ...")``: one with a missing total, a
+    ``cut_channels`` entry whose ``id``, ``node1`` or ``node2`` is not a
+    string, a non-string ``objective``, a ``coalition`` that is not a list of
+    strings, a negative or non-integer capacity, ``k``, ``edge_count`` or
+    ``cut_capacity_sat``, or an ``edge_count`` or ``cut_capacity_sat`` that
+    disagrees with its ``cut_channels``."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed cut JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("malformed cut JSON: the document is not an object")
-    labels: list[str] = []
-    index: dict[str, int] = {}
-
-    def canonical(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
     try:
-        channels = tuple(
-            Channel(
-                str(entry["id"]),
-                canonical(str(entry["node1"])),
-                canonical(str(entry["node2"])),
-                parse_capacity(entry["capacity_sat"], str(entry["id"])),
-            )
-            for entry in doc.get("cut_channels", [])
-        )
+        ids, ends1, ends2, capacity = _read_cut_channels(doc.get("cut_channels", []))
+        objective = doc.get("objective", "")
+        if type(objective) is not str:
+            raise ValueError(f"non-string objective {objective!r}")
+        coalition = doc.get("coalition", [])
+        if type(coalition) is not list or not all(type(label) is str for label in coalition):
+            raise ValueError("coalition is not a list of strings")
+        # node labels in first-appearance order, node1 before node2
+        labels = tuple(dict.fromkeys(itertools.chain.from_iterable(zip(ends1, ends2))))
+        index = dict(zip(labels, itertools.count()))
+        node1, node2 = map(index.__getitem__, ends1), map(index.__getitem__, ends2)
         cut = CutFile(
             k=parse_count(doc["k"], "k"),
-            objective=str(doc.get("objective", "")),
-            coalition=tuple(doc.get("coalition", [])),
-            labels=tuple(labels),
-            channels=channels,
+            objective=objective,
+            coalition=tuple(coalition),
+            labels=labels,
+            channels=tuple(map(Channel, ids, node1, node2, capacity)),
             edge_count=parse_count(doc["edge_count"], "edge_count"),
             cut_capacity=parse_count(doc["cut_capacity_sat"], "cut_capacity_sat"),
         )
@@ -267,13 +262,37 @@ def read_cut_json(document: str) -> CutFile:
         raise ValueError(f"malformed cut JSON: missing {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed cut JSON: {exc}") from None
-    capacity = sum(ch.capacity for ch in channels)
-    if (cut.edge_count, cut.cut_capacity) != (len(channels), capacity):
+    total = sum(capacity)
+    if (cut.edge_count, cut.cut_capacity) != (len(ids), total):
         raise ValueError(
             f"malformed cut JSON: edge_count {cut.edge_count} and cut_capacity_sat {cut.cut_capacity} "
-            f"do not match the {len(channels)} cut_channels of {capacity} sat"
+            f"do not match the {len(ids)} cut_channels of {total} sat"
         )
     return cut
+
+
+CHANNEL_FIELDS = ("id", "node1", "node2")
+
+
+def _read_cut_channels(entries: list):
+    """The columns of cut_channels read one entry at a time: the first bad
+    entry raises KeyError, TypeError or ValueError naming it, and a capacity
+    is read by ``parse_capacity``."""
+    ids: list[str] = []
+    ends1: list[str] = []
+    ends2: list[str] = []
+    capacity: list[int] = []
+    for pos, entry in enumerate(entries):
+        fields = [entry[name] for name in CHANNEL_FIELDS]
+        for name, value in zip(CHANNEL_FIELDS, fields):
+            if type(value) is not str:
+                raise ValueError(f"non-string {name} {value!r} in cut_channels entry {pos}")
+        cid, end1, end2 = fields
+        ids.append(cid)
+        ends1.append(end1)
+        ends2.append(end2)
+        capacity.append(parse_capacity(entry["capacity_sat"], cid))
+    return ids, ends1, ends2, capacity
 
 
 def curve_to_csv(curve) -> str:

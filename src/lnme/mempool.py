@@ -51,10 +51,11 @@ list. The ``FeeHistogram`` view of a snapshot is built only when
 ``histogram()`` is called, once per snapshot, and a histogram computes its
 ``average`` once, on first read.
 
-A timeline's rows reach numpy as the document's lines. No text stream,
-which would hold a copy of the text at four bytes a character, is alive
-during that parse, and the cumulative outflow is built in place, with no
-full-size temporaries.
+A timeline's parse holds the document and its two arrays, but no list of
+its lines and no text stream (a copy of the text at four bytes a
+character). numpy reads the data lines from slices of the document that
+end at a line end, one slice's lines at a time. The cumulative outflow is
+built in place, with no full-size temporaries.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, is_
 
 import numpy as np
@@ -336,20 +337,37 @@ def _read_rows_numpy(edges: tuple[FeeRate, ...], document: str) -> MempoolTimeli
     """The timeline from one numpy parse of the document's data rows, or
     None when the header is quoted (it may span lines), a cell is not a
     plain int64 or the rows are not a valid timeline."""
-    # lines, not a StringIO, which would copy the text at four bytes a
-    # character; a lone "\r" stays inside its line and fails the parse
-    lines = document.split("\n")
-    if '"' in lines[0]:
+    body = document.find("\n") + 1
+    if not body or '"' in document[:body]:
         return None
     try:
         # numpy 1.x reads 5.5 in an int column as 5, warning only; and with
         # comments=None numpy fails on '#' rows, which it would drop silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arr = np.loadtxt(lines[1:], delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+            arr = np.loadtxt(
+                chain.from_iterable(_data_lines(document, body)),
+                delimiter=",", dtype=np.int64, ndmin=2, comments=None,
+            )
         return MempoolTimeline(edges, arr[:, 0].tolist(), arr[:, 1:])
     except (ValueError, OverflowError, Warning):  # TimelineError is a ValueError
         return None
+
+
+TEXT_SLICE = 1 << 16  # characters of the document split into lines at a time
+
+
+def _data_lines(document: str, start: int):
+    """The lines of document from start, as one list per slice of about
+    ``TEXT_SLICE`` characters that ends at a line end: no list of every
+    line, nor a text stream (a copy of the text at four bytes a character),
+    is ever alive. A lone "\\r" stays inside its line, and numpy fails it."""
+    while start < len(document):
+        end = document.find("\n", start + TEXT_SLICE)
+        if end < 0:
+            end = len(document)
+        yield document[start:end].split("\n")
+        start = end + 1
 
 
 def _parse_int(cell: str, lineno: int, what: str) -> int:

@@ -457,6 +457,10 @@ def test_fee_flag_with_huge_exponent_is_usage_error(workdir, capsys, argv, flag,
     '{"k": 1, "edge_count": 5, "cut_capacity_sat": 0, "cut_channels": []}',
     '{"k": 1, "edge_count": 1.9, "cut_capacity_sat": 100,'
     ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 100}]}',
+    '{"k": 1, "edge_count": 1, "cut_capacity_sat": 100, "coalition": "abc",'
+    ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 100}]}',
+    '{"k": 1, "edge_count": 1, "cut_capacity_sat": 100,'
+    ' "cut_channels": [{"id": {"x": 1}, "node1": "a", "node2": "b", "capacity_sat": 100}]}',
 ])
 def test_malformed_cut_is_data_error(workdir, capsys, command, cut):
     gen_inputs(workdir, snapshots=3, blocks=3)
@@ -489,6 +493,27 @@ class TestManifest:
         assert summary["manifest"] == "z.manifest.json"
         manifest = json.loads((workdir / "z.manifest.json").read_text())
         assert "z.series.csv" in manifest["outputs"]
+
+    @pytest.mark.parametrize("loader, name, path, argv", [
+        ("load_timeline", "timeline", "tl.csv",
+         ("zombie", "--channels", 10, "--fee", 70, "--timeline", "tl.csv", "--blocks", "bl.csv")),
+        ("parse_edge_list", "graph", "g.csv", ("solve", "--graph", "g.csv", "--k", 2)),
+    ])
+    def test_inputs_replaced_after_the_parse_keep_their_digest(self, workdir, monkeypatch, loader, name, path, argv):
+        # the manifest hashes the bytes the run parsed, not the file at exit
+        gen_inputs(workdir, snapshots=10, blocks=10)
+        run("gen", "graph", "--scale-free", "--n", 20, "--m", 2, "--seed", 5, "--out", "g.csv")
+        parsed = hashlib.sha256((workdir / path).read_bytes()).hexdigest()
+        parse = getattr(cli, loader)
+
+        def parse_then_replace(text):
+            result = parse(text)
+            (workdir / path).write_text("replaced\n")
+            return result
+
+        monkeypatch.setattr(cli, loader, parse_then_replace)
+        assert run(*argv, "--out", "x") == EXIT_OK
+        assert json.loads((workdir / "x.manifest.json").read_text())["inputs"][name] == parsed
 
 
 # Every command's manifest, pinned: (argv, exit code, manifest, expected fields).

@@ -249,10 +249,37 @@ class TestExport:
         ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 100.5, "cut_channels": []}',
          "non-integer cut_capacity_sat 100.5"),
         ('{"k": -3, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": []}', "negative k"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": [], "coalition": "abc"}',
+         "coalition is not a list of strings"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": [], "coalition": ["a", 7]}',
+         "coalition is not a list of strings"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": [], "objective": 5}',
+         "non-string objective 5"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5,'
+         ' "cut_channels": [{"id": {"x": 1}, "node1": "a", "node2": "b", "capacity_sat": 5}]}',
+         "non-string id {'x': 1} in cut_channels entry 0"),
+        ('{"k": 1, "edge_count": 2, "cut_capacity_sat": 10,'
+         ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 5},'
+         ' {"id": "y", "node1": 7, "node2": "b", "capacity_sat": 5}]}',
+         "non-string node1 7 in cut_channels entry 1"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5,'
+         ' "cut_channels": [{"id": "x", "node1": "a", "node2": null, "capacity_sat": 5}]}',
+         "non-string node2 None in cut_channels entry 0"),
     ])
     def test_malformed_shape(self, doc, message):
         with pytest.raises(ValueError, match=f"malformed cut JSON: .*{message}"):
             read_cut_json(doc)
+
+    def test_capacities_off_the_export_shape_read_the_same(self):
+        # an integral float or a decimal string capacity is read entry by entry
+        channels = [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 5},
+                    {"id": "y", "node1": "c", "node2": "a", "capacity_sat": 7}]
+        doc = {"k": 1, "objective": "edges", "coalition": ["a"], "edge_count": 2, "cut_capacity_sat": 12}
+        exported = read_cut_json(json.dumps({**doc, "cut_channels": channels}))
+        channels[0]["capacity_sat"], channels[1]["capacity_sat"] = 5.0, "7"
+        assert read_cut_json(json.dumps({**doc, "cut_channels": channels})) == exported
+        assert exported.labels == ("a", "b", "c")
+        assert [(ch.id, ch.node1, ch.node2, ch.capacity) for ch in exported.channels] == [("x", 0, 1, 5), ("y", 2, 0, 7)]
 
     @pytest.mark.parametrize("edge_count, capacity, channels", [
         (5, 100, 1), (1, 0, 1), (1, 101, 1), (5, 0, 0),

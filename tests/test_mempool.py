@@ -1,5 +1,8 @@
 import dataclasses
+import io
 import math
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -238,15 +241,29 @@ class TestLoadTimeline:
         with pytest.raises(TimelineError, match="line 2: new-line character"):
             load_timeline("timestamp,0\n1600000000,1\r1600000060,2\n")
 
-    def test_plain_rows_skip_the_cell_parser(self, monkeypatch):
+    @pytest.mark.parametrize("document", [
+        "timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4",
+        "timestamp,0,5\n1600000000,7,3\n1600000060,2,4\n",
+        "timestamp,0,5\n1600000000,7,3\n1600000060,2,4",
+        "timestamp,0,5\n\n1600000000,7,3\n\n\n1600000060,2,4\n\n",
+        "timestamp,0,5\r\n1600000000,7,3\r\n1600000060,2,4\r\n",
+        "timestamp,0,5\r\n\r\n1600000000,7,3\r\n\r\n1600000060,2,4\r\n\r\n",
+        "timestamp,0,5\n1600000000,7,3\n",
+        "timestamp,0,5\n" + "".join(f"{T0 + 60 * i},{i % 997},{i % 13}\n" for i in range(5_000)),
+    ], ids=["crlf-and-blank", "trailing-newline", "no-trailing-newline", "blank-lines", "crlf",
+            "crlf-blank-lines", "single-row", "longer-than-a-slice"])
+    @pytest.mark.parametrize("slice_chars", [mempool.TEXT_SLICE, 10])
+    def test_plain_rows_skip_the_cell_parser(self, monkeypatch, document, slice_chars):
+        with mock.patch.object(mempool, "_read_rows_numpy", lambda edges, body: None):
+            cells = parse_outcome(document)
+
         def refuse(cell, lineno, what):
             raise AssertionError("cell-by-cell parse ran")
 
         monkeypatch.setattr(mempool, "_parse_int", refuse)
-        tl = load_timeline("timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4")
-        assert tl.timestamps == [1600000000, 1600000060]
-        assert tl.counts.tolist() == [[7, 3], [2, 4]]
-        assert tl.cum_outflow.tolist() == [[0, 0], [5, 0]]
+        monkeypatch.setattr(mempool, "TEXT_SLICE", slice_chars)
+        assert not isinstance(cells, str)  # a timeline, not a TimelineError
+        assert parse_outcome(document) == cells
 
     def test_no_text_stream_is_alive_during_the_numpy_parse(self, monkeypatch):
         # a csv reader or a StringIO would hold the text at four bytes a character
@@ -261,15 +278,35 @@ class TestLoadTimeline:
                 open_readers.remove(document)
 
         def tracked_loadtxt(lines, **kwargs):
-            parses.append((type(lines), len(open_readers)))
+            parses.append((isinstance(lines, io.IOBase), len(open_readers)))
             return loadtxt(lines, **kwargs)
 
         monkeypatch.setattr(mempool, "csv_records", tracked_records)
         monkeypatch.setattr(np, "loadtxt", tracked_loadtxt)
         tl = load_timeline("timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4\n\n")
-        assert parses == [(list, 0)]
+        assert parses == [(False, 0)]
         assert tl.counts.tolist() == [[7, 3], [2, 4]]
         assert tl.cum_outflow.tolist() == [[0, 0], [5, 0]]
+
+    def test_parse_holds_no_list_of_lines(self):
+        # A list of the document's lines costs a str object (about 64 bytes
+        # on these one-band rows) and a pointer per line. The numpy parse
+        # splits one slice of the text at a time and fills one array sized
+        # in advance, so what it allocates beyond what the timeline keeps
+        # stays well below half of that list; a parse holding every line
+        # would not.
+        document = "timestamp,0\n" + "".join(f"{T0 + 60 * i},{i % 5000}\n" for i in range(20_000))
+        lines = document.split("\n")
+        line_list = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+        del lines
+        tracemalloc.start()
+        try:
+            tl = load_timeline(document)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tl) == 20_000
+        assert peak - held < line_list / 2
 
 
 WRAPPING_TIMELINE = (
