@@ -277,7 +277,12 @@ def _parse_delay(text: str):
     if text == "scaled":
         return CapacityScaled()
     if text.startswith("fixed:"):
-        return Fixed(int(text.split(":", 1)[1]))
+        try:
+            blocks = int(text.split(":", 1)[1])
+        except ValueError:
+            pass  # not a block count: the message below names the forms
+        else:
+            return Fixed(blocks)
     raise ValueError(f"delay must be 'scaled' or 'fixed:<blocks>', got {text!r}")
 
 

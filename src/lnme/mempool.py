@@ -40,6 +40,17 @@ members read once: on CPython 3.11 reading a member through its class costs
 about 200 ns a time. Statuses are compared by identity, never hashed, as an
 ``Enum`` member's hash runs Python code.
 
+A mass exit's submissions share one ``FeeRate`` object and one instant. The
+engine remembers the cohort the last submit joined, as ``(fee, at, band,
+cohort)``, and a submit with that same fee object at that instant joins it
+directly: no clock move, band bisect, cohort lookup or fee-bound update,
+only the duplicate check, the id-order check and the append. The engine
+forgets it whenever a cohort leaves the queue (a bump that empties it, or a
+block that finds it empty), when ``bump_all`` rebuilds the queue, and when
+the clock moves, so a submit at an instant the clock has left still raises.
+``submit`` builds the record in place, ``object.__new__`` and six slot
+stores: a class call runs the dataclass ``__init__`` in a frame of its own.
+
 A mass bump (``bump_all``) costs a list slice and three field writes per
 member. The engine keeps an upper bound on pending fees, raised by
 ``submit`` and ``bump_group`` and set by ``bump_all``, so a new fee above it
@@ -298,7 +309,10 @@ def load_timeline(document: str) -> MempoolTimeline:
     timeline.
     """
     # the csv reader holds the text at four bytes a character: it is dropped
-    # before the numpy parse and made again only for the cell-by-cell one
+    # before the numpy parse and made again only for the cell-by-cell one.
+    # Do not narrow it to the first line: that skips the copy, yet in
+    # alternated bench pairs it raised zombie_dynamic_sweep's peak RSS from
+    # 68.6 to 76.1 MB (2-vCPU VM, Python 3.11, numpy 2.4; cause not traced).
     header = next(csv_records(document, TimelineError), None)
     if header is None:
         raise TimelineError("empty document")
@@ -498,6 +512,9 @@ class MonitoredTx:
     queued_at: int = 0
 
 
+_new_tx = object.__new__  # MonitoredTx has no __new__ of its own
+
+
 class _Cohort:
     """The pending transactions that entered one band at one instant.
 
@@ -590,6 +607,8 @@ class ReplayEngine:
         self._hist: FeeHistogram | None = None  # built by histogram() from _counts
         self._outflow = timeline.cum_outflow[0].tolist()
         self._fee_bound = -1  # no pending fee is above it
+        # (fee, at, band, cohort) of the last submit, while that cohort is queued
+        self._last: tuple[FeeRate, int, int, _Cohort] | None = None
         self._last_height: int | None = None
         self._avg = None  # the block average as an integer ratio num / den
         if isinstance(capacity_mode, ConstantAverage):
@@ -608,20 +627,13 @@ class ReplayEngine:
         if t == self._clock:
             return
         idx = self.timeline.index_at(t)
+        self._last = None  # a later submit at the instant left behind must raise
         if idx != self._snap:
             self._snap = idx
             self._counts = self.timeline.counts[idx].tolist()
             self._hist = None
             self._outflow = self.timeline.cum_outflow[idx].tolist()
         self._clock = t
-
-    def step_snapshot(self) -> None:
-        """Advance one snapshot, draining queue positions by per-band
-        outflow: each pending transaction in a band loses max(0, old count
-        minus new count), floored at zero."""
-        if self._snap + 1 >= len(self.timeline.timestamps):
-            raise ReplayError("no snapshot after the current one")
-        self._advance(self.timeline.timestamps[self._snap + 1])
 
     def histogram(self) -> FeeHistogram:
         """Congestion at the engine clock: the current snapshot, built on
@@ -637,28 +649,39 @@ class ReplayEngine:
 
     def submit(self, tx_id: TxId, fee: FeeRate, at: int) -> MonitoredTx:
         """Register a pending transaction; its queue position is the
-        historical count of its band at the submission-time snapshot."""
+        historical count of its band at the submission-time snapshot.
+
+        A submit with the last submit's fee object at the same instant joins
+        that submit's cohort with no band or cohort lookup."""
         transactions = self.transactions
         if tx_id in transactions:
             raise ReplayError(f"duplicate transaction id {tx_id!r}")
-        if at != self._clock:
+        last = self._last
+        if last is not None and last[0] is fee and last[1] == at:
+            band, cohort = last[2], last[3]
+        else:
             self._advance(at)
-        centi = fee.centi
-        band = bisect_right(self._edges, centi) - 1
-        # inline: a mass exit submits millions of transactions in one loop
-        tx = MonitoredTx(tx_id, fee, band, PENDING, None, at)
-        try:
-            cohort = self._bands[band][at]
-        except KeyError:
+            centi = fee.centi
+            band = bisect_right(self._edges, centi) - 1
             cohort = self._cohort(band, at)
+            self._last = (fee, at, band, cohort)
+            if centi > self._fee_bound:
+                self._fee_bound = centi
+        # built in place: a class call runs the dataclass __init__ in a frame
+        # of its own, and a mass exit submits millions of transactions
+        tx = _new_tx(MonitoredTx)
+        tx.id = tx_id
+        tx.fee = fee
+        tx.band = band
+        tx.status = PENDING
+        tx.confirmed_height = None
+        tx.queued_at = at
         members = cohort.members
         if cohort.head == len(members) or tx_id > members[-1].id:
             members.append(tx)
         else:
             cohort.add(tx)
         transactions[tx_id] = tx  # last: an id its cohort cannot order leaves no record
-        if centi > self._fee_bound:
-            self._fee_bound = centi
         return tx
 
     def bump(self, tx_id: TxId, new_fee: FeeRate, at: int) -> MonitoredTx:
@@ -703,12 +726,9 @@ class ReplayEngine:
         else:
             movers = txs
         for (source_band, queued_at), count in sources.items():
-            cohorts = self._bands[source_band]
-            cohort = cohorts[queued_at]
+            cohort = self._bands[source_band][queued_at]
             if count == len(cohort.members) - cohort.head:
-                del cohorts[queued_at]  # every live member leaves
-                if not cohorts:
-                    del self._bands[source_band]
+                self._drop(source_band, queued_at)  # every live member leaves
             else:
                 cohort.discard(leaving)
         for tx in txs:
@@ -747,7 +767,8 @@ class ReplayEngine:
             tx.fee = new_fee
             tx.band = band
             tx.queued_at = at
-        self._fee_bound = new_fee.centi
+        self._fee_bound = new_fee.centi  # may fall below the last submit's fee
+        self._last = None
         self._bands = {band: {at: _Cohort(band, at, *self._position(band), movers)}}
 
     def withdraw(self, tx_id: TxId) -> MonitoredTx:
@@ -816,18 +837,25 @@ class ReplayEngine:
             cohort = cohorts[at] = _Cohort(band, at, *self._position(band), [])
         return cohort
 
+    def _drop(self, band: int, queued_at: int) -> None:
+        """Take the cohort out of its band, and forget the last submit's
+        cohort: it may be this one."""
+        cohorts = self._bands[band]
+        del cohorts[queued_at]
+        if not cohorts:
+            del self._bands[band]
+        self._last = None
+
     def _queue(self, band: int) -> list[tuple[int, int, _Cohort]]:
         """The band's cohorts as (same_band_ahead, queued_at, cohort) in
         priority order, dropping cohorts that every member left."""
-        cohorts, outflow = self._bands[band], self._outflow
+        outflow = self._outflow
         order = []
-        for queued_at, cohort in list(cohorts.items()):
+        for queued_at, cohort in list(self._bands[band].items()):
             if cohort.head == len(cohort.members):
-                del cohorts[queued_at]
+                self._drop(band, queued_at)
             else:
                 order.append((cohort.ahead(outflow), queued_at, cohort))
-        if not cohorts:
-            del self._bands[band]
         order.sort()  # queued_at is unique in a band, so cohorts never compare
         return order
 

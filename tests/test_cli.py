@@ -314,15 +314,20 @@ class TestDoublespend:
         n, a = report["compromised"], report["attacked"]
         assert report["realized_profit_sat"] == 4_500_000 * (2 * n - a) // 2
 
-    @pytest.mark.parametrize("delay", ["fixed:-5", "fixed:abc", "bogus"])
-    def test_bad_delay_is_usage_error(self, workdir, delay, capsys):
+    @pytest.mark.parametrize("delay, message", [
+        ("fixed:-5", "delay blocks must be >= 0"),
+        ("fixed:abc", "delay must be 'scaled' or 'fixed:<blocks>', got 'fixed:abc'"),
+        ("bogus", "delay must be 'scaled' or 'fixed:<blocks>', got 'bogus'"),
+    ])
+    def test_bad_delay_is_usage_error(self, workdir, delay, message, capsys):
         gen_inputs(workdir, snapshots=3, blocks=3)
         self.make_cut(workdir)
         with pytest.raises(SystemExit) as exc:
             run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70,
                 "--delay", delay, "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "ds")
         assert exc.value.code == 2
-        assert "--delay" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--delay" in err and message in err
         assert not (workdir / "ds.report.json").exists()
 
     @pytest.mark.parametrize("flags, flag", [

@@ -18,8 +18,16 @@ from math import floor
 
 import pytest
 
-from conftest import fee, make_timeline
-from lnme.mempool import BlockEntry, ConstantAverage, Historical, ReplayEngine, TxStatus, _Cohort
+from conftest import T0, fee, make_timeline
+from lnme.mempool import (
+    BlockEntry,
+    ConstantAverage,
+    Historical,
+    ReplayEngine,
+    ReplayError,
+    TxStatus,
+    _Cohort,
+)
 
 BAND_GRIDS = (
     [0, 5, 20, 60],
@@ -146,6 +154,7 @@ def random_scenario(seed, mass_bumps=False, group_bumps=False):
     group bump."""
     rng = random.Random(seed)
     timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)])
+    fees = {rate: fee(rate) for rate in SUBMIT_FEES}  # one object per value, as the simulators pass them
     start = timeline.timestamps[0]
     end = timeline.timestamps[-1]
     fresh_ids = [f"tx{i:03d}" for i in range(1000)]
@@ -162,7 +171,7 @@ def random_scenario(seed, mass_bumps=False, group_bumps=False):
             for _ in range(rng.choice([1, 1, 2, 3, 5])):
                 tid = fresh_ids.pop()
                 tx_ids.append(tid)
-                burst.append(("submit", t, tid, fee(rng.choice(burst_fees))))
+                burst.append(("submit", t, tid, fees[rng.choice(burst_fees)]))
             events += burst
             follow = rng.random()
             if follow < 0.25:  # one leaves, and a same-fee replacement re-joins its cohort
@@ -228,9 +237,10 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
     """Replay one random scenario on both engines and compare them. Returns
     a count per case: how often a transaction re-joined a ``(band, at)``
     cohort that a withdrawal left at that instant (``rejoined``), how often
-    a bump kept a transaction in its band at the instant it was submitted
-    (``same_band``), and how often a group bump exercised each case of
-    ``group_cases``."""
+    a submit joined the last submit's cohort without a lookup
+    (``remembered``), how often a bump kept a transaction in its band at the
+    instant it was submitted (``same_band``), and how often a group bump
+    exercised each case of ``group_cases``."""
     timeline, events = random_scenario(seed, mass_bumps, group_bumps)
     fast = ReplayEngine(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
@@ -241,6 +251,8 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
         if kind == "submit":
             _, t, tid, fee_rate = event
             cases["rejoined"] += (naive._band(fee_rate), t) in left
+            last = fast._last  # the remembered (fee, at, band, cohort), or None
+            cases["remembered"] += last is not None and last[0] is fee_rate and last[1] == t
             fast.submit(tid, fee_rate, t)
             naive.submit(tid, fee_rate, t)
         elif kind == "bump":
@@ -313,6 +325,7 @@ def test_matches_naive_reference_across_seeds():
         shared += sum(a[1] == b[1] and a[3] == b[3] and a[2] > b[2] for a, b in zip(submits, submits[1:]))
     assert shared >= 30
     assert cases["rejoined"] >= 30
+    assert cases["remembered"] >= 30
     assert cases["same_band"] >= 30
 
 
@@ -374,3 +387,81 @@ def test_bump_group_matches_per_transaction_bumps(capacity_mode):
 def test_constant_average_matches_exact_carry(avg):
     for seed in range(10):
         replay_both(seed, ConstantAverage(avg))
+
+
+class TestRememberedCohort:
+    """A submit with the last submit's fee object, at that submit's instant,
+    joins the remembered cohort with no lookup. Each case reuses one fee
+    object across a change after which the engine must forget that cohort:
+    a submit into a cohort that has left the queue would never confirm, and
+    one at an instant the clock has left would skip the clock check."""
+
+    ROWS = [[0, 4, 0], [0, 1, 0], [0, 0, 0]]  # band 1 drains 3 by T0 + 60
+    BLOCKS = (BlockEntry(2, T0 + 60, 3), BlockEntry(3, T0 + 120, 3))
+
+    def engines(self):
+        timeline = make_timeline([0, 10, 50], self.ROWS)
+        return ReplayEngine(timeline), NaiveEngine(timeline)
+
+    @staticmethod
+    def replay(fast, naive, blocks):
+        """Each block's confirmed ids, the same on both engines."""
+        confirmed = []
+        for entry in blocks:
+            got = [tx.id for tx in fast.apply_block(entry)]
+            assert got == naive.apply_block(entry), entry
+            confirmed.append(got)
+        return confirmed
+
+    def test_submit_after_bump_group_emptied_the_cohort(self):
+        rate = fee(20)
+        fast, naive = self.engines()
+        for eng in (fast, naive):
+            eng.submit("a", rate, T0)
+        fast.bump_group([fast.transactions["a"]], fee(70), T0)
+        naive.bump_group(["a"], fee(70), T0)
+        for eng in (fast, naive):
+            eng.submit("b", rate, T0)
+        assert self.replay(fast, naive, (BlockEntry(1, T0, 3), *self.BLOCKS)) == [["a"], ["b"], []]
+
+    def test_submit_after_bump_all(self):
+        rate = fee(20)
+        fast, naive = self.engines()
+        for eng in (fast, naive):
+            eng.submit("a", rate, T0)
+            eng.bump_all(fee(70), T0)
+            eng.submit("b", rate, T0)
+        assert self.replay(fast, naive, (BlockEntry(1, T0, 3), *self.BLOCKS)) == [["a"], ["b"], []]
+
+    def test_submit_after_a_block_dropped_the_withdrawn_cohort(self):
+        rate = fee(20)
+        fast, naive = self.engines()
+        for eng in (fast, naive):
+            eng.submit("a", rate, T0)
+            eng.withdraw("a")
+        assert self.replay(fast, naive, [BlockEntry(1, T0, 3)]) == [[]]
+        assert 1 not in fast._bands  # the block dropped the emptied cohort
+        for eng in (fast, naive):
+            eng.submit("b", rate, T0)
+        assert self.replay(fast, naive, self.BLOCKS) == [["b"], []]
+
+    def test_submit_at_an_instant_the_clock_has_left(self):
+        rate = fee(20)
+        fast, naive = self.engines()
+        for eng in (fast, naive):
+            eng.submit("a", rate, T0)
+        assert self.replay(fast, naive, [BlockEntry(1, T0 + 60, 0)]) == [[]]
+
+        def state():
+            cohorts = {
+                (band, queued_at): (c.pos, c.mark, [tx.id for tx in c.live()])
+                for band, by_time in fast._bands.items()
+                for queued_at, c in by_time.items()
+            }
+            return fast.clock, dict(fast.transactions), cohorts
+
+        before = state()
+        with pytest.raises(ReplayError, match="precedes engine clock"):
+            fast.submit("b", rate, T0)
+        assert state() == before
+        assert self.replay(fast, naive, self.BLOCKS) == [["a"], []]

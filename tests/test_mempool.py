@@ -500,8 +500,8 @@ def test_histogram_is_built_on_demand(histogram_work):
     built, _ = histogram_work
     eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     eng.submit("a", fee(20), T0)
-    eng.step_snapshot()
-    eng.apply_block(BlockEntry(1, T0 + 120, 0))
+    eng.apply_block(BlockEntry(1, T0 + 60, 0))
+    eng.apply_block(BlockEntry(2, T0 + 120, 0))
     assert built == []
     assert eng.histogram().counts == (7, 8, 9)
     assert eng.histogram().counts == (7, 8, 9)
@@ -517,7 +517,7 @@ def test_histogram_is_kept_until_the_snapshot_changes():
     assert eng.histogram() is first
     eng.apply_block(BlockEntry(2, T0 + 60, 0))
     assert eng.histogram().counts == (4, 5, 6)
-    eng.step_snapshot()
+    eng.apply_block(BlockEntry(3, T0 + 120, 0))
     assert eng.histogram().counts == (7, 8, 9)
 
 
@@ -567,12 +567,17 @@ class TestSubmitAndBump:
         assert before[0] == T0 + 100 and before[4] == {(1, T0 + 100): (5, 0, ["a", "b"])}
 
     def test_monitored_tx_is_a_slotted_record(self):
-        tx = simple_engine([[0, 0, 0]] * 3).submit("a", fee(20), T0)
-        assert not hasattr(tx, "__dict__")
+        rate = fee(20)
+        eng = simple_engine([[0, 0, 0]] * 3)
+        # "b" reuses the fee object at the same instant: it joins the cohort
+        # that "a" looked up, and both records are built in place
+        tx, other = eng.submit("a", rate, T0), eng.submit("b", rate, T0)
+        assert not hasattr(tx, "__dict__") and not hasattr(other, "__dict__")
         assert [f.name for f in dataclasses.fields(MonitoredTx)] == [
             "id", "fee", "band", "status", "confirmed_height", "queued_at",
         ]
         assert tx == MonitoredTx("a", fee(20), 1, TxStatus.PENDING, None, T0)
+        assert other == MonitoredTx("b", fee(20), 1, TxStatus.PENDING, None, T0)
         assert repr(tx) == (
             "MonitoredTx(id='a', fee=FeeRate(centi=2000), band=1, "
             f"status=<TxStatus.PENDING: 'pending'>, confirmed_height=None, queued_at={T0})"
@@ -589,7 +594,7 @@ class TestSubmitAndBump:
     def test_bump_within_band_resets_to_current_count(self):
         eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
         tx = eng.submit("a", fee(20), T0)
-        eng.step_snapshot()
+        eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 25  # drained 15 by outflow
         eng.bump("a", fee(30), T0 + 60)
         assert eng.same_band_ahead("a") == 25  # reset to the band's current count
@@ -701,28 +706,28 @@ class TestDecay:
     def test_outflow_drains(self):
         eng = simple_engine([[0, 50, 0], [0, 30, 0]])
         tx = eng.submit("a", fee(20), T0)
-        eng.step_snapshot()
+        eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 30
 
     def test_inflow_ignored(self):
         eng = simple_engine([[0, 30, 0], [0, 50, 0]])
         tx = eng.submit("a", fee(20), T0)
-        eng.step_snapshot()
+        eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 30
 
     def test_floor_at_zero(self):
         eng = simple_engine([[0, 5, 0], [0, 0, 0], [0, 9, 0], [0, 0, 0]])
         tx = eng.submit("a", fee(20), T0)
-        eng.step_snapshot()
+        eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 0
-        eng.step_snapshot()  # counts rise to 9
-        eng.step_snapshot()  # and drain again: stays floored
+        eng.apply_block(BlockEntry(2, T0 + 120, 0))  # counts rise to 9
+        eng.apply_block(BlockEntry(3, T0 + 180, 0))  # and drain again: stays floored
         assert eng.same_band_ahead("a") == 0
 
-    def test_step_past_end_rejected(self):
+    def test_block_past_end_rejected(self):
         eng = simple_engine([[0, 0, 0]])
-        with pytest.raises(ReplayError):
-            eng.step_snapshot()
+        with pytest.raises(TimelineError, match="outside timeline range"):
+            eng.apply_block(BlockEntry(1, T0 + 1, 0))
 
 
 class TestApplyBlock:
@@ -834,9 +839,9 @@ class TestApplyBlock:
         eng.submit("b", fee(20), T0)
         assert list(eng._bands[1]) == [T0]
         assert eng.same_band_ahead("b") == 40
-        eng.step_snapshot()
+        eng.apply_block(BlockEntry(2, T0 + 60, 0))
         assert eng.same_band_ahead("b") == 25  # drained 15 by outflow
-        assert [tx.id for tx in eng.apply_block(BlockEntry(2, T0 + 60, 26))] == ["b"]
+        assert [tx.id for tx in eng.apply_block(BlockEntry(3, T0 + 60, 26))] == ["b"]
 
     def test_constant_average_capacity(self):
         tl = constant_timeline([0, 10, 50], [0, 0, 0], 5)
