@@ -14,8 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
-from .graph import Channel, LnGraph, parse_capacity, parse_count
+from .graph import Channel, LnGraph, dumps_with_records, parse_capacity, parse_count
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -192,22 +193,27 @@ def value_vs_k_curve(
 
 
 def cut_to_json(graph: LnGraph, cut: Cut, manifest: str | None = None) -> str:
-    """Cut export consumed by the simulators and the CLI."""
-    labels, ids, node1, node2, capacity = graph.labels, graph.ids, graph.node1, graph.node2, graph.capacity
+    """Cut export consumed by the simulators and the CLI: the stdlib's
+    indented dump, written by ``dumps_with_records`` from the graph's
+    columns, with no dict per crossing channel."""
+    labels = graph.labels
+    crossing = _crossing(graph, cut.coalition)
     doc = {
         "k": cut.k,
         "objective": cut.objective.value,
         "coalition": [labels[v] for v in cut.coalition],
-        "cut_channels": [
-            {"id": ids[ci], "node1": labels[node1[ci]], "node2": labels[node2[ci]], "capacity_sat": capacity[ci]}
-            for ci in _crossing(graph, cut.coalition)
-        ],
         "edge_count": cut.edge_count,
         "cut_capacity_sat": cut.cut_capacity,
     }
     if manifest:
         doc["manifest"] = manifest
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    channels = {
+        "id": map(graph.ids.__getitem__, crossing),
+        "node1": map(labels.__getitem__, map(graph.node1.__getitem__, crossing)),
+        "node2": map(labels.__getitem__, map(graph.node2.__getitem__, crossing)),
+        "capacity_sat": map(graph.capacity.__getitem__, crossing),
+    }
+    return dumps_with_records(doc, "cut_channels", channels) + "\n"
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,11 @@ def read_cut_json(document: str) -> CutFile:
     if not isinstance(doc, dict):
         raise ValueError("malformed cut JSON: the document is not an object")
     try:
-        ids, ends1, ends2, capacity = _read_cut_channels(doc.get("cut_channels", []))
+        entries = doc.get("cut_channels", [])
+        try:
+            ids, ends1, ends2, capacity = _read_cut_channels_bulk(entries)
+        except (KeyError, TypeError, ValueError):
+            ids, ends1, ends2, capacity = _read_cut_channels(entries)
         objective = doc.get("objective", "")
         if type(objective) is not str:
             raise ValueError(f"non-string objective {objective!r}")
@@ -254,7 +264,7 @@ def read_cut_json(document: str) -> CutFile:
             objective=objective,
             coalition=tuple(coalition),
             labels=labels,
-            channels=tuple(map(Channel, ids, node1, node2, capacity)),
+            channels=_channels(ids, node1, node2, capacity),
             edge_count=parse_count(doc["edge_count"], "edge_count"),
             cut_capacity=parse_count(doc["cut_capacity_sat"], "cut_capacity_sat"),
         )
@@ -272,12 +282,26 @@ def read_cut_json(document: str) -> CutFile:
 
 
 CHANNEL_FIELDS = ("id", "node1", "node2")
+_CUT_CHANNEL_KEYS = itemgetter(*CHANNEL_FIELDS, "capacity_sat")
+
+
+def _read_cut_channels_bulk(entries: list):
+    """The columns of cut_channels as ``cut_to_json`` writes them: string
+    ids and ends and non-negative int capacities. Anything else raises
+    KeyError, TypeError or ValueError, naming no entry."""
+    columns = tuple(zip(*map(_CUT_CHANNEL_KEYS, entries))) or ((), (), (), ())
+    ids, ends1, ends2, capacity = columns
+    if not set(map(type, itertools.chain(ids, ends1, ends2))) <= {str}:
+        raise ValueError("non-string id or node")
+    if not set(map(type, capacity)) <= {int} or min(capacity, default=0) < 0:
+        raise ValueError("capacity not a non-negative int")
+    return columns
 
 
 def _read_cut_channels(entries: list):
-    """The columns of cut_channels read one entry at a time: the first bad
-    entry raises KeyError, TypeError or ValueError naming it, and a capacity
-    is read by ``parse_capacity``."""
+    """The columns of cut_channels read one entry at a time, where the bulk
+    read fails: the first bad entry raises KeyError, TypeError or ValueError
+    naming it, and a capacity is read by ``parse_capacity``."""
     ids: list[str] = []
     ends1: list[str] = []
     ends2: list[str] = []
@@ -293,6 +317,21 @@ def _read_cut_channels(entries: list):
         ends2.append(end2)
         capacity.append(parse_capacity(entry["capacity_sat"], cid))
     return ids, ends1, ends2, capacity
+
+
+def _channels(ids, node1, node2, capacity) -> tuple[Channel, ...]:
+    """``Channel(ids[i], node1[i], node2[i], capacity[i])`` for each i, each
+    built by storing its fields in its instance dict, where the frozen
+    dataclass ``__init__`` makes one ``object.__setattr__`` call a field. The
+    records are equal to, hash like and repr like class-built ones."""
+    new = object.__new__
+    channels = []
+    for fields in zip(ids, node1, node2, capacity):
+        channel = new(Channel)
+        attrs = channel.__dict__
+        attrs["id"], attrs["node1"], attrs["node2"], attrs["capacity"] = fields
+        channels.append(channel)
+    return tuple(channels)
 
 
 def curve_to_csv(curve) -> str:

@@ -18,9 +18,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
-from .graph import Channel, LnGraph
+from .graph import Channel, LnGraph, dumps_with_records
 from .mempool import PENDING, FeeRate, MonitoredTx, ReplayEngine, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
@@ -173,30 +174,33 @@ class DoubleSpendReport:
         profit_sat: int | None = None,
         manifest: str | None = None,
     ) -> str:
+        """The report as the stdlib's indented dump, written by
+        ``dumps_with_records`` from columns read off ``attacks``, with no
+        dict per channel."""
         doc = {
             "attacked": self.attacked,
             "compromised": self.compromised,
             "defended": self.defended,
             "undecided": self.undecided,
             "horizon_exhausted": self.horizon_exhausted,
-            "per_channel": [
-                {
-                    "channel_id": a.channel.id,
-                    "capacity_sat": a.channel.capacity,
-                    "delay": a.delay,
-                    "outcome": a.outcome.value,
-                    "commitment_height": a.commitment_height,
-                    "decided_height": a.decided_height,
-                }
-                for a in self.attacks
-            ],
         }
         if profit_mode is not None:
             doc["profit_mode"] = profit_mode
             doc["realized_profit_sat"] = profit_sat
         if manifest:
             doc["manifest"] = manifest
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        per_channel = {
+            name: map(attrgetter(attr), self.attacks)
+            for name, attr in (
+                ("channel_id", "channel.id"),
+                ("capacity_sat", "channel.capacity"),
+                ("delay", "delay"),
+                ("outcome", "outcome.value"),
+                ("commitment_height", "commitment_height"),
+                ("decided_height", "decided_height"),
+            )
+        }
+        return dumps_with_records(doc, "per_channel", per_channel) + "\n"
 
 
 def simulate_double_spend(

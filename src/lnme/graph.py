@@ -11,6 +11,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 EDGE_LIST_HEADER = ("node_a", "node_b", "capacity_sat")
 
@@ -226,6 +227,54 @@ def csv_records(document: str, error: type[ValueError]):
         yield from reader
     except csv.Error as exc:
         raise error(f"line {reader.line_num}: {exc}") from None
+
+
+def dumps_with_records(doc: dict, key: str, columns: dict) -> str:
+    """``json.dumps({**doc, key: records}, indent=2, sort_keys=True)``, byte
+    for byte, where record i is ``{name: column[i] for name, column in
+    columns.items()}``. ``key`` and the column names are strings, columns is
+    not empty, and its columns (lists or iterators) are of one length.
+
+    No record dict is built. The records are rendered from one row template
+    and their values converted a column at a time: an exact ``int`` by
+    ``int.__repr__``, an exact ``str`` by json's own ASCII string encoder,
+    ``None`` as ``null``, and any other value by ``json.dumps``, re-indented
+    to its depth, which is exact because a JSON string never holds a raw
+    newline. On CPython 3.10-3.12, where the indented dump runs in Python one
+    step per value, this is several times faster and holds less at once.
+    """
+    head = json.dumps({**doc, key: []}, indent=2, sort_keys=True)
+    names = sorted(columns)
+    cells = [_json_column(columns[name]) for name in names]
+    row = "    {" + ",".join(
+        f"\n      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in names
+    ) + "\n    }"
+    rows = ",\n".join(map(row.__mod__, zip(*cells, strict=True)))
+    if not rows:
+        return head
+    # a top-level key alone sits two spaces in, and a JSON string holds no
+    # raw newline, so the empty list's line is found exactly once
+    opening = f"\n  {encode_basestring_ascii(key)}: ["
+    before, _, after = head.partition(opening + "]")
+    return f"{before}{opening}\n{rows}\n  ]{after}"
+
+
+def _json_column(column):
+    """The JSON text of each value of column as a record field renders it,
+    converted only as the rows are formatted."""
+    values = list(column)
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    return (
+        int.__repr__(value) if type(value) is int
+        else encode_basestring_ascii(value) if type(value) is str
+        else "null" if value is None
+        else json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
+        for value in values
+    )
 
 
 def parse_edge_list(document: str) -> LnGraph:

@@ -310,9 +310,15 @@ def load_timeline(document: str) -> MempoolTimeline:
     """
     # the csv reader holds the text at four bytes a character: it is dropped
     # before the numpy parse and made again only for the cell-by-cell one.
-    # Do not narrow it to the first line: that skips the copy, yet in
-    # alternated bench pairs it raised zombie_dynamic_sweep's peak RSS from
-    # 68.6 to 76.1 MB (2-vCPU VM, Python 3.11, numpy 2.4; cause not traced).
+    # Narrowing it to the first line skips the copy, yet raised
+    # zombie_dynamic_sweep's peak RSS from 68.6 to 72-76 MB (2-vCPU VM,
+    # Python 3.11, numpy 2.4). That is glibc's dynamic mmap and trim
+    # thresholds placing the later allocations differently, not memory the
+    # run needs: with MALLOC_MMAP_THRESHOLD_=131072 or
+    # MALLOC_TRIM_THRESHOLD_=131072 both forms read 68.7 MB, and with
+    # MALLOC_MMAP_THRESHOLD_=33554432 both read 74.7 MB. So the read stays.
+    # (Passing the row count to np.loadtxt as max_rows made the parse take
+    # 1.3 s and 107 MB.)
     header = next(csv_records(document, TimelineError), None)
     if header is None:
         raise TimelineError("empty document")

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from lnme.cut import (
+    Cut,
     EnumerationBudgetExceeded,
     Objective,
     crossing_channels,
@@ -20,7 +23,7 @@ from lnme.cut import (
     value_vs_k_curve,
 )
 import lnme.cut as cut_module
-from lnme.graph import generate_scale_free, parse_edge_list
+from lnme.graph import Channel, LnGraph, generate_scale_free, parse_edge_list
 
 
 def brute_force_best(graph, k, objective):
@@ -265,6 +268,14 @@ class TestExport:
         ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5,'
          ' "cut_channels": [{"id": "x", "node1": "a", "node2": null, "capacity_sat": 5}]}',
          "non-string node2 None in cut_channels entry 0"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 1,'
+         ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": true}]}',
+         "non-integer capacity True on channel 'x'"),
+        # the column read fails on entry 1's missing key; entry 0 is named
+        ('{"k": 1, "edge_count": 2, "cut_capacity_sat": 10,'
+         ' "cut_channels": [{"id": 5, "node1": "a", "node2": "b", "capacity_sat": 5},'
+         ' {"id": "y", "node2": "b", "capacity_sat": 5}]}',
+         "non-string id 5 in cut_channels entry 0"),
     ])
     def test_malformed_shape(self, doc, message):
         with pytest.raises(ValueError, match=f"malformed cut JSON: .*{message}"):
@@ -280,6 +291,57 @@ class TestExport:
         assert read_cut_json(json.dumps({**doc, "cut_channels": channels})) == exported
         assert exported.labels == ("a", "b", "c")
         assert [(ch.id, ch.node1, ch.node2, ch.capacity) for ch in exported.channels] == [("x", 0, 1, 5), ("y", 2, 0, 7)]
+
+    @pytest.mark.parametrize("coalition", [(0, 3), (4,)])
+    def test_export_is_the_stdlib_dump(self, coalition):
+        # node 4 has no channel, so its cut crosses none
+        g = LnGraph.from_columns(
+            ["a", "b\u00e9", 'c"', "d", "e"], ["x", "y", "z"], [0, 1, 2], [1, 2, 3], [5, 2**70, 0]
+        )
+        cut = Cut(len(coalition), Objective.CAPACITY, coalition, *cut_value(g, coalition))
+        channels = crossing_channels(g, coalition)
+        doc = {
+            "k": cut.k,
+            "objective": "capacity",
+            "coalition": [g.labels[v] for v in coalition],
+            "cut_channels": [
+                {"id": ch.id, "node1": g.labels[ch.node1], "node2": g.labels[ch.node2], "capacity_sat": ch.capacity}
+                for ch in channels
+            ],
+            "edge_count": cut.edge_count,
+            "cut_capacity_sat": cut.cut_capacity,
+            "manifest": "sol.manifest.json",
+        }
+        text = cut_to_json(g, cut, manifest="sol.manifest.json")
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_empty_cut_reads(self):
+        cut = read_cut_json('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": []}')
+        assert (cut.channels, cut.labels, cut.edge_count, cut.cut_capacity) == ((), (), 0, 0)
+
+    def test_export_takes_the_column_read(self):
+        g = generate_scale_free(60, 2, seed=3)
+        cut, _ = greedy_lopsided_cut(g, 4, Objective.CAPACITY)
+        document = cut_to_json(g, cut)
+        with mock.patch.object(cut_module, "_read_cut_channels", side_effect=AssertionError("entry by entry")):
+            fast = read_cut_json(document)
+        with mock.patch.object(cut_module, "_read_cut_channels_bulk", side_effect=ValueError("bulk off")):
+            slow = read_cut_json(document)
+        assert fast == slow
+        assert len(fast.channels) == cut.edge_count
+
+    def test_channels_are_like_class_built_ones(self):
+        g = generate_scale_free(60, 2, seed=3)
+        cut, _ = greedy_lopsided_cut(g, 4, Objective.CAPACITY)
+        read = read_cut_json(cut_to_json(g, cut)).channels
+        built = [Channel(ch.id, ch.node1, ch.node2, ch.capacity) for ch in read]
+        assert all(type(ch) is Channel for ch in read)
+        assert list(read) == built
+        assert list(map(hash, read)) == list(map(hash, built))
+        assert list(map(repr, read)) == list(map(repr, built))
+        assert list(map(dataclasses.astuple, read)) == list(map(dataclasses.astuple, built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read[0].capacity = 0
 
     @pytest.mark.parametrize("edge_count, capacity, channels", [
         (5, 100, 1), (1, 0, 1), (1, 101, 1), (5, 0, 0),

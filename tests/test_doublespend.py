@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -266,6 +267,48 @@ class TestSimulate:
             return report.to_json(profit_mode="per-channel", profit_sat=0)
 
         assert run() == run() == run()
+
+    def test_report_is_the_stdlib_dump(self):
+        # 4 blocks of 10 transactions leave channels undecided, some with no
+        # commitment yet, so the report's int columns hold nulls
+        report = simulate_double_spend(
+            channels(60),
+            PenaltyPolicy(),
+            AttackerStrategy(fee(70)),
+            Fixed(0),
+            congested_scenario(blocks=4, txs=10),
+        )
+        assert report.undecided and report.compromised + report.defended
+        assert any(a.commitment_height is None for a in report.attacks)
+        doc = {
+            "attacked": report.attacked,
+            "compromised": report.compromised,
+            "defended": report.defended,
+            "undecided": report.undecided,
+            "horizon_exhausted": report.horizon_exhausted,
+            "per_channel": [
+                {
+                    "channel_id": a.channel.id,
+                    "capacity_sat": a.channel.capacity,
+                    "delay": a.delay,
+                    "outcome": a.outcome.value,
+                    "commitment_height": a.commitment_height,
+                    "decided_height": a.decided_height,
+                }
+                for a in report.attacks
+            ],
+            "profit_mode": "per-channel",
+            "realized_profit_sat": -5,
+            "manifest": "ds.manifest.json",
+        }
+        text = report.to_json(profit_mode="per-channel", profit_sat=-5, manifest="ds.manifest.json")
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        empty = DoubleSpendReport([], [], False)
+        assert empty.to_json() == json.dumps(
+            {"attacked": 0, "compromised": 0, "defended": 0, "undecided": 0,
+             "horizon_exhausted": False, "per_channel": []},
+            indent=2, sort_keys=True,
+        ) + "\n"
 
 
 class TestSchedule:

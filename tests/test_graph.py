@@ -15,6 +15,7 @@ from lnme.graph import (
     LnGraph,
     UniformCapacity,
     degree_histogram,
+    dumps_with_records,
     generate_scale_free,
     parse_edge_list,
     parse_lnd_graph,
@@ -421,3 +422,61 @@ class TestDegreeHistogram:
         hist = degree_histogram(g)
         assert sum(hist.values()) == g.node_count
         assert sum(d * c for d, c in hist.items()) == 2 * g.channel_count
+
+
+# names with the characters a row template or a JSON string must escape
+NAMES = st.text(alphabet='ab%"\\\n\u00e9\u2603', max_size=4)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1.0]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(NAMES, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def record_docs(draw):
+    """(doc, key, columns, lazy): a document, the key of its record list,
+    that list's columns, of one length that may be 0, and whether to pass
+    the columns as iterators."""
+    n = draw(st.integers(0, 4))
+    column = st.one_of(
+        *[
+            st.lists(values, min_size=n, max_size=n)
+            for values in (
+                st.integers(-(2**200), 2**200),
+                st.none() | st.integers(0, 10**6),  # a height not yet reached
+                st.text(max_size=4),
+                st.booleans() | st.integers(-1, 2),
+                JSON_VALUES,
+            )
+        ]
+    )
+    columns = draw(st.dictionaries(NAMES, column, min_size=1, max_size=4))
+    return draw(st.dictionaries(NAMES, JSON_VALUES, max_size=4)), draw(NAMES), columns, draw(st.booleans())
+
+
+class TestDumpsWithRecords:
+    """The column writer against the stdlib's indented dump of the same
+    document with its records as dicts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_docs())
+    def test_is_the_stdlib_dump(self, case):
+        doc, key, columns, lazy = case
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        expected = json.dumps({**doc, key: records}, indent=2, sort_keys=True)
+        if lazy:
+            columns = {name: iter(values) for name, values in columns.items()}
+        assert dumps_with_records(doc, key, columns) == expected
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError):
+            dumps_with_records({}, "rows", {"a": [1, 2], "b": [3]})
