@@ -19,15 +19,33 @@ from math import floor
 import pytest
 
 from conftest import T0, fee, make_timeline
+from lnme.doublespend import (
+    COMMIT,
+    MAX_FUNDING_SAT,
+    PENALTY,
+    SWEEP,
+    AttackerStrategy,
+    CapacityScaled,
+    Fixed,
+    PenaltyPolicy,
+    simulate_double_spend,
+    to_self_delay,
+    tx_name,
+)
+from lnme.graph import Channel
 from lnme.mempool import (
     BlockEntry,
+    BlockTrace,
     ConstantAverage,
     Historical,
     ReplayEngine,
     ReplayError,
     TxStatus,
     _Cohort,
+    average_fee,
 )
+from lnme.scenario import Scenario
+from lnme.strategies import Dynamic, Static, initial_fee
 
 BAND_GRIDS = (
     [0, 5, 20, 60],
@@ -465,3 +483,137 @@ class TestRememberedCohort:
             fast.submit("b", rate, T0)
         assert state() == before
         assert self.replay(fast, naive, self.BLOCKS) == [["a"], []]
+
+
+# -- double-spend ----------------------------------------------------------------
+
+
+def reference_double_spend(channels, honest, attacker, delay_policy, scenario, strict_expiry):
+    """The double-spend race stated rule by rule on ``NaiveEngine``: one
+    block at a time, one channel at a time, with no schedule and no groups.
+
+    Channel i's commitment, penalty and sweep are transactions ``3*i +
+    role``, so ties inside a cohort confirm in channel order and, within a
+    channel, commitment before penalty before sweep; that tie order is part
+    of the model. Every commitment is submitted at the attack start. In each
+    block, in the order the block confirms them: a confirmed commitment
+    submits its penalty at the average fee of the moment, and the first of a
+    channel's penalty and sweep to confirm decides the channel and withdraws
+    the other if it is still pending. Then each undecided channel whose
+    dispute delay ends at this height submits its sweep (and, with
+    ``strict_expiry``, withdraws its penalty). Then each pending penalty or
+    sweep under a bumping policy is bumped when a whole number of its steps
+    has passed since its submission. Returns each channel's (outcome,
+    commitment height, decided height), the series, the horizon flag and
+    the event log."""
+    timeline = scenario.timeline
+    engine = NaiveEngine(timeline, scenario.capacity_mode)
+    count = len(channels)
+    delay = [to_self_delay(capacity, delay_policy) for _, capacity in channels]
+    outcome = ["undecided"] * count
+    committed = [None] * count
+    decided = [None] * count
+    submitted = {}  # penalty or sweep id -> the height it was submitted at
+    sweep = attacker.sweep
+    cadence = {
+        PENALTY: (honest.step, honest.beta) if honest.dynamic else None,
+        SWEEP: (sweep.step, sweep.beta) if isinstance(sweep, Dynamic) else None,
+    }
+    for i in range(count):
+        engine.submit(3 * i + COMMIT, attacker.commitment_fee, scenario.start())
+    series, events = [], []
+    for entry in scenario.attack_blocks():
+        height, now = entry.height, entry.timestamp
+        confirmed = engine.apply_block(entry)
+        if confirmed:
+            events.append((height, [tx_name(tx_id) for tx_id in confirmed]))
+        for tx_id in confirmed:
+            i, role = divmod(tx_id, 3)
+            if role == COMMIT:
+                committed[i] = height
+                engine.submit(3 * i + PENALTY, average_fee(timeline.snapshot_at(now)), now)
+                submitted[3 * i + PENALTY] = height
+            elif outcome[i] == "undecided":
+                outcome[i] = "compromised" if role == SWEEP else "defended"
+                decided[i] = height
+                loser = 3 * i + (PENALTY if role == SWEEP else SWEEP)
+                if loser in engine.txs and engine.txs[loser]["status"] == "pending":
+                    engine.withdraw(loser)
+        for i in range(count):
+            if outcome[i] == "undecided" and committed[i] is not None and height == committed[i] + delay[i]:
+                engine.submit(3 * i + SWEEP, initial_fee(sweep), now)
+                submitted[3 * i + SWEEP] = height
+                if strict_expiry:
+                    engine.withdraw(3 * i + PENALTY)
+        for tx_id, at in submitted.items():
+            rule = cadence[tx_id % 3]
+            tx = engine.txs[tx_id]
+            if rule and tx["status"] == "pending" and height > at and (height - at) % rule[0] == 0:
+                new_fee = tx["fee"].bumped(rule[1])
+                if new_fee > tx["fee"]:
+                    engine.bump(tx_id, new_fee, now)
+        series.append((height, outcome.count("compromised")))
+        if "undecided" not in outcome:
+            break
+    per_channel = list(zip(outcome, committed, decided))
+    return per_channel, series, "undecided" in outcome, events
+
+
+def random_attack(seed):
+    """A random double-spend: 1-25 channels over a random timeline and a
+    block trace of consecutive heights, with random capacity mode, penalty
+    and sweep policies, delay policy and expiry rule. Returns the channels
+    as ``(channel_id, capacity)`` pairs and the simulator's other arguments."""
+    rng = random.Random(seed)
+    timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)], snapshots=rng.randint(5, 40))
+    t, entries = timeline.timestamps[0], []
+    while t <= timeline.timestamps[-1]:
+        entries.append(BlockEntry(len(entries) + 1, t, rng.randint(0, 40)))
+        t += rng.choice([0, 30, 60, 60, 120])
+    capacity_mode = rng.choice([Historical(), ConstantAverage(rng.choice([0.7, 4.1, 12.5, 30]))])
+    scenario = Scenario(timeline, BlockTrace(entries), capacity_mode)
+    channels = [(f"c{i}", rng.randint(1, MAX_FUNDING_SAT)) for i in range(rng.randint(1, 25))]
+    honest = PenaltyPolicy()
+    if rng.random() < 0.5:
+        honest = PenaltyPolicy(dynamic=True, step=rng.randint(1, 4), beta=rng.choice([1.005, 1.1, 1.5, 2.0]))
+    sweep_fee = fee(rng.choice(SUBMIT_FEES))
+    sweep = Static(sweep_fee)
+    if rng.random() < 0.5:
+        sweep = Dynamic(sweep_fee, rng.randint(1, 4), rng.choice([1.005, 1.1, 1.5, 2.0]))
+    attacker = AttackerStrategy(fee(rng.choice(SUBMIT_FEES)), sweep)
+    if rng.random() < 0.5:
+        delay_policy = Fixed(rng.randint(0, 8))
+    else:
+        max_delay = rng.randint(0, 8)
+        delay_policy = CapacityScaled(MAX_FUNDING_SAT, max_delay, rng.randint(0, max_delay))
+    return channels, honest, attacker, delay_policy, scenario, rng.random() < 0.3
+
+
+def test_double_spend_matches_rule_literal_reference():
+    cases = Counter()
+    for seed in range(300):
+        channels, honest, attacker, delay_policy, scenario, strict = random_attack(seed)
+        report = simulate_double_spend(
+            [Channel(cid, 0, 1, capacity) for cid, capacity in channels],
+            honest, attacker, delay_policy, scenario, strict_expiry=strict, record_events=True,
+        )
+        per_channel, series, exhausted, events = reference_double_spend(
+            channels, honest, attacker, delay_policy, scenario, strict
+        )
+        got = [(a.outcome.value, a.commitment_height, a.decided_height) for a in report.attacks]
+        assert got == per_channel, f"seed {seed}"
+        assert report.series == series, f"seed {seed}"
+        assert report.horizon_exhausted == exhausted, f"seed {seed}"
+        assert report.events == events, f"seed {seed}"
+        outcomes = Counter(outcome for outcome, _, _ in per_channel)
+        cases.update(outcome for outcome in outcomes)
+        cases["exhausted"] += exhausted
+        cases["strict"] += strict
+        cases["both_in_one_block"] += any(
+            f"{name[:6]}-sweep" in confirmed
+            for _, confirmed in events
+            for name in confirmed
+            if name.endswith("-penalty")
+        )
+    for case in ("compromised", "defended", "undecided", "exhausted", "strict", "both_in_one_block"):
+        assert cases[case] >= 20, cases
