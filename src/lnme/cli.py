@@ -242,6 +242,8 @@ def cmd_zombie(args) -> int:
     scenario = _build_scenario(args)
     if args.cut_file is not None:
         n = read_cut_json(_read_input(args, "cut")).edge_count
+        if n == 0:
+            raise ValueError(f"cut file {args.cut_file} has edge_count 0: no channel to close")
     else:
         n = args.channels
     if args.dynamic:
@@ -298,7 +300,7 @@ def cmd_doublespend(args) -> int:
         else PenaltyPolicy()
     )
     report = simulate_double_spend(
-        cut_file.channels,
+        zip(cut_file.ids, cut_file.capacity),
         honest,
         attacker,
         _parse_delay(args.delay),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
-from .graph import Channel, LnGraph, dumps_with_records, parse_capacity, parse_count
+from .graph import LnGraph, dumps_with_records, parse_capacity, parse_count
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -53,8 +53,8 @@ class GreedyTrace:
 
 @dataclass(frozen=True)
 class Cut:
-    """A coalition and the totals of its crossing channels; the channels
-    themselves are ``crossing_channels(graph, cut.coalition)``."""
+    """A coalition and the totals of its crossing channels; the channels'
+    indices are ``crossing_channels(graph, cut.coalition)``."""
 
     k: int
     objective: Objective
@@ -66,8 +66,9 @@ class Cut:
         return self.edge_count if self.objective is Objective.EDGE_COUNT else self.cut_capacity
 
 
-def _crossing(graph: LnGraph, coalition) -> list[int]:
-    """Indices of the channels with exactly one endpoint in coalition."""
+def crossing_channels(graph: LnGraph, coalition) -> list[int]:
+    """Indices of the channels with exactly one endpoint in coalition, in
+    channel order."""
     inside = bytearray(graph.node_count)
     for v in coalition:
         if not 0 <= v < graph.node_count:
@@ -83,15 +84,8 @@ def cut_value(graph: LnGraph, coalition) -> tuple[int, int]:
     A channel crosses when exactly one endpoint is in the coalition; the
     value is therefore symmetric under complementing the coalition.
     """
-    crossing = _crossing(graph, coalition)
+    crossing = crossing_channels(graph, coalition)
     return len(crossing), sum(map(graph.capacity.__getitem__, crossing))
-
-
-def crossing_channels(graph: LnGraph, coalition) -> tuple[Channel, ...]:
-    """The channels with exactly one endpoint in coalition, in channel order.
-    This is the only place a cut's ``Channel`` objects are built."""
-    ids, node1, node2, capacity = graph.ids, graph.node1, graph.node2, graph.capacity
-    return tuple(Channel(ids[ci], node1[ci], node2[ci], capacity[ci]) for ci in _crossing(graph, coalition))
 
 
 def greedy_lopsided_cut(
@@ -197,7 +191,7 @@ def cut_to_json(graph: LnGraph, cut: Cut, manifest: str | None = None) -> str:
     indented dump, written by ``dumps_with_records`` from the graph's
     columns, with no dict per crossing channel."""
     labels = graph.labels
-    crossing = _crossing(graph, cut.coalition)
+    crossing = crossing_channels(graph, cut.coalition)
     doc = {
         "k": cut.k,
         "objective": cut.objective.value,
@@ -218,13 +212,17 @@ def cut_to_json(graph: LnGraph, cut: Cut, manifest: str | None = None) -> str:
 
 @dataclass(frozen=True)
 class CutFile:
-    """A cut export re-read from JSON; node indices are local to the file."""
+    """A cut export re-read from JSON. Its crossing channel i is ``ids[i]``,
+    between the nodes labelled ``node1[i]`` and ``node2[i]``, of
+    ``capacity[i]`` sat."""
 
     k: int
     objective: str
     coalition: tuple[str, ...]
-    labels: tuple[str, ...]
-    channels: tuple[Channel, ...]
+    ids: tuple[str, ...]
+    node1: tuple[str, ...]
+    node2: tuple[str, ...]
+    capacity: tuple[int, ...]
     edge_count: int
     cut_capacity: int
 
@@ -246,25 +244,24 @@ def read_cut_json(document: str) -> CutFile:
     try:
         entries = doc.get("cut_channels", [])
         try:
-            ids, ends1, ends2, capacity = _read_cut_channels_bulk(entries)
+            columns = _read_cut_channels_bulk(entries)
         except (KeyError, TypeError, ValueError):
-            ids, ends1, ends2, capacity = _read_cut_channels(entries)
+            columns = _read_cut_channels(entries)
+        ids, node1, node2, capacity = map(tuple, columns)
         objective = doc.get("objective", "")
         if type(objective) is not str:
             raise ValueError(f"non-string objective {objective!r}")
         coalition = doc.get("coalition", [])
         if type(coalition) is not list or not all(type(label) is str for label in coalition):
             raise ValueError("coalition is not a list of strings")
-        # node labels in first-appearance order, node1 before node2
-        labels = tuple(dict.fromkeys(itertools.chain.from_iterable(zip(ends1, ends2))))
-        index = dict(zip(labels, itertools.count()))
-        node1, node2 = map(index.__getitem__, ends1), map(index.__getitem__, ends2)
         cut = CutFile(
             k=parse_count(doc["k"], "k"),
             objective=objective,
             coalition=tuple(coalition),
-            labels=labels,
-            channels=_channels(ids, node1, node2, capacity),
+            ids=ids,
+            node1=node1,
+            node2=node2,
+            capacity=capacity,
             edge_count=parse_count(doc["edge_count"], "edge_count"),
             cut_capacity=parse_count(doc["cut_capacity_sat"], "cut_capacity_sat"),
         )
@@ -317,21 +314,6 @@ def _read_cut_channels(entries: list):
         ends2.append(end2)
         capacity.append(parse_capacity(entry["capacity_sat"], cid))
     return ids, ends1, ends2, capacity
-
-
-def _channels(ids, node1, node2, capacity) -> tuple[Channel, ...]:
-    """``Channel(ids[i], node1[i], node2[i], capacity[i])`` for each i, each
-    built by storing its fields in its instance dict, where the frozen
-    dataclass ``__init__`` makes one ``object.__setattr__`` call a field. The
-    records are equal to, hash like and repr like class-built ones."""
-    new = object.__new__
-    channels = []
-    for fields in zip(ids, node1, node2, capacity):
-        channel = new(Channel)
-        attrs = channel.__dict__
-        attrs["id"], attrs["node1"], attrs["node2"], attrs["capacity"] = fields
-        channels.append(channel)
-    return tuple(channels)
 
 
 def curve_to_csv(curve) -> str:

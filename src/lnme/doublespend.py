@@ -8,7 +8,10 @@ still unconfirmed once the channel's dispute delay has elapsed, the sweep
 transaction is submitted; whichever of penalty and sweep confirms first
 decides the channel, and the loser is withdrawn from the mempool. A
 channel is compromised only when its sweep actually confirms (funds
-moved), defended when its penalty confirms first.
+moved), defended when its penalty confirms first. When a channel's penalty
+and sweep both confirm in one block, the first in the block's priority
+order decides the channel; the second still took a unit of block room and
+is still listed in the event log.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 from operator import attrgetter
 
 from .cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
-from .graph import Channel, LnGraph, dumps_with_records
+from .graph import LnGraph, dumps_with_records
 from .mempool import PENDING, FeeRate, MonitoredTx, ReplayEngine, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
@@ -122,7 +125,8 @@ def tx_name(tx_id: int) -> str:
 class ChannelAttack:
     """Per-channel race state between commitment, penalty, and sweep."""
 
-    channel: Channel
+    channel_id: str
+    capacity: int
     delay: int
     index: int  # position in the attack, which keys its transactions
     outcome: Outcome = Outcome.UNDECIDED
@@ -192,8 +196,8 @@ class DoubleSpendReport:
         per_channel = {
             name: map(attrgetter(attr), self.attacks)
             for name, attr in (
-                ("channel_id", "channel.id"),
-                ("capacity_sat", "channel.capacity"),
+                ("channel_id", "channel_id"),
+                ("capacity_sat", "capacity"),
                 ("delay", "delay"),
                 ("outcome", "outcome.value"),
                 ("commitment_height", "commitment_height"),
@@ -212,7 +216,8 @@ def simulate_double_spend(
     strict_expiry: bool = False,
     record_events: bool = False,
 ) -> DoubleSpendReport:
-    """Race commitments, penalties, and sweeps over the scenario.
+    """Race commitments, penalties, and sweeps over the scenario, one
+    attack per ``(channel_id, capacity)`` pair of channels.
 
     Future work waits in one schedule keyed by the height at which it falls
     due: ``sweeps[h]`` holds the channels whose dispute delay ends at height
@@ -234,8 +239,8 @@ def simulate_double_spend(
     blocks = scenario.attack_blocks()
     engine = ReplayEngine(scenario.timeline, scenario.capacity_mode)
     attacks: list[ChannelAttack] = []
-    for i, ch in enumerate(channels):
-        attacks.append(ChannelAttack(ch, to_self_delay(ch.capacity, delay_policy), i))
+    for i, (channel_id, capacity) in enumerate(channels):
+        attacks.append(ChannelAttack(channel_id, capacity, to_self_delay(capacity, delay_policy), i))
         engine.submit(3 * i + COMMIT, attacker.commitment_fee, scenario_start)
 
     sweep = attacker.sweep
@@ -335,8 +340,8 @@ def realized_profit(report: DoubleSpendReport, mode: ProfitMode, exclude_undecid
         a = report.compromised + report.defended if exclude_undecided else report.attacked
         twice = mode.capacity_sat * (2 * n - a)
     else:
-        won = sum(a.channel.capacity for a in report.attacks if a.outcome is Outcome.COMPROMISED)
-        lost = sum(a.channel.capacity for a in report.attacks if a.outcome is Outcome.DEFENDED)
+        won = sum(a.capacity for a in report.attacks if a.outcome is Outcome.COMPROMISED)
+        lost = sum(a.capacity for a in report.attacks if a.outcome is Outcome.DEFENDED)
         twice = won - lost
     return _halve_toward_zero(twice)
 
@@ -378,7 +383,7 @@ def profit_vs_k(
                 {"k": 0, "attacked": 0, "compromised": 0, "defended": 0, "undecided": 0, "profit_sat": 0}
             )
             continue
-        attacked = crossing_channels(graph, coalition[:k])
+        attacked = [(graph.ids[ci], graph.capacity[ci]) for ci in crossing_channels(graph, coalition[:k])]
         report = simulate_double_spend(attacked, honest, attacker, delay_policy, scenario)
         rows.append(
             {

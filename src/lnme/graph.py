@@ -41,28 +41,12 @@ class LnGraph:
     parallel lists of plain Python values, so capacities stay unbounded
     ints. ``adjacency[v]`` lists the channel indices at node ``v``.
     Parallel channels between the same pair stay distinct; self-loops are
-    rejected. ``channels`` builds the ``Channel`` objects on first access.
+    rejected. ``channels`` builds the ``Channel`` objects on first access,
+    and nothing else in the package builds one.
     Instances are safe to share across concurrent readers.
     """
 
-    def __init__(self, labels, channels):
-        channels = list(channels)
-        self._set_columns(
-            labels,
-            [ch.id for ch in channels],
-            [ch.node1 for ch in channels],
-            [ch.node2 for ch in channels],
-            [ch.capacity for ch in channels],
-        )
-
-    @classmethod
-    def from_columns(cls, labels, ids, node1, node2, capacity) -> LnGraph:
-        """The graph whose channel i is (ids[i], node1[i], node2[i], capacity[i])."""
-        graph = cls.__new__(cls)
-        graph._set_columns(labels, ids, node1, node2, capacity)
-        return graph
-
-    def _set_columns(self, labels, ids, node1, node2, capacity) -> None:
+    def __init__(self, labels, ids, node1, node2, capacity):
         self.labels: list[str] = list(labels)
         self.index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
@@ -107,9 +91,6 @@ class LnGraph:
     def channel_count(self) -> int:
         return len(self.ids)
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
     def __repr__(self):
         return f"LnGraph(nodes={self.node_count}, channels={self.channel_count})"
 
@@ -152,7 +133,7 @@ def parse_lnd_graph(document: str) -> LnGraph:
         columns = _read_lnd_edges_bulk(edges, index)
     except (KeyError, TypeError, ValueError):
         columns = _read_lnd_edges(edges, index)
-    return LnGraph.from_columns(labels, *columns)
+    return LnGraph(labels, *columns)
 
 
 def _read_lnd_edges_bulk(edges: list, index: dict[str, int]):
@@ -318,7 +299,7 @@ def parse_edge_list(document: str) -> LnGraph:
         node2.append(canonical(b_label))
         capacity.append(cap)
     ids = [f"e{i}" for i in range(len(capacity))]
-    return LnGraph.from_columns(labels, ids, node1, node2, capacity)
+    return LnGraph(labels, ids, node1, node2, capacity)
 
 
 def to_edge_list(graph: LnGraph) -> str:
@@ -401,7 +382,7 @@ def generate_scale_free(n: int, m: int, seed: int, capacity_dist=None) -> LnGrap
             repeated.append(target)
         repeated.extend([source] * m)
     ids = [f"s{i}" for i in range(len(capacity))]
-    return LnGraph.from_columns([str(i) for i in range(n)], ids, node1, node2, capacity)
+    return LnGraph([str(i) for i in range(n)], ids, node1, node2, capacity)
 
 
 def degree_histogram(graph: LnGraph) -> dict[int, int]:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lnme.graph import Channel, LnGraph
+from lnme.graph import LnGraph
 from lnme.mempool import BlockEntry, BlockTrace, FeeHistogram, FeeRate, MempoolTimeline
 from lnme.scenario import Scenario
 
@@ -45,14 +45,15 @@ def constant_scenario(band_edges_sat, counts, blocks, txs, capacity_mode=None) -
 
 def random_graph(rng: random.Random, n: int, p: float, unit_capacity=False) -> LnGraph:
     """Erdos-Renyi style graph; capacities 1 or random sat amounts."""
-    labels = [str(i) for i in range(n)]
-    channels = []
+    node1, node2, capacity = [], [], []
     for a in range(n):
         for b in range(a + 1, n):
             if rng.random() < p:
-                cap = 1 if unit_capacity else rng.randint(1, 10_000_000)
-                channels.append(Channel(f"e{len(channels)}", a, b, cap))
-    return LnGraph(labels, channels)
+                node1.append(a)
+                node2.append(b)
+                capacity.append(1 if unit_capacity else rng.randint(1, 10_000_000))
+    ids = [f"e{i}" for i in range(len(capacity))]
+    return LnGraph([str(i) for i in range(n)], ids, node1, node2, capacity)
 
 
 def uniform_attachment_graph(n: int, m: int, seed: int) -> LnGraph:
@@ -63,11 +64,13 @@ def uniform_attachment_graph(n: int, m: int, seed: int) -> LnGraph:
     rather than in proportion to degree. Unit capacities.
     """
     rng = random.Random(seed)
-    channels = [Channel(f"u{leaf - 1}", 0, leaf, 1) for leaf in range(1, m + 1)]
+    node1, node2 = [0] * m, list(range(1, m + 1))
     for source in range(m + 1, n):
         for target in sorted(rng.sample(range(source), m)):
-            channels.append(Channel(f"u{len(channels)}", source, target, 1))
-    return LnGraph([str(i) for i in range(n)], channels)
+            node1.append(source)
+            node2.append(target)
+    ids = [f"u{i}" for i in range(len(node1))]
+    return LnGraph([str(i) for i in range(n)], ids, node1, node2, [1] * len(node1))
 
 
 @pytest.fixture

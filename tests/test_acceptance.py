@@ -54,7 +54,7 @@ from lnme.doublespend import (
     simulate_double_spend,
     to_self_delay,
 )
-from lnme.graph import Channel, generate_scale_free, parse_lnd_graph
+from lnme.graph import generate_scale_free, parse_lnd_graph
 from lnme.mempool import BlockEntry, ReplayEngine, load_block_trace, load_timeline
 from lnme.scenario import SCENARIO1_START, Scenario
 from lnme.strategies import Dynamic, Static
@@ -196,7 +196,7 @@ def test_engine_saturation_limit():
 def test_engine_determinism_across_threads_and_reruns(monkeypatch):
     scenario = constant_scenario(BANDS, [3000, 1500, 0], 120, 800)
     configs = [ZombieConfig(400, Static(fee(f)), scenario) for f in range(10, 90, 10)]
-    ds_channels = [Channel(f"c{i}", 0, i + 1, 2_000_000 + i) for i in range(150)]
+    ds_channels = [(f"c{i}", 2_000_000 + i) for i in range(150)]
     ds_scenario = constant_scenario(BANDS, [0, 40_000, 0], 120, 2500)
 
     def render() -> bytes:
@@ -252,7 +252,7 @@ def test_zombie_fee_monotone_and_beta_limit():
 
 def test_doublespend_zero_congestion_safety():
     scenario = constant_scenario(BANDS, [0, 0, 0], 80, 10**6)
-    channels = [Channel(f"c{i}", 0, i + 1, 4_500_000) for i in range(1000)]
+    channels = [(f"c{i}", 4_500_000) for i in range(1000)]
     for delay in (2, 3, 10, 50):
         report = simulate_double_spend(
             channels, PenaltyPolicy(), AttackerStrategy(fee(50)), Fixed(delay), scenario
@@ -266,7 +266,7 @@ def test_doublespend_delay_beyond_horizon_safety():
     horizon = 120
     heavy = constant_scenario(BANDS, [50_000, 50_000, 50_000], horizon, 2500)
     empty = constant_scenario(BANDS, [0, 0, 0], horizon, 10**6)
-    channels = [Channel(f"c{i}", 0, i + 1, 4_500_000) for i in range(200)]
+    channels = [(f"c{i}", 4_500_000) for i in range(200)]
     for scenario in (heavy, empty):
         report = simulate_double_spend(
             channels,
@@ -284,14 +284,14 @@ def _synthetic_report(n, defended, undecided=0, capacity=0):
     attacks = []
     for i in range(n):
         attacks.append(
-            ChannelAttack(Channel(f"w{i}", 0, 1, capacity), 1, f"w{i}", outcome=Outcome.COMPROMISED)
+            ChannelAttack(f"w{i}", capacity, 1, f"w{i}", outcome=Outcome.COMPROMISED)
         )
     for i in range(defended):
         attacks.append(
-            ChannelAttack(Channel(f"l{i}", 0, 1, capacity), 1, f"l{i}", outcome=Outcome.DEFENDED)
+            ChannelAttack(f"l{i}", capacity, 1, f"l{i}", outcome=Outcome.DEFENDED)
         )
     for i in range(undecided):
-        attacks.append(ChannelAttack(Channel(f"u{i}", 0, 1, capacity), 1, f"u{i}"))
+        attacks.append(ChannelAttack(f"u{i}", capacity, 1, f"u{i}"))
     return DoubleSpendReport(attacks, [], undecided > 0)
 
 
@@ -316,7 +316,7 @@ def test_doublespend_profit_identities():
         caps = [rng.randint(1, 10**7) for _ in range(rng.randint(1, 60))]
         split = rng.randint(0, len(caps))
         attacks = [
-            ChannelAttack(Channel(f"x{i}", 0, 1, cap), 1, f"x{i}",
+            ChannelAttack(f"x{i}", cap, 1, f"x{i}",
                           outcome=Outcome.COMPROMISED if i < split else Outcome.DEFENDED)
             for i, cap in enumerate(caps)
         ]
@@ -413,8 +413,9 @@ def test_dataset_zombie_scenario1():
 def test_dataset_doublespend_profit(snapshot_graph, scenario1):
     started = time.monotonic()
     cut, _ = greedy_lopsided_cut(snapshot_graph, 30, Objective.CAPACITY)
+    crossing = crossing_channels(snapshot_graph, cut.coalition)
     report = simulate_double_spend(
-        crossing_channels(snapshot_graph, cut.coalition),
+        [(snapshot_graph.ids[ci], snapshot_graph.capacity[ci]) for ci in crossing],
         PenaltyPolicy(dynamic=True, step=7, beta=1.1),
         AttackerStrategy(fee(50), sweep=Dynamic(fee(100), 7, 1.1)),
         CapacityScaled(),

@@ -225,6 +225,21 @@ class TestZombie:
         summary = json.loads((workdir / "z.summary.json").read_text())
         assert f"n={cut['edge_count']}," in summary["config"]
 
+    def test_empty_cut_file_is_data_error(self, workdir, capsys):
+        # a coalition of every node crosses no channel: doublespend attacks
+        # none, but zombie has no channel to close
+        gen_inputs(workdir, snapshots=3, blocks=3)
+        (workdir / "g.csv").write_text("a,b,5\nc,d,7\n")
+        assert run("solve", "--graph", "g.csv", "--k", 4, "--out", "sol") == EXIT_OK
+        assert json.loads((workdir / "sol.cut.json").read_text())["edge_count"] == 0
+        assert run("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, "--timeline", "tl.csv",
+                   "--blocks", "bl.csv", "--out", "d") == EXIT_OK
+        capsys.readouterr()
+        assert run("zombie", "--cut-file", "sol.cut.json", "--fee", 70, "--timeline", "tl.csv",
+                   "--blocks", "bl.csv", "--out", "z") == EXIT_DATA
+        assert capsys.readouterr().err == "error: cut file sol.cut.json has edge_count 0: no channel to close\n"
+        assert not (workdir / "z.manifest.json").exists()
+
     @pytest.mark.parametrize("avg", ["inf", "nan", "0", "-3"])
     def test_bad_block_average_is_usage_error(self, workdir, avg, capsys):
         gen_inputs(workdir, snapshots=3, blocks=3)

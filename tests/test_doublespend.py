@@ -27,8 +27,8 @@ from lnme.doublespend import (
     to_self_delay,
     tx_name,
 )
-from lnme.cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
-from lnme.graph import Channel, UniformCapacity, generate_scale_free
+from lnme.cut import Cut, Objective, crossing_channels, cut_to_json, greedy_lopsided_cut, read_cut_json
+from lnme.graph import UniformCapacity, generate_scale_free
 from lnme.mempool import ReplayEngine
 from lnme.scenario import Scenario
 from lnme.strategies import Dynamic, Static
@@ -38,7 +38,7 @@ SAT_PER_BTC = 100_000_000
 
 
 def channels(count, capacity=4_500_000):
-    return [Channel(f"c{i}", 0, i + 1, capacity) for i in range(count)]
+    return [(f"c{i}", capacity) for i in range(count)]
 
 
 def empty_scenario(blocks=60, txs=10**6):
@@ -288,8 +288,8 @@ class TestSimulate:
             "horizon_exhausted": report.horizon_exhausted,
             "per_channel": [
                 {
-                    "channel_id": a.channel.id,
-                    "capacity_sat": a.channel.capacity,
+                    "channel_id": a.channel_id,
+                    "capacity_sat": a.capacity,
                     "delay": a.delay,
                     "outcome": a.outcome.value,
                     "commitment_height": a.commitment_height,
@@ -327,7 +327,7 @@ class TestSchedule:
         monkeypatch.setattr(ReplayEngine, "bump_group", recording_bump_group)
         scenario = congested_scenario(blocks=blocks, txs=10)
         report = simulate_double_spend(
-            [Channel(f"c{i}", 0, i + 1, rng.randint(1, MAX_FUNDING_SAT)) for i in range(40)],
+            [(f"c{i}", rng.randint(1, MAX_FUNDING_SAT)) for i in range(40)],
             PenaltyPolicy(dynamic=True, step=3, beta=1.2),
             AttackerStrategy(fee(70), sweep=Dynamic(fee(20), 2, 1.5)),
             CapacityScaled(max_delay=8, min_delay=0),
@@ -393,14 +393,14 @@ class TestRealizedProfit:
         attacks = []
         for i, cap in enumerate(caps_compromised):
             attacks.append(
-                ChannelAttack(Channel(f"w{i}", 0, 1, cap), 5, len(attacks), outcome=Outcome.COMPROMISED)
+                ChannelAttack(f"w{i}", cap, 5, len(attacks), outcome=Outcome.COMPROMISED)
             )
         for i, cap in enumerate(caps_defended):
             attacks.append(
-                ChannelAttack(Channel(f"l{i}", 0, 1, cap), 5, len(attacks), outcome=Outcome.DEFENDED)
+                ChannelAttack(f"l{i}", cap, 5, len(attacks), outcome=Outcome.DEFENDED)
             )
         for i, cap in enumerate(caps_undecided):
-            attacks.append(ChannelAttack(Channel(f"u{i}", 0, 1, cap), 5, len(attacks)))
+            attacks.append(ChannelAttack(f"u{i}", cap, 5, len(attacks)))
         return DoubleSpendReport(attacks, [], bool(caps_undecided))
 
     def test_per_channel_hand_example(self):
@@ -511,7 +511,8 @@ class TestProfitVsK:
         assert rows[1]["profit_sat"] > 0  # everything compromised under congestion
 
     def test_rows_match_independent_solves(self):
-        # one greedy run to max(ks) serves every k: each row equals its own solve and attack
+        # one greedy run to max(ks) serves every k: each row equals its own
+        # solve and attack, both on the graph's columns and on the cut's file
         g = generate_scale_free(40, 2, seed=8, capacity_dist=UniformCapacity(100_000, 10_000_000))
         honest, attacker = PenaltyPolicy(), AttackerStrategy(fee(70))
         delay, scn = CapacityScaled(min_delay=1, max_delay=6), constant_scenario(BANDS, [0, 0, 0], 80, 20)
@@ -521,15 +522,18 @@ class TestProfitVsK:
         assert rows[1] == {"k": 0, "attacked": 0, "compromised": 0, "defended": 0, "undecided": 0, "profit_sat": 0}
         for row in rows[:1] + rows[2:]:
             cut, _ = greedy_lopsided_cut(g, row["k"], Objective.CAPACITY)
-            report = simulate_double_spend(crossing_channels(g, cut.coalition), honest, attacker, delay, scn)
-            assert row == {
-                "k": row["k"],
-                "attacked": report.attacked,
-                "compromised": report.compromised,
-                "defended": report.defended,
-                "undecided": report.undecided,
-                "profit_sat": realized_profit(report, PerChannel(), exclude_undecided=True),
-            }
+            crossing = crossing_channels(g, cut.coalition)
+            cut_file = read_cut_json(cut_to_json(g, cut))
+            for attacked in ([(g.ids[ci], g.capacity[ci]) for ci in crossing], zip(cut_file.ids, cut_file.capacity)):
+                report = simulate_double_spend(attacked, honest, attacker, delay, scn)
+                assert row == {
+                    "k": row["k"],
+                    "attacked": report.attacked,
+                    "compromised": report.compromised,
+                    "defended": report.defended,
+                    "undecided": report.undecided,
+                    "profit_sat": realized_profit(report, PerChannel(), exclude_undecided=True),
+                }
         assert 0 < rows[-1]["compromised"] < rows[-1]["attacked"]  # a mixed outcome
         assert profit_vs_k(g, [], honest, attacker, delay, scn) == []
 

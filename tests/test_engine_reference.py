@@ -8,6 +8,10 @@ It bumps "every pending transaction" one transaction at a time and carries a
 ``ConstantAverage`` block size as an exact ``Fraction``. Any divergence in
 confirmation order, confirmation heights, statuses or queue positions is a
 bug in the optimized bookkeeping.
+
+On top of that engine, ``reference_double_spend`` states the double-spend
+race rule by rule, per block and per channel, and is compared with
+``simulate_double_spend`` over random attacks.
 """
 
 import random
@@ -32,7 +36,6 @@ from lnme.doublespend import (
     to_self_delay,
     tx_name,
 )
-from lnme.graph import Channel
 from lnme.mempool import (
     BlockEntry,
     BlockTrace,
@@ -594,8 +597,7 @@ def test_double_spend_matches_rule_literal_reference():
     for seed in range(300):
         channels, honest, attacker, delay_policy, scenario, strict = random_attack(seed)
         report = simulate_double_spend(
-            [Channel(cid, 0, 1, capacity) for cid, capacity in channels],
-            honest, attacker, delay_policy, scenario, strict_expiry=strict, record_events=True,
+            channels, honest, attacker, delay_policy, scenario, strict_expiry=strict, record_events=True
         )
         per_channel, series, exhausted, events = reference_double_spend(
             channels, honest, attacker, delay_policy, scenario, strict

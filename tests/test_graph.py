@@ -86,7 +86,7 @@ class TestParseLndGraph:
     def test_isolated_nodes_retained(self):
         g = parse_lnd_graph(lnd_doc(["A", "B", "C"], [("1", "A", "B", "100")]))
         assert g.node_count == 3
-        assert g.degree(g.index["C"]) == 0
+        assert len(g.adjacency[g.index["C"]]) == 0
 
     def test_parallel_channels_kept_distinct(self):
         g = parse_lnd_graph(
@@ -240,42 +240,22 @@ class TestLnGraphValidation:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (Channel("x", 0, 3, 5), "channel 'x' references an unknown node"),
-            (Channel("x", -1, 1, 5), "channel 'x' references an unknown node"),
-            (Channel("x", 1, -2, 5), "channel 'x' references an unknown node"),
-            (Channel("x", 2, 2, 5), "self-loop channel 'x'"),
-            (Channel("x", 0, 1, -1), "negative capacity on channel 'x'"),
+            (("x", 0, 3, 5), "channel 'x' references an unknown node"),
+            (("x", -1, 1, 5), "channel 'x' references an unknown node"),
+            (("x", 1, -2, 5), "channel 'x' references an unknown node"),
+            (("x", 2, 2, 5), "self-loop channel 'x'"),
+            (("x", 0, 1, -1), "negative capacity on channel 'x'"),
         ],
     )
     def test_first_bad_channel_is_named(self, bad, message):
-        later = [Channel("y", 0, 9, 5), Channel("z", 1, 1, -5)]
-        channels = [Channel("ok", 0, 1, 5), bad, *later]
+        rows = [("ok", 0, 1, 5), bad, ("y", 0, 9, 5), ("z", 1, 1, -5)]
         with pytest.raises(GraphError) as exc:
-            LnGraph(self.LABELS, channels)
-        assert str(exc.value) == message
-        columns = [[getattr(ch, f) for ch in channels] for f in ("id", "node1", "node2", "capacity")]
-        with pytest.raises(GraphError) as exc:
-            LnGraph.from_columns(self.LABELS, *columns)
+            LnGraph(self.LABELS, *zip(*rows))
         assert str(exc.value) == message
 
     def test_duplicate_label(self):
         with pytest.raises(GraphError, match="duplicate node label"):
-            LnGraph(["A", "A"], [])
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_constructors_agree(self, seed):
-        from conftest import random_graph
-
-        g = random_graph(random.Random(seed), 25, 0.2)
-        ids = [ch.id for ch in g.channels]
-        node1 = [ch.node1 for ch in g.channels]
-        node2 = [ch.node2 for ch in g.channels]
-        capacity = [ch.capacity for ch in g.channels]
-        h = LnGraph.from_columns(g.labels, ids, node1, node2, capacity)
-        assert h.channels == g.channels
-        assert h.adjacency == g.adjacency
-        assert [h.degree(v) for v in range(h.node_count)] == [g.degree(v) for v in range(g.node_count)]
-        assert (h.ids, h.node1, h.node2, h.capacity) == (g.ids, g.node1, g.node2, g.capacity)
+            LnGraph(["A", "A"], [], [], [], [])
 
     def test_channels_built_on_first_access(self):
         g = parse_edge_list("a,b,100\nb,c,200")
@@ -397,7 +377,7 @@ class TestGenerateScaleFree:
         ratios = []
         for seed in range(10):
             g = generate_scale_free(300, 2, seed=seed)
-            degrees = sorted(g.degree(v) for v in range(g.node_count))
+            degrees = sorted(len(adj) for adj in g.adjacency)
             ratios.append(max(degrees) / statistics.median(degrees))
         assert statistics.mean(ratios) > 5
 
