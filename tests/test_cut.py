@@ -362,7 +362,8 @@ class TestExport:
             crossing_channels(triangle(), [0, -1])
 
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_solve_builds_no_channel(self, monkeypatch, objective):
+    def test_solve_builds_only_crossing_channels(self, monkeypatch, objective):
+        # the crossing channels are now indices, so no Channel is built at all
         g = generate_scale_free(300, 2, seed=4)
         small = generate_scale_free(12, 2, seed=4)
         built = []

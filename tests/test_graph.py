@@ -257,6 +257,19 @@ class TestLnGraphValidation:
         with pytest.raises(GraphError, match="duplicate node label"):
             LnGraph(["A", "A"], [], [], [], [])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_constructors_agree(self, seed):
+        from conftest import random_graph
+
+        g = random_graph(random.Random(seed), 25, 0.2)
+        # rebuilt from its own Channel rows, the columns given as iterators
+        rows = [(ch.id, ch.node1, ch.node2, ch.capacity) for ch in g.channels]
+        h = LnGraph(iter(g.labels), *(iter(column) for column in zip(*rows)))
+        assert h.channels == g.channels
+        assert h.adjacency == g.adjacency
+        assert (h.ids, h.node1, h.node2, h.capacity) == (g.ids, g.node1, g.node2, g.capacity)
+        assert (h.labels, h.index) == (g.labels, g.index)
+
     def test_channels_built_on_first_access(self):
         g = parse_edge_list("a,b,100\nb,c,200")
         assert "channels" not in vars(g)
