@@ -13,7 +13,6 @@ from .cut import (
     Objective,
     crossing_channels,
     cut_value,
-    exact_lopsided_cut,
     greedy_lopsided_cut,
     value_vs_k_curve,
 )

@@ -91,7 +91,10 @@ def _read_input(args, name: str) -> str:
     SHA-256 of these very bytes, so a file replaced during the run cannot
     lend its digest to outputs computed from the old one. The bytes are
     decoded as ``Path.read_text`` decodes them (the locale's encoding,
-    universal newlines) and dropped before the text is parsed."""
+    universal newlines) and dropped before the text is parsed. Pass the
+    text straight to its parser and keep no local of it, so that a parser
+    that drops its argument (``parse_lnd_graph``) frees the text once its
+    next form exists; CPython 3.10 keeps it to the parser's return."""
     data = Path(getattr(args, INPUTS[name])).read_bytes()
     args.digests[name] = hashlib.sha256(data).hexdigest()
     with io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)) as stream:
@@ -129,11 +132,12 @@ def _write_outputs(args, outputs: dict[str, str], **overrides) -> None:
 
 
 def _load_graph(args):
-    text = _read_input(args, "graph")
     fmt = args.format
     if fmt is None:
         fmt = "lnd" if args.graph.endswith(".json") else "csv"
-    return parse_lnd_graph(text) if fmt == "lnd" else parse_edge_list(text)
+    parse = parse_lnd_graph if fmt == "lnd" else parse_edge_list
+    # no local keeps the text, so the parser can drop it once it is parsed
+    return parse(_read_input(args, "graph"))
 
 
 def _build_scenario(args) -> Scenario:

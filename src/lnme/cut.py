@@ -3,7 +3,7 @@ channels (or total capacity) crossing to the rest of the network.
 
 The greedy solver maintains per-node gains in a lazy max-heap so large
 graphs (tens of thousands of channels) solve in O((n + m) log n)-style
-time; the exhaustive solver is a validation oracle for small instances.
+time. The tests check it against an exhaustive solver on small instances.
 """
 
 from __future__ import annotations
@@ -11,19 +11,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
 from .graph import LnGraph, dumps_with_records, parse_capacity, parse_count
-
-DEFAULT_ENUMERATION_BUDGET = 10_000_000
-
-
-class EnumerationBudgetExceeded(RuntimeError):
-    """Exact enumeration would scan more subsets than the budget allows."""
-
 
 class Objective(Enum):
     """What a cut maximizes: crossing channel count or crossing capacity."""
@@ -134,42 +126,6 @@ def greedy_lopsided_cut(
                 gain[u] -= 2 * weights[ci]
         steps.append(GreedyStep(len(coalition), v, gain[v], value, edges, cut_capacity))
     return Cut(k, objective, tuple(coalition), edges, cut_capacity), GreedyTrace(tuple(steps))
-
-
-def exact_lopsided_cut(
-    graph: LnGraph,
-    k: int,
-    objective: Objective = Objective.EDGE_COUNT,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Cut:
-    """Exhaustive maximizer over all k-subsets; refuses jobs whose subset
-    count exceeds the budget. Ties resolve to the lexicographically
-    smallest coalition index set."""
-    n = graph.node_count
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    total = math.comb(n, k)
-    if total > budget:
-        raise EnumerationBudgetExceeded(
-            f"C({n},{k}) = {total} subsets exceeds enumeration budget {budget}"
-        )
-    channels = list(zip(graph.node1, graph.node2, objective.weights(graph)))
-    inside = bytearray(n)
-    best_value = -1
-    best: tuple[int, ...] = ()
-    for combo in itertools.combinations(range(n), k):
-        for v in combo:
-            inside[v] = 1
-        value = 0
-        for a, b, w in channels:
-            if inside[a] != inside[b]:
-                value += w
-        if value > best_value:
-            best_value = value
-            best = combo
-        for v in combo:
-            inside[v] = 0
-    return Cut(k, objective, best, *cut_value(graph, best))
 
 
 def value_vs_k_curve(

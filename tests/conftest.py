@@ -1,16 +1,24 @@
 """Shared builders for synthetic graphs, timelines, and block traces."""
 
 import functools
+import itertools
+import math
 import random
 
 import pytest
 
+from lnme.cut import Cut, Objective, cut_value
 from lnme.graph import LnGraph
 from lnme.mempool import BlockEntry, BlockTrace, FeeHistogram, FeeRate, MempoolTimeline
 from lnme.scenario import Scenario
 
 T0 = 1_600_000_000
 BLOCK_INTERVAL = 600
+DEFAULT_ENUMERATION_BUDGET = 10_000_000
+
+
+class EnumerationBudgetExceeded(RuntimeError):
+    """Exact enumeration would scan more subsets than the budget allows."""
 
 
 def fee(sat) -> FeeRate:
@@ -71,6 +79,42 @@ def uniform_attachment_graph(n: int, m: int, seed: int) -> LnGraph:
             node2.append(target)
     ids = [f"u{i}" for i in range(len(node1))]
     return LnGraph([str(i) for i in range(n)], ids, node1, node2, [1] * len(node1))
+
+
+def exact_lopsided_cut(
+    graph: LnGraph,
+    k: int,
+    objective: Objective = Objective.EDGE_COUNT,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> Cut:
+    """The greedy solver's oracle: an exhaustive maximizer over all k-subsets
+    that refuses jobs whose subset count exceeds the budget. Ties resolve to
+    the lexicographically smallest coalition index set."""
+    n = graph.node_count
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
+    total = math.comb(n, k)
+    if total > budget:
+        raise EnumerationBudgetExceeded(
+            f"C({n},{k}) = {total} subsets exceeds enumeration budget {budget}"
+        )
+    channels = list(zip(graph.node1, graph.node2, objective.weights(graph)))
+    inside = bytearray(n)
+    best_value = -1
+    best: tuple[int, ...] = ()
+    for combo in itertools.combinations(range(n), k):
+        for v in combo:
+            inside[v] = 1
+        value = 0
+        for a, b, w in channels:
+            if inside[a] != inside[b]:
+                value += w
+        if value > best_value:
+            best_value = value
+            best = combo
+        for v in combo:
+            inside[v] = 0
+    return Cut(k, objective, best, *cut_value(graph, best))
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from conftest import (
     T0,
     constant_scenario,
     constant_timeline,
+    exact_lopsided_cut,
     fee,
     random_graph,
     uniform_attachment_graph,
@@ -35,7 +36,6 @@ from lnme.cut import (
     Objective,
     crossing_channels,
     cut_value,
-    exact_lopsided_cut,
     greedy_lopsided_cut,
     value_vs_k_curve,
 )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,69 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             run("solve", "--graph", "g.csv", "--out", "x")
         assert exc.value.code == 2
+
+
+def graph_forms_alive(workdir, monkeypatch):
+    """Which forms of an lnd graph are still alive when a ``solve`` run
+    builds its LnGraph: the text that ``_read_input`` returned, and the JSON
+    tree (its top-level object or its ``nodes`` or ``edges`` array)."""
+
+    class Text(str):
+        pass
+
+    class Tree(dict):
+        pass
+
+    class Array(list):
+        pass
+
+    (workdir / "g.json").write_text(json.dumps({
+        "nodes": [{"pub_key": pub} for pub in "ABCD"],
+        "edges": [{"channel_id": str(i), "node1_pub": a, "node2_pub": b, "capacity": "5"}
+                  for i, (a, b) in enumerate(["AB", "AC", "AD", "BC"])],
+    }))
+    read_input, loads, build = cli._read_input, json.loads, lnme.graph.LnGraph
+    refs, alive = {}, {}
+
+    def read_text(args, name):
+        text = Text(read_input(args, name))
+        refs["text"] = weakref.ref(text)
+        return text
+
+    def load_tree(document, **kwargs):
+        doc = loads(document, **kwargs)
+        tree = Tree({key: Array(value) if type(value) is list else value for key, value in doc.items()})
+        refs["tree"] = [weakref.ref(tree), weakref.ref(tree["nodes"]), weakref.ref(tree["edges"])]
+        return tree
+
+    def spy(*columns):
+        alive["text"] = refs["text"]() is not None
+        alive["tree"] = any(ref() is not None for ref in refs["tree"])
+        return build(*columns)
+
+    monkeypatch.setattr(cli, "_read_input", read_text)
+    monkeypatch.setattr(json, "loads", load_tree)
+    monkeypatch.setattr(lnme.graph, "LnGraph", spy)
+    assert run("solve", "--graph", "g.json", "--k", 1, "--out", "x") == EXIT_OK
+    assert loads((workdir / "x.cut.json").read_text())["edge_count"] == 3
+    return alive
+
+
+class TestGraphFormLifetimes:
+    """An lnd graph is held in one form at a time: the text until the JSON
+    tree exists, the tree until the channel columns exist. At paper scale
+    this keeps the run's peak at the end of json.loads."""
+
+    def test_the_json_tree_is_dropped_before_the_graph_is_built(self, workdir, monkeypatch):
+        assert graph_forms_alive(workdir, monkeypatch)["tree"] is False
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps a call's arguments on the caller's stack until the call "
+               "returns, so the text lives to the end of the parse",
+    )
+    def test_the_text_is_dropped_before_the_graph_is_built(self, workdir, monkeypatch):
+        assert graph_forms_alive(workdir, monkeypatch)["text"] is False
 
 
 class TestZombie:

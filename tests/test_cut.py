@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import EnumerationBudgetExceeded, exact_lopsided_cut, random_graph
 from lnme.cut import (
     Cut,
-    EnumerationBudgetExceeded,
     Objective,
     crossing_channels,
     cut_to_json,
     cut_value,
     curve_to_csv,
-    exact_lopsided_cut,
     greedy_lopsided_cut,
     read_cut_json,
     value_vs_k_curve,

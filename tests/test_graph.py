@@ -253,6 +253,21 @@ class TestLnGraphValidation:
             LnGraph(self.LABELS, *zip(*rows))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "columns, lengths",
+        [
+            ((["a", "b", "c"], ["x"], [0, 1], [1, 2], [5]), "ids 1, node1 2, node2 2, capacity 1"),
+            ((["a", "b"], ["x", "y"], [0], [1], [5, 6]), "ids 2, node1 1, node2 1, capacity 2"),
+            ((["a", "b"], [], [], [], [5]), "ids 0, node1 0, node2 0, capacity 1"),
+        ],
+    )
+    def test_columns_of_unequal_length_are_refused(self, columns, lengths):
+        # a short column would otherwise drop channels from the count, the
+        # adjacency or the Channel rows without a word
+        with pytest.raises(GraphError) as exc:
+            LnGraph(*columns)
+        assert str(exc.value) == f"channel columns of unequal length: {lengths}"
+
     def test_duplicate_label(self):
         with pytest.raises(GraphError, match="duplicate node label"):
             LnGraph(["A", "A"], [], [], [], [])
