@@ -62,11 +62,14 @@ list. The ``FeeHistogram`` view of a snapshot is built only when
 ``histogram()`` is called, once per snapshot, and a histogram computes its
 ``average`` once, on first read.
 
-A timeline's parse holds the document and its two arrays, but no list of
-its lines and no text stream (a copy of the text at four bytes a
-character). numpy reads the data lines from slices of the document that
-end at a line end, one slice's lines at a time. The cumulative outflow is
-built in place, with no full-size temporaries.
+A loaded timeline holds one array, its counts, and the list of its
+timestamps. The engine carries each band's cumulative outflow itself: it
+starts at zero at snapshot 0 and adds the timeline's ``outflow(i, j)``
+whenever the clock moves from snapshot i to snapshot j. The parse reads the
+header from the first line alone, counts the data lines and fills one array
+of that size, with one numpy parse per slice of the document that ends at a
+line end. No list of every line, no text stream (a copy of the text at four
+bytes a character) and no growing buffer is alive during it.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
-from operator import attrgetter, is_
+from itertools import repeat
+from operator import add, attrgetter, is_
 
 import numpy as np
 
@@ -225,9 +228,11 @@ def average_fee(histogram: FeeHistogram) -> FeeRate:
 class MempoolTimeline:
     """Time-ordered fee-band histograms sharing one band grid.
 
-    Nominal cadence is one snapshot per minute; gaps are allowed. Per-band
-    cumulative outflow is precomputed at construction, and a timeline whose
-    outflow does not fit int64 is rejected.
+    Nominal cadence is one snapshot per minute; gaps are allowed. The
+    timeline holds its counts as one int64 array and nothing else of their
+    size: ``outflow(i, j)`` sums the count drops between two snapshots on
+    demand. A timeline whose cumulative outflow does not fit int64 is
+    rejected.
     """
 
     def __init__(self, band_edges, timestamps, counts):
@@ -256,21 +261,35 @@ class MempoolTimeline:
             raise TimelineError(
                 f"counts shape {arr.shape} does not match {len(ts)} snapshots x {len(edges)} bands"
             )
-        if (arr < 0).any():
+        if arr.min() < 0:
             raise TimelineError("negative band count")
-        # built in place: one array the size of the counts, no temporaries
-        cum = np.zeros(arr.shape, np.int64)
-        drops = cum[1:]
-        np.subtract(arr[:-1], arr[1:], out=drops)
-        np.maximum(drops, 0, out=drops)
-        np.cumsum(drops, axis=0, out=drops)
-        # every drop lies in [0, 2**63), so the first wrap is a decrease
-        if (cum[1:] < cum[:-1]).any():
-            raise TimelineError("cumulative outflow does not fit in int64")
         self.band_edges = edges
         self.timestamps = ts
         self.counts = arr
-        self.cum_outflow = cum
+        # a band's cumulative outflow is at most max(counts) * (snapshots - 1);
+        # only a timeline past that bound has its drops summed exactly
+        if int(arr.max()) * (len(ts) - 1) >= 2**63:
+            totals = sum(drops.sum(axis=0, dtype=object) for drops in self._drops(0, len(ts) - 1))
+            if max(totals) >= 2**63:
+                raise TimelineError("cumulative outflow does not fit in int64")
+
+    def outflow(self, i: int, j: int) -> list[int]:
+        """Per band, the sum of the count drops from snapshot i to snapshot
+        j >= i: the historical transactions that left the band in between."""
+        total = np.zeros(len(self.band_edges), np.int64)
+        for drops in self._drops(i, j):
+            total += drops.sum(axis=0)
+        return total.tolist()
+
+    def _drops(self, i: int, j: int):
+        """The count drops from snapshot i to snapshot j, floored at zero,
+        as arrays of at most ``ROW_SLICE`` rows: no temporary grows with
+        j - i."""
+        counts = self.counts
+        for lo in range(i, j, ROW_SLICE):
+            hi = min(lo + ROW_SLICE, j)
+            drops = counts[lo:hi] - counts[lo + 1:hi + 1]
+            yield np.maximum(drops, 0, out=drops)
 
     @property
     def start(self) -> int:
@@ -308,18 +327,12 @@ def load_timeline(document: str) -> MempoolTimeline:
     the numpy parse succeeds, the cell-by-cell reading gives the same
     timeline.
     """
-    # the csv reader holds the text at four bytes a character: it is dropped
-    # before the numpy parse and made again only for the cell-by-cell one.
-    # Narrowing it to the first line skips the copy, yet raised
-    # zombie_dynamic_sweep's peak RSS from 68.6 to 72-76 MB (2-vCPU VM,
-    # Python 3.11, numpy 2.4). That is glibc's dynamic mmap and trim
-    # thresholds placing the later allocations differently, not memory the
-    # run needs: with MALLOC_MMAP_THRESHOLD_=131072 or
-    # MALLOC_TRIM_THRESHOLD_=131072 both forms read 68.7 MB, and with
-    # MALLOC_MMAP_THRESHOLD_=33554432 both read 74.7 MB. So the read stays.
-    # (Passing the row count to np.loadtxt as max_rows made the parse take
-    # 1.3 s and 107 MB.)
-    header = next(csv_records(document, TimelineError), None)
+    # The header comes from the first line alone: a csv reader over the whole
+    # document would copy the text at four bytes a character. A first line
+    # holding a quote gets the whole document, as a quoted header may span
+    # lines.
+    first = document[:document.find("\n") + 1 or len(document)]
+    header = next(csv_records(document if '"' in first else first, TimelineError), None)
     if header is None:
         raise TimelineError("empty document")
     if len(header) < 2 or header[0].strip() != "timestamp":
@@ -354,39 +367,59 @@ def load_timeline(document: str) -> MempoolTimeline:
 
 
 def _read_rows_numpy(edges: tuple[FeeRate, ...], document: str) -> MempoolTimeline | None:
-    """The timeline from one numpy parse of the document's data rows, or
-    None when the header is quoted (it may span lines), a cell is not a
-    plain int64 or the rows are not a valid timeline."""
+    """The timeline from a numpy parse of the document's data rows, or None
+    when the header is quoted (it may span lines), a cell is not a plain
+    int64 or the rows are not a valid timeline.
+
+    The rows fill one array sized by the document's line count (or by the
+    most rows its length can hold, when that is fewer), one slice of lines
+    at a time. Rows that blank lines, which numpy skips, left unfilled are
+    trimmed off the array's end in place."""
     body = document.find("\n") + 1
     if not body or '"' in document[:body]:
         return None
+    # a row holds a character per cell, a comma between cells and a line end
+    lines = min(
+        document.count("\n", body) + (not document.endswith("\n")),
+        (len(document) - body + 1) // (2 * len(edges) + 2),
+    )
+    counts = np.empty((lines, len(edges)), np.int64)
+    timestamps: list[int] = []
     try:
         # numpy 1.x reads 5.5 in an int column as 5, warning only; and with
         # comments=None numpy fails on '#' rows, which it would drop silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arr = np.loadtxt(
-                chain.from_iterable(_data_lines(document, body)),
-                delimiter=",", dtype=np.int64, ndmin=2, comments=None,
-            )
-        return MempoolTimeline(edges, arr[:, 0].tolist(), arr[:, 1:])
+            for chunk in _data_lines(document, body):
+                rows = np.loadtxt(chunk, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+                if rows.shape[1] != len(edges) + 1:
+                    return None
+                counts[len(timestamps):len(timestamps) + len(rows)] = rows[:, 1:]
+                timestamps += rows[:, 0].tolist()
+        counts.resize((len(timestamps), len(edges)), refcheck=False)
+        return MempoolTimeline(edges, timestamps, counts)
     except (ValueError, OverflowError, Warning):  # TimelineError is a ValueError
         return None
 
 
 TEXT_SLICE = 1 << 16  # characters of the document split into lines at a time
+ROW_SLICE = 1 << 10  # snapshots whose count drops are summed at a time
 
 
 def _data_lines(document: str, start: int):
     """The lines of document from start, as one list per slice of about
     ``TEXT_SLICE`` characters that ends at a line end: no list of every
     line, nor a text stream (a copy of the text at four bytes a character),
-    is ever alive. A lone "\\r" stays inside its line, and numpy fails it."""
+    is ever alive. A lone "\\r" stays inside its line, and numpy fails it.
+    A slice of blank lines alone is left out: numpy would skip its lines,
+    but warn that it holds no data."""
     while start < len(document):
         end = document.find("\n", start + TEXT_SLICE)
         if end < 0:
             end = len(document)
-        yield document[start:end].split("\n")
+        lines = document[start:end].split("\n")
+        if lines.count("") + lines.count("\r") < len(lines):
+            yield lines
         start = end + 1
 
 
@@ -611,7 +644,7 @@ class ReplayEngine:
         self._clock = timeline.timestamps[0]
         self._counts = timeline.counts[0].tolist()  # the current snapshot's band counts
         self._hist: FeeHistogram | None = None  # built by histogram() from _counts
-        self._outflow = timeline.cum_outflow[0].tolist()
+        self._outflow = [0] * len(self._edges)  # each band's count drops since snapshot 0
         self._fee_bound = -1  # no pending fee is above it
         # (fee, at, band, cohort) of the last submit, while that cohort is queued
         self._last: tuple[FeeRate, int, int, _Cohort] | None = None
@@ -635,10 +668,10 @@ class ReplayEngine:
         idx = self.timeline.index_at(t)
         self._last = None  # a later submit at the instant left behind must raise
         if idx != self._snap:
+            self._outflow = list(map(add, self._outflow, self.timeline.outflow(self._snap, idx)))
             self._snap = idx
             self._counts = self.timeline.counts[idx].tolist()
             self._hist = None
-            self._outflow = self.timeline.cum_outflow[idx].tolist()
         self._clock = t
 
     def histogram(self) -> FeeHistogram:

@@ -152,18 +152,20 @@ class NaiveEngine:
         return [tx["fee"] for tx in self.txs.values() if tx["status"] == "pending"]
 
 
-def random_timeline(rng, band_edges, snapshots=50, start=1_000_000, interval=60):
+def random_timeline(rng, band_edges, snapshots=50, start=1_000_000, interval=60, lift=0):
+    """Random-walk band counts; ``lift`` is added to every count of the
+    lowest band, which leaves its drops as they are."""
     counts = []
     level = [rng.randint(0, 30) for _ in band_edges]
     for _ in range(snapshots):
         level = [
             max(0, lv + rng.choice([-12, -6, -3, 0, 0, 3, 7])) for lv in level
         ]
-        counts.append(list(level))
+        counts.append([level[0] + lift] + level[1:])
     return make_timeline(band_edges, counts, start=start, interval=interval)
 
 
-def random_scenario(seed, mass_bumps=False, group_bumps=False):
+def random_scenario(seed, mass_bumps=False, group_bumps=False, lift=0):
     """Random events, several of them at one instant: submit bursts whose ids
     arrive out of lexical order, bumps of several transactions by one beta,
     withdrawals, with ``mass_bumps`` bumps of every pending transaction to
@@ -172,9 +174,9 @@ def random_scenario(seed, mass_bumps=False, group_bumps=False):
     clock stands still for a share of the events, and a burst may be
     followed at its own instant by a withdrawal and a same-fee replacement,
     by a bump of one of its transactions or, with ``group_bumps``, by a
-    group bump."""
+    group bump. ``lift`` is ``random_timeline``'s."""
     rng = random.Random(seed)
-    timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)])
+    timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)], lift=lift)
     fees = {rate: fee(rate) for rate in SUBMIT_FEES}  # one object per value, as the simulators pass them
     start = timeline.timestamps[0]
     end = timeline.timestamps[-1]
@@ -254,7 +256,7 @@ def group_cases(naive, group, new_fee, t):
     }
 
 
-def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=False):
+def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=False, lift=0):
     """Replay one random scenario on both engines and compare them. Returns
     a count per case: how often a transaction re-joined a ``(band, at)``
     cohort that a withdrawal left at that instant (``rejoined``), how often
@@ -262,7 +264,7 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
     (``remembered``), how often a bump kept a transaction in its band at the
     instant it was submitted (``same_band``), and how often a group bump
     exercised each case of ``group_cases``."""
-    timeline, events = random_scenario(seed, mass_bumps, group_bumps)
+    timeline, events = random_scenario(seed, mass_bumps, group_bumps, lift)
     fast = ReplayEngine(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
     left = set()  # (band, at) of cohorts that a withdrawal left at their instant
@@ -381,6 +383,18 @@ def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
         submits += sum(e[0] == "submit" for e in random_scenario(seed)[1])
     assert fallbacks >= 3 + 30
     assert submits - (fallbacks - 3) >= 30
+
+
+def test_counts_near_int64_match_naive_reference():
+    """A lowest band lifted by 2**62 puts every timeline past the cheap
+    int64 bound on the cumulative outflow, max(counts) * (snapshots - 1);
+    its drops stay small, so the exact sum lets it load, and replays on it
+    confirm what the naive engine confirms."""
+    for seed in range(10):
+        timeline = random_scenario(seed, lift=2**62)[0]
+        assert int(timeline.counts.max()) * (len(timeline) - 1) >= 2**63
+        replay_both(seed, lift=2**62)
+        replay_both(seed, ConstantAverage(2.7), mass_bumps=True, lift=2**62)
 
 
 def test_bump_all_matches_per_transaction_bumps():

@@ -237,6 +237,13 @@ class TestLoadTimeline:
         with pytest.raises(TimelineError, match="cumulative outflow does not fit in int64"):
             load_timeline(WRAPPING_TIMELINE)
 
+    def test_outflow_summed_exactly_past_the_bound(self):
+        # max(counts) * (snapshots - 1) = 2**63 fails the cheap bound, yet
+        # the one drop of 2**62 - 5 fits int64
+        tl = load_timeline(NEAR_INT64_TIMELINE)
+        assert tl.outflow(0, 3) == [2**62 - 5, 5]
+        assert tl.outflow(2, 3) == [2**62 - 5, 0]
+
     def test_lone_carriage_return_is_timeline_error(self):
         with pytest.raises(TimelineError, match="line 2: new-line character"):
             load_timeline("timestamp,0\n1600000000,1\r1600000060,2\n")
@@ -286,7 +293,24 @@ class TestLoadTimeline:
         tl = load_timeline("timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4\n\n")
         assert parses == [(False, 0)]
         assert tl.counts.tolist() == [[7, 3], [2, 4]]
-        assert tl.cum_outflow.tolist() == [[0, 0], [5, 0]]
+        assert tl.outflow(0, 1) == [5, 0]
+
+    @pytest.mark.parametrize("document, first_read", [
+        ("timestamp,0,5\r\n1600000000,7,3\r\n1600000060,2,4\n", "timestamp,0,5\r\n"),
+        ("timestamp,0,5", "timestamp,0,5"),
+        # a quoted header may span lines, so the csv reader gets the whole document
+        ('"timestamp","0","5\n"\n1,5,2\n', '"timestamp","0","5\n"\n1,5,2\n'),
+    ], ids=["plain", "no-newline", "quoted"])
+    def test_header_is_read_from_its_first_line_unless_quoted(self, monkeypatch, document, first_read):
+        csv_records, read = mempool.csv_records, []
+
+        def tracked_records(document, error):
+            read.append(document)
+            yield from csv_records(document, error)
+
+        monkeypatch.setattr(mempool, "csv_records", tracked_records)
+        parse_outcome(document)
+        assert read[0] == first_read
 
     def test_parse_holds_no_list_of_lines(self):
         # A list of the document's lines costs a str object (about 64 bytes
@@ -308,10 +332,51 @@ class TestLoadTimeline:
         assert len(tl) == 20_000
         assert peak - held < line_list / 2
 
+    def test_blank_lines_do_not_size_the_array(self):
+        # 200,000 blank lines and one row: the array is sized by the rows
+        # the text can hold, not by its line count (57.6 MB of 36 bands)
+        header = "timestamp," + ",".join(map(str, mempool.DEFAULT_BAND_EDGES_SAT)) + "\n"
+        row = f"{T0}," + ",".join(["7"] * len(mempool.DEFAULT_BAND_EDGES_SAT))
+        tracemalloc.start()
+        try:
+            tl = load_timeline(header + "\n" * 200_000 + row + "\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tl.counts.tolist() == [[7] * len(mempool.DEFAULT_BAND_EDGES_SAT)]
+        assert peak < 4 * 1024 * 1024
+
+    def test_parse_holds_the_counts_and_a_slice(self):
+        # 5,000 rows of the 36-band grid: 1.44 MB of counts. The timeline
+        # keeps the counts and the timestamps and nothing else of their
+        # size; the parse needs a few slices of text beyond them, however
+        # many rows there are, and summing the outflow a few row slices.
+        bands = len(mempool.DEFAULT_BAND_EDGES_SAT)
+        document = "timestamp," + ",".join(map(str, mempool.DEFAULT_BAND_EDGES_SAT)) + "\n" + "".join(
+            f"{T0 + 60 * i}," + ",".join(str((7 * i + 13 * b) % 5000) for b in range(bands)) + "\n"
+            for i in range(5_000)
+        )
+        tracemalloc.start()
+        try:
+            tl = load_timeline(document)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            outflow = tl.outflow(0, len(tl) - 1)
+            summed = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert tl.counts.shape == (5_000, bands) and tl.counts.base is None
+        timestamps = sys.getsizeof(tl.timestamps) + sum(map(sys.getsizeof, tl.timestamps))
+        assert held <= tl.counts.nbytes + timestamps + 64 * 1024
+        assert peak - held <= 8 * mempool.TEXT_SLICE
+        assert summed <= 3 * mempool.ROW_SLICE * tl.counts.itemsize * bands
+        assert outflow == direct_outflow(tl.counts.tolist(), len(tl) - 1)
+
 
 WRAPPING_TIMELINE = (
     "timestamp,0\n1,9000000000000000000\n2,0\n3,9000000000000000000\n4,0\n"
 )
+NEAR_INT64_TIMELINE = f"timestamp,0,5\n1,{2**62},5\n2,{2**62},0\n3,{2**62},3\n4,5,3\n"
 
 
 def parse_outcome(document):
@@ -321,7 +386,7 @@ def parse_outcome(document):
         tl = load_timeline(document)
     except TimelineError as exc:
         return f"TimelineError: {exc}"
-    return tl.band_edges, tl.timestamps, tl.counts.tolist(), tl.cum_outflow.tolist()
+    return tl.band_edges, tl.timestamps, tl.counts.tolist(), [tl.outflow(0, i) for i in range(len(tl))]
 
 
 def both_parses(document):
@@ -415,6 +480,7 @@ class TestParsePathsAgree:
             HEADER + "1,1e30,2\n",
             HEADER + "1,9223372036854775807,2\n2,0,0\n",
             WRAPPING_TIMELINE,
+            NEAR_INT64_TIMELINE,
         ],
     )
     def test_documents(self, document):
@@ -728,6 +794,79 @@ class TestDecay:
         eng = simple_engine([[0, 0, 0]])
         with pytest.raises(TimelineError, match="outside timeline range"):
             eng.apply_block(BlockEntry(1, T0 + 1, 0))
+
+
+def direct_outflow(rows, j):
+    """Each band's count drops from row 0 to row j, summed one row at a time."""
+    total = [0] * len(rows[0])
+    for old, new in zip(rows[:j], rows[1:j + 1]):
+        total = [acc + max(0, a - b) for acc, a, b in zip(total, old, new)]
+    return total
+
+
+def check_carried_outflow(rows, visits):
+    """Visit the timeline of rows at the non-decreasing (snapshot, seconds
+    into it) instants of visits, submitting one transaction each, in the
+    band that the visit's index picks. At every visit the engine's carried
+    outflow, and every pending transaction's ``same_band_ahead``, must equal
+    a direct sum from row 0."""
+    edges = [0, 10, 50][:len(rows[0])]
+    eng = ReplayEngine(make_timeline(edges, rows))
+    entries = []  # (tx id, band, snapshot) per submit
+    last = 0
+    for n, (i, offset) in enumerate(visits):
+        band = n % len(edges)
+        eng.submit(n, fee(edges[band]), T0 + 60 * i + offset)
+        entries.append((n, band, i))
+        now = direct_outflow(rows, i)
+        assert eng._outflow == now
+        assert eng.timeline.outflow(last, i) == [b - a for a, b in zip(direct_outflow(rows, last), now)]
+        last = i
+        for tx_id, b, at in entries:
+            drained = now[b] - direct_outflow(rows, at)[b]
+            assert eng.same_band_ahead(tx_id) == max(0, rows[at][b] - drained)
+
+
+class TestCarriedOutflow:
+    """The engine's cumulative outflow, carried from snapshot 0 by adding
+    ``MempoolTimeline.outflow`` at each snapshot change, against a direct
+    sum from row 0."""
+
+    ROWS = [[9, 4], [2, 6], [2, 1], [5, 0], [0, 3], [7, 7], [1, 2], [1, 0]]
+
+    @pytest.mark.parametrize("visits", [
+        [(6, 0), (7, 0)],  # a first jump to a late start
+        [(0, 0), (0, 0), (0, 30), (3, 0), (3, 59), (3, 59), (7, 0)],  # repeated visits to one snapshot
+        [(0, 0), (7, 0)],  # one jump across every row
+        [(1, 10), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0)],  # one snapshot at a time
+    ], ids=["late-start", "repeated", "whole", "stepwise"])
+    @pytest.mark.parametrize("row_slice", [mempool.ROW_SLICE, 1, 3])
+    def test_visits(self, monkeypatch, visits, row_slice):
+        monkeypatch.setattr(mempool, "ROW_SLICE", row_slice)  # jumps longer than one slice
+        check_carried_outflow(self.ROWS, visits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda bands: st.lists(
+            st.lists(st.integers(0, 20), min_size=bands, max_size=bands), min_size=1, max_size=12
+        )).flatmap(lambda rows: st.tuples(
+            st.just(rows),
+            st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 59)), min_size=1, max_size=8),
+            st.integers(1, 4),
+        ))
+    )
+    def test_random_visits(self, case):
+        rows, visits, row_slice = case
+        last = len(rows) - 1  # the timeline ends at its last snapshot's instant
+        visits = sorted((i, offset if i < last else 0) for i, offset in visits)
+        with mock.patch.object(mempool, "ROW_SLICE", row_slice):
+            check_carried_outflow(rows, visits)
+
+    def test_a_jump_longer_than_a_slice(self):
+        rows = [[(7 * i) % 11, (5 * i) % 13] for i in range(2 * mempool.ROW_SLICE + 5)]
+        tl = make_timeline([0, 10], rows)
+        assert tl.outflow(0, len(rows) - 1) == direct_outflow(rows, len(rows) - 1)
+        assert tl.outflow(3, 3) == [0, 0]
 
 
 class TestApplyBlock:
