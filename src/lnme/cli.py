@@ -94,11 +94,51 @@ def _read_input(args, name: str) -> str:
     universal newlines) and dropped before the text is parsed. Pass the
     text straight to its parser and keep no local of it, so that a parser
     that drops its argument (``parse_lnd_graph``) frees the text once its
-    next form exists; CPython 3.10 keeps it to the parser's return."""
+    next form exists; CPython 3.10 keeps it to the parser's return.
+
+    The timeline, the largest input, does not come through here: it is
+    streamed (see ``_read_timeline``), so that only its counts, int32 while
+    every count is below 2**31 and int64 from the first that is not, and a
+    slice of its text are alive; never its whole text or its bytes."""
     data = Path(getattr(args, INPUTS[name])).read_bytes()
     args.digests[name] = hashlib.sha256(data).hexdigest()
     with io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)) as stream:
         return stream.read()
+
+
+class _HashedReads(io.RawIOBase):
+    """A raw binary file whose every read also feeds ``sha256``: the digest
+    of exactly the bytes read through it."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def fileno(self) -> int:
+        return self._raw.fileno()
+
+
+def _read_timeline(args):
+    """The timeline, parsed as it is read. The file is opened once and
+    decoded as ``_read_input`` decodes (the locale's encoding, universal
+    newlines), and ``load_timeline`` reads it a slice at a time to its end;
+    every byte the decoder pulls is hashed on the way. The manifest records
+    that digest once the parse has read the whole file, so it is the SHA-256
+    of the bytes the run parsed."""
+    with open(args.timeline, "rb", buffering=0) as raw:
+        hashed = _HashedReads(raw)
+        with io.TextIOWrapper(io.BufferedReader(hashed), encoding=io.text_encoding(None)) as stream:
+            timeline = load_timeline(stream)
+    args.digests["timeline"] = hashed.sha256.hexdigest()
+    return timeline
 
 
 def _output_path(args, suffix: str) -> Path:
@@ -141,7 +181,7 @@ def _load_graph(args):
 
 
 def _build_scenario(args) -> Scenario:
-    timeline = load_timeline(_read_input(args, "timeline"))
+    timeline = _read_timeline(args)
     trace = load_block_trace(_read_input(args, "blocks"))
     if args.scenario in ("1", "2"):
         return preset_scenario(int(args.scenario), timeline, trace, args.avg_block_txs)

@@ -214,15 +214,17 @@ def parse_count(raw, name: str, where: str = "") -> int:
     return value
 
 
-def csv_records(document: str, error: type[ValueError]):
-    """The CSV records of document. A malformed one, such as a field over the
-    csv module's size limit or a lone carriage return inside a line, raises
-    error naming the line."""
-    reader = csv.reader(io.StringIO(document))
+def csv_records(document, error: type[ValueError], offset: int = 0):
+    """The CSV records of document, a str or an iterable of its lines each
+    with its line end. A malformed one, such as a field over the csv
+    module's size limit or a lone carriage return inside a line, raises
+    error naming the line: the reader's line number plus offset, the lines
+    before the first one given."""
+    reader = csv.reader(io.StringIO(document) if isinstance(document, str) else document)
     try:
         yield from reader
     except csv.Error as exc:
-        raise error(f"line {reader.line_num}: {exc}") from None
+        raise error(f"line {reader.line_num + offset}: {exc}") from None
 
 
 def dumps_with_records(doc: dict, key: str, columns: dict) -> str:

@@ -63,18 +63,26 @@ list. The ``FeeHistogram`` view of a snapshot is built only when
 ``average`` once, on first read.
 
 A loaded timeline holds one array, its counts, and the list of its
-timestamps. The engine carries each band's cumulative outflow itself: it
-starts at zero at snapshot 0 and adds the timeline's ``outflow(i, j)``
-whenever the clock moves from snapshot i to snapshot j. The parse reads the
-header from the first line alone, counts the data lines and fills one array
-of that size, with one numpy parse per slice of the document that ends at a
-line end. No list of every line, no text stream (a copy of the text at four
-bytes a character) and no growing buffer is alive during it.
+timestamps. The counts are int32 while every count is below 2**31; the
+first count that is not promotes the array, once, to int64, and every sum
+of count drops is taken in int64. The engine carries each band's cumulative
+outflow itself: it starts at zero at snapshot 0 and adds the timeline's
+``outflow(i, j)`` whenever the clock moves from snapshot i to snapshot j.
+``load_timeline`` takes a str or a text stream and reads either in one pass,
+one slice of about ``TEXT_SLICE`` characters that ends at a line end at a
+time: the header from the first line alone, then one numpy parse per slice
+into one array sized by the most rows the source's length can hold (a
+file's pages past the rows written are never touched). A slice numpy
+cannot read whole hands the rest of the source to the cell-by-cell reader,
+at that slice's first line. The whole text is never alive, nor a list of
+every line, a text stream over the text (a copy at four bytes a character)
+or a growing buffer.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
@@ -84,8 +92,9 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, attrgetter, is_
+from typing import TextIO
 
 import numpy as np
 
@@ -229,10 +238,12 @@ class MempoolTimeline:
     """Time-ordered fee-band histograms sharing one band grid.
 
     Nominal cadence is one snapshot per minute; gaps are allowed. The
-    timeline holds its counts as one int64 array and nothing else of their
-    size: ``outflow(i, j)`` sums the count drops between two snapshots on
-    demand. A timeline whose cumulative outflow does not fit int64 is
-    rejected.
+    timeline holds its counts as one array and nothing else of their size:
+    int32 when every count is below 2**31, int64 otherwise. An int32 array
+    is held as given; other counts are read as int64 and narrowed to int32
+    when they fit. ``outflow(i, j)`` sums the count drops between two
+    snapshots on demand, in int64. A timeline whose cumulative outflow does
+    not fit int64 is rejected.
     """
 
     def __init__(self, band_edges, timestamps, counts):
@@ -253,38 +264,49 @@ class MempoolTimeline:
         if stalled.any():
             i = int(stalled.argmax())
             raise TimelineError(f"timestamp {ts[i + 1]} does not increase past {ts[i]}")
-        try:
-            arr = np.asarray(counts, dtype=np.int64)
-        except OverflowError:
-            raise TimelineError("band count does not fit in int64") from None
+        if isinstance(counts, np.ndarray) and counts.dtype == np.int32:
+            arr = counts
+        else:
+            try:
+                arr = np.asarray(counts, dtype=np.int64)
+            except OverflowError:
+                raise TimelineError("band count does not fit in int64") from None
         if arr.shape != (len(ts), len(edges)):
             raise TimelineError(
                 f"counts shape {arr.shape} does not match {len(ts)} snapshots x {len(edges)} bands"
             )
         if arr.min() < 0:
             raise TimelineError("negative band count")
+        top = int(arr.max())
+        if arr.dtype != np.int32 and top < INT32_LIMIT:
+            arr = arr.astype(np.int32)
         self.band_edges = edges
         self.timestamps = ts
         self.counts = arr
         # a band's cumulative outflow is at most max(counts) * (snapshots - 1);
         # only a timeline past that bound has its drops summed exactly
-        if int(arr.max()) * (len(ts) - 1) >= 2**63:
+        if top * (len(ts) - 1) >= 2**63:
             totals = sum(drops.sum(axis=0, dtype=object) for drops in self._drops(0, len(ts) - 1))
             if max(totals) >= 2**63:
                 raise TimelineError("cumulative outflow does not fit in int64")
 
     def outflow(self, i: int, j: int) -> list[int]:
         """Per band, the sum of the count drops from snapshot i to snapshot
-        j >= i: the historical transactions that left the band in between."""
+        j >= i: the historical transactions that left the band in between.
+        A jump of at most ``ROW_SLICE`` snapshots, as nearly every clock move
+        is, takes one subtraction and one sum."""
+        if j - i <= ROW_SLICE:
+            drops = self.counts[i:j] - self.counts[i + 1:j + 1]
+            return np.maximum(drops, 0, out=drops).sum(axis=0, dtype=np.int64).tolist()
         total = np.zeros(len(self.band_edges), np.int64)
         for drops in self._drops(i, j):
-            total += drops.sum(axis=0)
+            total += drops.sum(axis=0, dtype=np.int64)
         return total.tolist()
 
     def _drops(self, i: int, j: int):
         """The count drops from snapshot i to snapshot j, floored at zero,
         as arrays of at most ``ROW_SLICE`` rows: no temporary grows with
-        j - i."""
+        j - i. A drop between two counts of one width fits that width."""
         counts = self.counts
         for lo in range(i, j, ROW_SLICE):
             hi = min(lo + ROW_SLICE, j)
@@ -315,24 +337,37 @@ class MempoolTimeline:
         return len(self.timestamps)
 
 
-def load_timeline(document: str) -> MempoolTimeline:
-    """Parse timeline CSV: header ``timestamp,<edge_0>,<edge_1>,...`` naming
-    band lower edges, then one row of per-band counts per snapshot.
+INT32_LIMIT = 2**31  # counts below it are held as int32
+TEXT_SLICE = 1 << 16  # characters of the timeline read and parsed at a time
+ROW_SLICE = 1 << 10  # snapshots whose count drops are summed at a time
 
-    The data rows are read by one numpy parse when numpy reads every cell
-    cleanly as an int64 and the rows make a valid timeline. Otherwise they
-    are read again cell by cell, and that reading decides: it names the
-    offending line (``line N: bad count ...``) and alone accepts integral
-    floats such as ``5.0``, quoted cells and whitespace-only lines. Where
-    the numpy parse succeeds, the cell-by-cell reading gives the same
-    timeline.
+
+def load_timeline(source: str | TextIO) -> MempoolTimeline:
+    """Parse timeline CSV, given as a str or a text stream: header
+    ``timestamp,<edge_0>,<edge_1>,...`` naming band lower edges, then one
+    row of per-band counts per snapshot.
+
+    The source is read once, one slice of about ``TEXT_SLICE`` characters
+    at a time, and a stream is read to its end. Each slice of data rows is
+    read by one numpy parse when numpy reads every cell cleanly as an int64,
+    each row has the header's width, the timestamps increase and no count is
+    negative. Otherwise the rows are read cell by cell from that slice's
+    first line to the end, and that reading decides: it names the offending
+    line (``line N: bad count ...``) and alone accepts integral floats such
+    as ``5.0``, quoted cells and whitespace-only lines. Where the numpy
+    parse succeeds, the cell-by-cell reading gives the same timeline.
     """
-    # The header comes from the first line alone: a csv reader over the whole
-    # document would copy the text at four bytes a character. A first line
-    # holding a quote gets the whole document, as a quoted header may span
-    # lines.
-    first = document[:document.find("\n") + 1 or len(document)]
-    header = next(csv_records(document if '"' in first else first, TimelineError), None)
+    slices = _text_slices(source)
+    text = next(slices, "")
+    cut = text.find("\n") + 1 or len(text)
+    first, text = text[:cut], text[cut:]
+    records = None
+    if '"' in first:
+        # a quoted header may span lines, so the csv reader reads it all
+        records = csv_records(_lines(chain([first, text], slices)), TimelineError)
+        header = next(records, None)
+    else:
+        header = next(csv_records(first, TimelineError), None)
     if header is None:
         raise TimelineError("empty document")
     if len(header) < 2 or header[0].strip() != "timestamp":
@@ -341,86 +376,164 @@ def load_timeline(document: str) -> MempoolTimeline:
         edges = tuple(FeeRate.from_sat(cell.strip()) for cell in header[1:])
     except ValueError as exc:
         raise TimelineError(f"bad band edge in header: {exc}") from None
-    timeline = _read_rows_numpy(edges, document)
-    if timeline is not None:
-        return timeline
-    reader = csv_records(document, TimelineError)
-    next(reader)  # the header, read above
     timestamps: list[int] = []
-    rows: list[list[int]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(edges) + 1:
-            raise TimelineError(f"line {lineno}: expected {len(edges) + 1} fields, got {len(row)}")
-        t = _parse_int(row[0], lineno, "timestamp")
-        if timestamps and t <= timestamps[-1]:
-            raise TimelineError(f"line {lineno}: timestamp {t} out of order (after {timestamps[-1]})")
-        counts = [_parse_int(cell, lineno, "count") for cell in row[1:]]
-        if any(c < 0 for c in counts):
-            raise TimelineError(f"line {lineno}: negative count")
-        timestamps.append(t)
-        rows.append(counts)
+    counts = _CountRows(len(edges), _row_bound(source, len(edges)))
+    lineno = 2  # of the first line not yet read
+    if records is None:
+        for text in chain([text], slices):
+            rows = _read_rows_numpy(text, len(edges) + 1, timestamps[-1] if timestamps else None)
+            if rows is None:
+                # a stream cannot be read again: the cell-by-cell reading
+                # takes over at this slice's first line
+                records = csv_records(_lines(chain([text], slices)), TimelineError, lineno - 1)
+                break
+            counts.put(rows[:, 1:])
+            timestamps += rows[:, 0].tolist()
+            del rows  # before numpy parses the next slice
+            lineno += text.count("\n")
+    if records is not None:
+        _read_rows_csv(records, lineno, len(edges) + 1, timestamps, counts)
     if not timestamps:
         raise TimelineError("timeline must be non-empty")
-    return MempoolTimeline(edges, timestamps, rows)
+    return MempoolTimeline(edges, timestamps, counts.array())
 
 
-def _read_rows_numpy(edges: tuple[FeeRate, ...], document: str) -> MempoolTimeline | None:
-    """The timeline from a numpy parse of the document's data rows, or None
-    when the header is quoted (it may span lines), a cell is not a plain
-    int64 or the rows are not a valid timeline.
+def _text_slices(source: str | TextIO):
+    """The text of source in slices of ``TEXT_SLICE`` characters, each run
+    on to the end of its last line. A stream is read that way; a str is
+    sliced where it lies, at the same places. No copy of the whole text, nor
+    a text stream over it (a copy at four bytes a character), is ever
+    made."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + TEXT_SLICE - 1) + 1 or len(source)
+            yield source[start:end]
+            start = end
+        return
+    while text := source.read(TEXT_SLICE):
+        while not text.endswith("\n") and (rest := source.readline()):
+            text += rest
+        yield text
 
-    The rows fill one array sized by the document's line count (or by the
-    most rows its length can hold, when that is fewer), one slice of lines
-    at a time. Rows that blank lines, which numpy skips, left unfilled are
-    trimmed off the array's end in place."""
-    body = document.find("\n") + 1
-    if not body or '"' in document[:body]:
-        return None
-    # a row holds a character per cell, a comma between cells and a line end
-    lines = min(
-        document.count("\n", body) + (not document.endswith("\n")),
-        (len(document) - body + 1) // (2 * len(edges) + 2),
-    )
-    counts = np.empty((lines, len(edges)), np.int64)
-    timestamps: list[int] = []
+
+def _lines(slices):
+    """The lines of the slices, each with its line end, for a csv reader."""
+    for text in slices:
+        *lines, last = text.split("\n")
+        for line in lines:
+            yield line + "\n"
+        if last:
+            yield last
+
+
+def _row_bound(source: str | TextIO, bands: int) -> int:
+    """The most data rows the source can hold: a row holds a character per
+    cell, a comma between cells and a line end. A str counts its lines too.
+    A file holds no more characters than bytes, and the pages of the count
+    array past the rows written are never touched, so never resident. A
+    stream that is not a file gives 0, and the array grows as rows come."""
+    row = 2 * bands + 2
+    if isinstance(source, str):
+        return min(source.count("\n") + 1, (len(source) + 1) // row)
+    try:
+        size = os.fstat(source.fileno()).st_size
+    except (AttributeError, OSError):
+        return 0
+    return (size + 1) // row
+
+
+class _CountRows:
+    """The count rows of a timeline being read, in one array sized in
+    advance: int32 while every count is below 2**31, promoted once to int64
+    at the first count that is not. A source that outgrows the array (a
+    stream of unknown size) doubles it."""
+
+    def __init__(self, bands: int, rows: int):
+        self._array = np.empty((rows, bands), np.int32)
+        self._filled = 0
+        self._rejected = None  # the first rows that do not fit int64
+
+    def put(self, rows) -> None:
+        """Append rows: an int64 array, or lists of non-negative ints."""
+        if self._rejected is not None:
+            return
+        try:
+            rows = np.asarray(rows, dtype=np.int64)
+        except OverflowError:
+            self._rejected = rows
+            return
+        if not len(rows):
+            return
+        array, filled = self._array, self._filled
+        if array.dtype == np.int32 and rows.max() >= INT32_LIMIT:
+            array = np.empty(array.shape, np.int64)
+            array[:filled] = self._array[:filled]
+            self._array = array
+        end = filled + len(rows)
+        if end > len(array):
+            array.resize((max(end, 2 * len(array)), array.shape[1]), refcheck=False)
+        array[filled:end] = rows
+        self._filled = end
+
+    def array(self):
+        """The rows put, as the array trimmed in place; or the first rows
+        that do not fit int64, which ``MempoolTimeline`` rejects after it
+        has checked the band edges and the timestamps."""
+        if self._rejected is not None:
+            return self._rejected
+        self._array.resize((self._filled, self._array.shape[1]), refcheck=False)
+        return self._array
+
+
+def _read_rows_numpy(text: str, width: int, last: int | None) -> np.ndarray | None:
+    """The rows of one slice of text as numpy reads them, timestamp first,
+    or None when the cell-by-cell reading must read them instead: a cell is
+    not a plain int64, a row is not ``width`` cells wide, a timestamp does
+    not increase past the one before (``last`` for the first row) or a
+    count is negative. A slice of blank lines alone gives no rows: numpy
+    would skip its lines, but warn that it holds no data. A lone "\\r"
+    stays inside its line, and numpy fails it."""
+    lines = text.split("\n")
+    if lines.count("") + lines.count("\r") == len(lines):
+        return np.empty((0, width), np.int64)
     try:
         # numpy 1.x reads 5.5 in an int column as 5, warning only; and with
         # comments=None numpy fails on '#' rows, which it would drop silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for chunk in _data_lines(document, body):
-                rows = np.loadtxt(chunk, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-                if rows.shape[1] != len(edges) + 1:
-                    return None
-                counts[len(timestamps):len(timestamps) + len(rows)] = rows[:, 1:]
-                timestamps += rows[:, 0].tolist()
-        counts.resize((len(timestamps), len(edges)), refcheck=False)
-        return MempoolTimeline(edges, timestamps, counts)
-    except (ValueError, OverflowError, Warning):  # TimelineError is a ValueError
+            rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError, Warning):
         return None
+    if rows.shape[1] != width:
+        return None
+    stamps = rows[:, 0]
+    if (last is not None and stamps[0] <= last) or (stamps[1:] <= stamps[:-1]).any():
+        return None
+    return None if rows[:, 1:].min() < 0 else rows
 
 
-TEXT_SLICE = 1 << 16  # characters of the document split into lines at a time
-ROW_SLICE = 1 << 10  # snapshots whose count drops are summed at a time
-
-
-def _data_lines(document: str, start: int):
-    """The lines of document from start, as one list per slice of about
-    ``TEXT_SLICE`` characters that ends at a line end: no list of every
-    line, nor a text stream (a copy of the text at four bytes a character),
-    is ever alive. A lone "\\r" stays inside its line, and numpy fails it.
-    A slice of blank lines alone is left out: numpy would skip its lines,
-    but warn that it holds no data."""
-    while start < len(document):
-        end = document.find("\n", start + TEXT_SLICE)
-        if end < 0:
-            end = len(document)
-        lines = document[start:end].split("\n")
-        if lines.count("") + lines.count("\r") < len(lines):
-            yield lines
-        start = end + 1
+def _read_rows_csv(records, lineno: int, width: int, timestamps: list[int], counts: _CountRows) -> None:
+    """Read the csv records, the first of them on line ``lineno``, cell by
+    cell onto timestamps and counts, naming the first offending line."""
+    batch: list[list[int]] = []
+    for lineno, row in enumerate(records, start=lineno):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise TimelineError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        t = _parse_int(row[0], lineno, "timestamp")
+        if timestamps and t <= timestamps[-1]:
+            raise TimelineError(f"line {lineno}: timestamp {t} out of order (after {timestamps[-1]})")
+        cells = [_parse_int(cell, lineno, "count") for cell in row[1:]]
+        if any(c < 0 for c in cells):
+            raise TimelineError(f"line {lineno}: negative count")
+        timestamps.append(t)
+        batch.append(cells)
+        if len(batch) == ROW_SLICE:
+            counts.put(batch)
+            batch = []
+    counts.put(batch)
 
 
 def _parse_int(cell: str, lineno: int, what: str) -> int:

@@ -600,6 +600,35 @@ class TestManifest:
         assert json.loads((workdir / "x.manifest.json").read_text())["inputs"][name] == parsed
 
 
+    @pytest.mark.parametrize("form", ["plain", "crlf", "quoted-header"])
+    def test_timeline_digest_is_the_sha256_of_its_bytes(self, workdir, form):
+        # longer than a slice of the streamed read; the quoted header sends
+        # the whole file through the cell-by-cell reader
+        rows = "".join(f"{1_600_000_000 + 60 * i},{i % 7},{5000 - i % 4000},{i % 40}\n" for i in range(5_000))
+        text = {"plain": "timestamp,0,10,50\n" + rows,
+                "crlf": ("timestamp,0,10,50\n" + rows).replace("\n", "\r\n"),
+                "quoted-header": '"timestamp","0","10","50"\n' + rows}[form]
+        gen_inputs(workdir, snapshots=3, blocks=10)
+        (workdir / "tl.csv").write_bytes(text.encode())
+        assert run("zombie", "--channels", 10, "--fee", 70, "--timeline", "tl.csv", "--blocks", "bl.csv",
+                   "--out", "z") == EXIT_OK
+        digest = json.loads((workdir / "z.manifest.json").read_text())["inputs"]["timeline"]
+        assert digest == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_the_timeline_is_opened_once(self, workdir, monkeypatch):
+        gen_inputs(workdir, snapshots=10, blocks=10)
+        opened = []
+
+        def tracked_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", tracked_open, raising=False)
+        assert run("zombie", "--channels", 10, "--fee", 70, "--timeline", "tl.csv", "--blocks", "bl.csv",
+                   "--out", "z") == EXIT_OK
+        assert opened == ["tl.csv"]
+
+
 # Every command's manifest, pinned: (argv, exit code, manifest, expected fields).
 SCENARIO = ("--timeline", "tl.csv", "--blocks", "bl.csv")
 MANIFEST_RUNS = [

@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import hashlib
 import io
 import math
 import sys
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, constant_timeline, fee, make_timeline
-from lnme import mempool
+from lnme import cli, mempool
 from lnme.mempool import (
     BlockEntry,
     BlockTrace,
@@ -190,6 +192,21 @@ class TestAverageFee:
         assert average_fee(hist) is hist.average
 
 
+# Documents of plain integer rows, which the numpy parse reads whole.
+PLAIN_DOCUMENTS = {
+    "crlf-and-blank": "timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4",
+    "trailing-newline": "timestamp,0,5\n1600000000,7,3\n1600000060,2,4\n",
+    "no-trailing-newline": "timestamp,0,5\n1600000000,7,3\n1600000060,2,4",
+    "blank-lines": "timestamp,0,5\n\n1600000000,7,3\n\n\n1600000060,2,4\n\n",
+    "crlf": "timestamp,0,5\r\n1600000000,7,3\r\n1600000060,2,4\r\n",
+    "crlf-blank-lines": "timestamp,0,5\r\n\r\n1600000000,7,3\r\n\r\n1600000060,2,4\r\n\r\n",
+    "single-row": "timestamp,0,5\n1600000000,7,3\n",
+    "longer-than-a-slice": "timestamp,0,5\n" + "".join(
+        f"{T0 + 60 * i},{i % 997},{i % 13}\n" for i in range(5_000)
+    ),
+}
+
+
 class TestLoadTimeline:
     def test_basic(self):
         tl = load_timeline("timestamp,0,5\n1600000000,10,3\n")
@@ -228,6 +245,21 @@ class TestLoadTimeline:
         with pytest.raises(TimelineError, match="int64"):
             load_timeline(f"timestamp,0,5\n1600000000,1,{cell}\n")
 
+    @pytest.mark.parametrize("document, message", [
+        (f"timestamp,0,5\n1,{2**63},2\n2,x,3\n", "line 3: bad count 'x'"),
+        (f"timestamp,0,5\n1,{2**63},2\n{2**63},1,1\n", "timestamp does not fit in int64"),
+        (f"timestamp,5,0\n1,{2**63},2\n", "band edges must be strictly ascending"),
+        (f"timestamp,0,5\n1,{2**63},2\n2,1,1\n", "band count does not fit in int64"),
+    ], ids=["bad-line", "timestamp", "edges", "count"])
+    @pytest.mark.parametrize("row_slice", [mempool.ROW_SLICE, 1])
+    def test_a_count_beyond_int64_is_named_after_every_other_fault(self, monkeypatch, document, message, row_slice):
+        # the cell-by-cell reading puts its rows in batches of ROW_SLICE; a
+        # batch beyond int64 is held back until the timeline checks it, after
+        # every line, the band edges and the timestamps
+        monkeypatch.setattr(mempool, "ROW_SLICE", row_slice)
+        with pytest.raises(TimelineError, match=f"^{message}$"):
+            load_timeline(document)
+
     def test_timestamp_beyond_int64_rejected(self):
         with pytest.raises(TimelineError, match="timestamp does not fit in int64"):
             load_timeline("timestamp,0\n1,1\n99999999999999999999,1\n")
@@ -248,20 +280,10 @@ class TestLoadTimeline:
         with pytest.raises(TimelineError, match="line 2: new-line character"):
             load_timeline("timestamp,0\n1600000000,1\r1600000060,2\n")
 
-    @pytest.mark.parametrize("document", [
-        "timestamp,0,5\r\n1600000000,7,3\r\n\n1600000060,2,4",
-        "timestamp,0,5\n1600000000,7,3\n1600000060,2,4\n",
-        "timestamp,0,5\n1600000000,7,3\n1600000060,2,4",
-        "timestamp,0,5\n\n1600000000,7,3\n\n\n1600000060,2,4\n\n",
-        "timestamp,0,5\r\n1600000000,7,3\r\n1600000060,2,4\r\n",
-        "timestamp,0,5\r\n\r\n1600000000,7,3\r\n\r\n1600000060,2,4\r\n\r\n",
-        "timestamp,0,5\n1600000000,7,3\n",
-        "timestamp,0,5\n" + "".join(f"{T0 + 60 * i},{i % 997},{i % 13}\n" for i in range(5_000)),
-    ], ids=["crlf-and-blank", "trailing-newline", "no-trailing-newline", "blank-lines", "crlf",
-            "crlf-blank-lines", "single-row", "longer-than-a-slice"])
+    @pytest.mark.parametrize("document", list(PLAIN_DOCUMENTS.values()), ids=list(PLAIN_DOCUMENTS))
     @pytest.mark.parametrize("slice_chars", [mempool.TEXT_SLICE, 10])
     def test_plain_rows_skip_the_cell_parser(self, monkeypatch, document, slice_chars):
-        with mock.patch.object(mempool, "_read_rows_numpy", lambda edges, body: None):
+        with mock.patch.object(mempool, "_read_rows_numpy", lambda *slice_args: None):
             cells = parse_outcome(document)
 
         def refuse(cell, lineno, what):
@@ -277,10 +299,10 @@ class TestLoadTimeline:
         csv_records, loadtxt = mempool.csv_records, np.loadtxt
         open_readers, parses = [], []
 
-        def tracked_records(document, error):
+        def tracked_records(document, error, offset=0):
             open_readers.append(document)
             try:
-                yield from csv_records(document, error)
+                yield from csv_records(document, error, offset)
             finally:
                 open_readers.remove(document)
 
@@ -304,9 +326,11 @@ class TestLoadTimeline:
     def test_header_is_read_from_its_first_line_unless_quoted(self, monkeypatch, document, first_read):
         csv_records, read = mempool.csv_records, []
 
-        def tracked_records(document, error):
+        def tracked_records(document, error, offset=0):
+            if not isinstance(document, str):
+                document = "".join(document)  # the lines the csv reader is given
             read.append(document)
-            yield from csv_records(document, error)
+            yield from csv_records(document, error, offset)
 
         monkeypatch.setattr(mempool, "csv_records", tracked_records)
         parse_outcome(document)
@@ -366,6 +390,7 @@ class TestLoadTimeline:
         finally:
             tracemalloc.stop()
         assert tl.counts.shape == (5_000, bands) and tl.counts.base is None
+        assert tl.counts.dtype == np.int32
         timestamps = sys.getsizeof(tl.timestamps) + sum(map(sys.getsizeof, tl.timestamps))
         assert held <= tl.counts.nbytes + timestamps + 64 * 1024
         assert peak - held <= 8 * mempool.TEXT_SLICE
@@ -386,6 +411,10 @@ def parse_outcome(document):
         tl = load_timeline(document)
     except TimelineError as exc:
         return f"TimelineError: {exc}"
+    return timeline_fields(tl)
+
+
+def timeline_fields(tl):
     return tl.band_edges, tl.timestamps, tl.counts.tolist(), [tl.outflow(0, i) for i in range(len(tl))]
 
 
@@ -393,7 +422,7 @@ def both_parses(document):
     """parse_outcome of document with the numpy parse, then with the
     cell-by-cell parse alone."""
     fast = parse_outcome(document)
-    with mock.patch.object(mempool, "_read_rows_numpy", lambda edges, body: None):
+    with mock.patch.object(mempool, "_read_rows_numpy", lambda *slice_args: None):
         slow = parse_outcome(document)
     return fast, slow
 
@@ -431,58 +460,59 @@ def timeline_documents(draw):
     )
 
 
+# Documents that probe where the numpy parse must defer to the cell-by-cell one.
+AGREEING_DOCUMENTS = [
+    # line endings and blank lines
+    HEADER + "1,1,2\r\n2,3,4\r\n",
+    HEADER + "1,1,2\n\n2,3,4\n\n",
+    HEADER + "1,1,2\n   \n2,3,4\n",
+    HEADER + "1,1,2\n\t\n2,3,4\n",
+    HEADER + "1,1,2\n2,3,4",
+    "timestamp,0,5\r\n1,1,2\r\n\r\n2,3,4",
+    HEADER + "1,1,2\r2,3,4\n",
+    # cell syntax
+    HEADER + "1,5.0,2\n",
+    HEADER + "+1,+5,2\n",
+    HEADER + "1, 5 ,2\n",
+    HEADER + "1,\t5,2\n",
+    HEADER + '1,"5",2\n',
+    HEADER + "# note\n1,5,2\n",
+    HEADER + "1,5,2 # note\n",
+    HEADER + "1,5_000,2\n",
+    HEADER + "1,1e3,2\n",
+    HEADER + "1,5.5,2\n",
+    HEADER + "1,nan,2\n",
+    HEADER + "1,inf,2\n",
+    HEADER + "1,\u0665,2\n",
+    HEADER + "1,\uff15,2\n",
+    # row shape
+    HEADER + "1,5,2,\n",
+    HEADER + "1,5\n",
+    HEADER + "1,5,2\n2,5\n",
+    HEADER + "1,5,2\n2,5,2,7\n",
+    HEADER + "1,5,2\n",
+    HEADER,
+    "timestamp,0,5",
+    '"timestamp","0","5"\n1,5,2\n',
+    '"timestamp","0","5\n"\n1,5,2\n',
+    # values
+    HEADER + "1,-5,2\n",
+    HEADER + "1,5,2\n1,5,2\n",
+    HEADER + "2,5,2\n1,5,2\n",
+    HEADER + "1,99999999999999999999,2\n",
+    HEADER + "99999999999999999999,5,2\n",
+    HEADER + "1,1e30,2\n",
+    HEADER + "1,9223372036854775807,2\n2,0,0\n",
+    WRAPPING_TIMELINE,
+    NEAR_INT64_TIMELINE,
+]
+
+
 class TestParsePathsAgree:
     """The numpy parse of timeline rows against the cell-by-cell reference:
     equal timelines, or TimelineErrors with equal messages."""
 
-    @pytest.mark.parametrize(
-        "document",
-        [
-            # line endings and blank lines
-            HEADER + "1,1,2\r\n2,3,4\r\n",
-            HEADER + "1,1,2\n\n2,3,4\n\n",
-            HEADER + "1,1,2\n   \n2,3,4\n",
-            HEADER + "1,1,2\n\t\n2,3,4\n",
-            HEADER + "1,1,2\n2,3,4",
-            "timestamp,0,5\r\n1,1,2\r\n\r\n2,3,4",
-            HEADER + "1,1,2\r2,3,4\n",
-            # cell syntax
-            HEADER + "1,5.0,2\n",
-            HEADER + "+1,+5,2\n",
-            HEADER + "1, 5 ,2\n",
-            HEADER + "1,\t5,2\n",
-            HEADER + '1,"5",2\n',
-            HEADER + "# note\n1,5,2\n",
-            HEADER + "1,5,2 # note\n",
-            HEADER + "1,5_000,2\n",
-            HEADER + "1,1e3,2\n",
-            HEADER + "1,5.5,2\n",
-            HEADER + "1,nan,2\n",
-            HEADER + "1,inf,2\n",
-            HEADER + "1,\u0665,2\n",
-            HEADER + "1,\uff15,2\n",
-            # row shape
-            HEADER + "1,5,2,\n",
-            HEADER + "1,5\n",
-            HEADER + "1,5,2\n2,5\n",
-            HEADER + "1,5,2\n2,5,2,7\n",
-            HEADER + "1,5,2\n",
-            HEADER,
-            "timestamp,0,5",
-            '"timestamp","0","5"\n1,5,2\n',
-            '"timestamp","0","5\n"\n1,5,2\n',
-            # values
-            HEADER + "1,-5,2\n",
-            HEADER + "1,5,2\n1,5,2\n",
-            HEADER + "2,5,2\n1,5,2\n",
-            HEADER + "1,99999999999999999999,2\n",
-            HEADER + "99999999999999999999,5,2\n",
-            HEADER + "1,1e30,2\n",
-            HEADER + "1,9223372036854775807,2\n2,0,0\n",
-            WRAPPING_TIMELINE,
-            NEAR_INT64_TIMELINE,
-        ],
-    )
+    @pytest.mark.parametrize("document", AGREEING_DOCUMENTS)
     def test_documents(self, document):
         fast, slow = both_parses(document)
         assert fast == slow
@@ -509,6 +539,175 @@ class TestParsePathsAgree:
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert parse_outcome(document) == expected
+
+
+def read_file(path):
+    """The timeline of the file at path as the CLI reads it, streamed; the
+    manifest digest it records must be the SHA-256 of the file's bytes."""
+    args = argparse.Namespace(timeline=str(path), digests={})
+    tl = cli._read_timeline(args)
+    assert args.digests == {"timeline": hashlib.sha256(path.read_bytes()).hexdigest()}
+    return tl
+
+
+def streamed_outcome(path):
+    """What the CLI's streamed read makes of the file at path: the
+    timeline's fields, or the TimelineError message."""
+    try:
+        tl = read_file(path)
+    except TimelineError as exc:
+        return f"TimelineError: {exc}"
+    return timeline_fields(tl)
+
+
+def slice_lines(document):
+    """The line count of each slice that the numpy parse is given."""
+    return [text.count("\n") for text in mempool._text_slices(document)]
+
+
+class TestStreamedRead:
+    """The CLI's streamed read of a timeline file against ``load_timeline``
+    of the file's text, as ``Path.read_text`` decodes it: equal timelines, or
+    TimelineErrors with equal messages."""
+
+    @pytest.mark.parametrize("document", AGREEING_DOCUMENTS + list(PLAIN_DOCUMENTS.values()))
+    @pytest.mark.parametrize("slice_chars", [mempool.TEXT_SLICE, 10])
+    def test_documents(self, tmp_path, monkeypatch, document, slice_chars):
+        monkeypatch.setattr(mempool, "TEXT_SLICE", slice_chars)
+        path = tmp_path / "t.csv"
+        path.write_text(document, newline="")
+        assert streamed_outcome(path) == parse_outcome(path.read_text())
+
+    @pytest.mark.parametrize("slice_chars", [1, 10, 64, mempool.TEXT_SLICE])
+    def test_a_str_and_a_stream_are_sliced_alike(self, tmp_path, monkeypatch, slice_chars):
+        monkeypatch.setattr(mempool, "TEXT_SLICE", slice_chars)
+        document = PLAIN_DOCUMENTS["longer-than-a-slice"] + "\n\n1,2"
+        path = tmp_path / "t.csv"
+        path.write_text(document)
+        with open(path) as stream:
+            streamed = list(mempool._text_slices(stream))
+        assert streamed == list(mempool._text_slices(document))
+        assert "".join(streamed) == document
+        assert all(text.endswith("\n") and len(text) >= slice_chars for text in streamed[:-1])
+
+    def test_a_bad_cell_in_the_third_slice_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mempool, "TEXT_SLICE", 64)
+        rows = [f"{T0 + 60 * i},{i % 10},{3 * i % 10}" for i in range(40)]
+        document = HEADER + "\n".join(rows) + "\n"
+        lines = slice_lines(document)
+        bad = 2 + sum(lines[:2])  # the third slice's second line; the header is line 1
+        rows[bad - 2] = f"{T0 + 60 * (bad - 2)},x,{3 * (bad - 2) % 10}"  # 'x' for a one-digit count
+        document = HEADER + "\n".join(rows) + "\n"
+        assert slice_lines(document) == lines
+        path = tmp_path / "t.csv"
+        path.write_text(document)
+        read_numpy, calls = mempool._read_rows_numpy, []
+
+        def tracked(*args):
+            rows = read_numpy(*args)
+            calls.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(mempool, "_read_rows_numpy", tracked)
+        expected = f"TimelineError: line {bad}: bad count 'x'"
+        assert streamed_outcome(path) == expected
+        assert calls == [True, True, False]  # the cell-by-cell reading took over at the third slice
+        assert parse_outcome(document) == expected
+
+    def test_crlf_split_across_a_read_boundary(self, tmp_path, monkeypatch):
+        # the raw file is read io.DEFAULT_BUFFER_SIZE bytes at a time: put a
+        # "\r\n" across the first boundary, by zero-padding the first count
+        rows = [f"{T0 + 60 * i},{i % 50},{7 * i % 50}" for i in range(1_000)]
+        document = "timestamp,0,5\r\n" + "\r\n".join(rows) + "\r\n"
+        boundary = io.DEFAULT_BUFFER_SIZE - 1
+        pad = boundary - document.rindex("\r", 0, boundary)
+        rows[0] = f"{T0},{'0' * pad}0,0"
+        document = "timestamp,0,5\r\n" + "\r\n".join(rows) + "\r\n"
+        assert document[boundary:boundary + 2] == "\r\n"
+        path = tmp_path / "t.csv"
+        path.write_text(document, newline="")
+        expected = parse_outcome(document.replace("\r\n", "\n"))
+        for slice_chars in (mempool.TEXT_SLICE, 10):
+            monkeypatch.setattr(mempool, "TEXT_SLICE", slice_chars)
+            assert streamed_outcome(path) == expected
+        # a stream that keeps its "\r\n": a slice's read ending on the "\r"
+        # reads on to the "\n"
+        monkeypatch.setattr(mempool, "TEXT_SLICE", len("timestamp,0,5\r\n" + rows[0]) + 1)
+        assert document[:mempool.TEXT_SLICE].endswith("\r")
+        with open(path, newline="") as stream:
+            assert timeline_fields(load_timeline(stream)) == expected == parse_outcome(document)
+
+    def test_a_timestamp_out_of_order_across_a_slice_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mempool, "TEXT_SLICE", 10)  # every row starts a slice of its own
+        document = HEADER + f"{T0},1,2\n{T0 + 60},3,4\n{T0 + 120},5,6\n{T0 + 60},7,8\n{T0 + 180},9,9\n"
+        assert slice_lines(document) == [1, 1, 1, 1, 1, 1]
+        path = tmp_path / "t.csv"
+        path.write_text(document)
+        expected = f"TimelineError: line 5: timestamp {T0 + 60} out of order (after {T0 + 120})"
+        assert streamed_outcome(path) == parse_outcome(document) == expected
+
+    @pytest.mark.parametrize("top, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_a_count_of_2_31_promotes_the_array(self, tmp_path, monkeypatch, top, dtype):
+        monkeypatch.setattr(mempool, "TEXT_SLICE", 10)  # the count arrives after int32 rows
+        rows = [[7, 3], [2, 4], [top, 0], [5, top], [0, 1]]
+        document = HEADER + "".join(f"{T0 + 60 * i},{a},{b}\n" for i, (a, b) in enumerate(rows))
+        path = tmp_path / "t.csv"
+        path.write_text(document)
+        streamed, parsed = read_file(path), load_timeline(document)
+        for tl in (streamed, parsed):
+            assert tl.counts.dtype == dtype and tl.counts.base is None
+            assert tl.counts.tolist() == rows
+            assert tl.outflow(0, 4) == direct_outflow(rows, 4)
+        assert timeline_fields(streamed) == timeline_fields(parsed)
+
+    def test_near_int64_counts(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(NEAR_INT64_TIMELINE)
+        tl = read_file(path)
+        assert tl.counts.dtype == np.int64
+        assert tl.outflow(0, 3) == [2**62 - 5, 5]
+        assert timeline_fields(tl) == parse_outcome(NEAR_INT64_TIMELINE)
+
+    def test_a_stream_of_unknown_size_grows_the_array(self, monkeypatch):
+        monkeypatch.setattr(mempool, "TEXT_SLICE", 10)
+        rows = [[i % 7, 3 * i % 11] for i in range(50)] + [[2**31, 0]] + [[i, i] for i in range(50)]
+        document = HEADER + "".join(f"{T0 + 60 * i},{a},{b}\n" for i, (a, b) in enumerate(rows))
+        stream = io.TextIOWrapper(io.BytesIO(document.encode()), encoding="ascii")
+        assert mempool._row_bound(stream, 2) == 0  # no size: the array starts empty
+        tl = load_timeline(stream)
+        assert tl.counts.dtype == np.int64 and tl.counts.tolist() == rows
+        assert timeline_fields(tl) == parse_outcome(document)
+
+    def test_a_streamed_read_holds_the_counts_and_a_slice(self, tmp_path, monkeypatch):
+        # The 36-band document of test_parse_holds_the_counts_and_a_slice,
+        # read from its file. The count array is sized by the file's length,
+        # and the pages past its rows are never written, so never resident;
+        # tracemalloc counts them all the same. Beyond that reserve and what
+        # the timeline keeps, the read needs a few slices of text, well under
+        # the document's size.
+        bands = len(mempool.DEFAULT_BAND_EDGES_SAT)
+        document = "timestamp," + ",".join(map(str, mempool.DEFAULT_BAND_EDGES_SAT)) + "\n" + "".join(
+            f"{T0 + 60 * i}," + ",".join(str((7 * i + 13 * b) % 5000) for b in range(bands)) + "\n"
+            for i in range(5_000)
+        )
+        path = tmp_path / "t.csv"
+        path.write_text(document)
+        assert len(document) > 12 * mempool.TEXT_SLICE
+        row_bound, bounds = mempool._row_bound, []
+        monkeypatch.setattr(mempool, "_row_bound", lambda *args: bounds.append(row_bound(*args)) or bounds[-1])
+        tracemalloc.start()
+        try:
+            tl = read_file(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tl.counts.dtype == np.int32 and tl.counts.base is None
+        assert bounds == [(path.stat().st_size + 1) // (2 * bands + 2)]  # the CLI's stream tells its size
+        reserve = (bounds[0] - len(tl)) * bands * tl.counts.itemsize
+        timestamps = sys.getsizeof(tl.timestamps) + sum(map(sys.getsizeof, tl.timestamps))
+        assert held <= tl.counts.nbytes + timestamps + 64 * 1024
+        assert peak - held <= reserve + 8 * mempool.TEXT_SLICE
+        assert timeline_fields(tl) == parse_outcome(document)
 
 
 class TestSnapshotAt:
@@ -833,17 +1032,33 @@ class TestCarriedOutflow:
     sum from row 0."""
 
     ROWS = [[9, 4], [2, 6], [2, 1], [5, 0], [0, 3], [7, 7], [1, 2], [1, 0]]
+    # int32 counts whose drops sum past 2**31 in both bands
+    NEAR_INT32_ROWS = [
+        [2**31 - 1, 0], [0, 2**31 - 1], [2**31 - 1, 2**31 - 2], [1, 0],
+        [2**31 - 1, 2**31 - 1], [0, 5], [2**31 - 2, 0], [0, 0],
+    ]
+    VISITS = {
+        "late-start": [(6, 0), (7, 0)],  # a first jump to a late start
+        "repeated": [(0, 0), (0, 0), (0, 30), (3, 0), (3, 59), (3, 59), (7, 0)],  # repeated visits to one snapshot
+        "whole": [(0, 0), (7, 0)],  # one jump across every row
+        "stepwise": [(1, 10), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0)],  # one snapshot at a time
+    }
 
-    @pytest.mark.parametrize("visits", [
-        [(6, 0), (7, 0)],  # a first jump to a late start
-        [(0, 0), (0, 0), (0, 30), (3, 0), (3, 59), (3, 59), (7, 0)],  # repeated visits to one snapshot
-        [(0, 0), (7, 0)],  # one jump across every row
-        [(1, 10), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0)],  # one snapshot at a time
-    ], ids=["late-start", "repeated", "whole", "stepwise"])
+    @pytest.mark.parametrize("visits", list(VISITS.values()), ids=list(VISITS))
     @pytest.mark.parametrize("row_slice", [mempool.ROW_SLICE, 1, 3])
     def test_visits(self, monkeypatch, visits, row_slice):
         monkeypatch.setattr(mempool, "ROW_SLICE", row_slice)  # jumps longer than one slice
         check_carried_outflow(self.ROWS, visits)
+
+    @pytest.mark.parametrize("visits", list(VISITS.values()), ids=list(VISITS))
+    @pytest.mark.parametrize("row_slice", [mempool.ROW_SLICE, 1, 3])
+    def test_int32_counts_near_the_limit(self, monkeypatch, visits, row_slice):
+        monkeypatch.setattr(mempool, "ROW_SLICE", row_slice)
+        tl = make_timeline([0, 10], self.NEAR_INT32_ROWS)
+        assert tl.counts.dtype == np.int32
+        assert tl.outflow(0, 7) == direct_outflow(self.NEAR_INT32_ROWS, 7)
+        assert min(tl.outflow(0, 7)) >= 2**31  # summed in int64, past int32
+        check_carried_outflow(self.NEAR_INT32_ROWS, visits)
 
     @settings(max_examples=200, deadline=None)
     @given(
