@@ -21,41 +21,48 @@ the engine's other ids (the simulators use integers), so ties inside a
 cohort confirm in id order.
 
 The engine queues cohorts, not transactions. A cohort, keyed by ``(band,
-queued_at)``, holds exactly the pending transactions that entered that
-band at that instant (a submission or a bump), in id order; bumps
-elsewhere, withdrawals and confirmations take them out. Only the cohort
-holds its members' queue position and outflow mark, so all of them have
-the same ``same_band_ahead``. Inside a band, cohorts are ordered by
-``(same_band_ahead, queued_at)`` and members by id, which is the priority
-order above. With ``above`` historical transactions in higher bands, one
-block confirms ``max(0, min(live, remaining - above - same_band_ahead))``
-of a cohort's ``live`` members, exactly what confirming them one by one
-would do. So queue order and the confirmation test cost one step per
-cohort, however many identical transactions a mass exit submits and bumps
-together. A pending transaction is one slotted ``MonitoredTx`` record, held
-by the engine's id map and by its cohort's member list, and nothing else.
-The engine reads and sets a status per transaction through the module
-constants ``PENDING``, ``CONFIRMED`` and ``WITHDRAWN``, the ``TxStatus``
-members read once: on CPython 3.11 reading a member through its class costs
-about 200 ns a time. Statuses are compared by identity, never hashed, as an
-``Enum`` member's hash runs Python code.
+queued_at, fee)``, holds exactly the pending transactions that entered that
+band at that instant (a submission or a bump) at that fee, in id order;
+bumps, withdrawals and confirmations take them out. Only the cohort holds
+its members' fee, band, instant, queue position and outflow mark, so all of
+them have the same ``same_band_ahead``. Inside a band, cohorts are ordered
+by ``(same_band_ahead, queued_at)`` and members by id, which is the
+priority order above. Cohorts of one band and one instant tie on position
+(both took it from the same snapshot), so a block confirms their members in
+id order across all of them, as one cohort would. With ``above`` historical
+transactions in higher bands, one block confirms ``max(0, min(live,
+remaining - above - same_band_ahead))`` of such a group's ``live`` members,
+exactly what confirming them one by one would do. So queue order and the
+confirmation test cost one step per cohort, however many identical
+transactions a mass exit submits and bumps together.
+
+A transaction is one slotted ``MonitoredTx`` record of two fields, its id
+and its ``home``: its cohort while it is pending, held by the engine's id
+map and by that cohort's member list, and nothing else. Once it has left,
+``home`` is a ``_Left`` record of the fee, band and instant of its last
+cohort, its status and its confirmation height, shared by the members that
+a block confirms from one cohort, and by the members withdrawn from one
+cohort. The record's ``fee``, ``band``, ``queued_at``, ``status`` and
+``confirmed_height`` are read through ``home``. So a bump writes one field
+per member that moves, and a bump of everything pending that sits in one
+cohort (``bump_all``) renames that cohort in place and touches no member.
+The must-increase check of a bump reads one fee per source cohort. The
+engine reads a status through the module constants ``PENDING``,
+``CONFIRMED`` and ``WITHDRAWN``, the ``TxStatus`` members read once: on
+CPython 3.11 reading a member through its class costs about 200 ns a time.
+Statuses are compared by identity, never hashed, as an ``Enum`` member's
+hash runs Python code.
 
 A mass exit's submissions share one ``FeeRate`` object and one instant. The
-engine remembers the cohort the last submit joined, as ``(fee, at, band,
+engine remembers the cohort the last submit joined, as ``(fee, at,
 cohort)``, and a submit with that same fee object at that instant joins it
-directly: no clock move, band bisect, cohort lookup or fee-bound update,
-only the duplicate check, the id-order check and the append. The engine
-forgets it whenever a cohort leaves the queue (a bump that empties it, or a
-block that finds it empty), when ``bump_all`` rebuilds the queue, and when
-the clock moves, so a submit at an instant the clock has left still raises.
-``submit`` builds the record in place, ``object.__new__`` and six slot
-stores: a class call runs the dataclass ``__init__`` in a frame of its own.
-
-A mass bump (``bump_all``) costs a list slice and three field writes per
-member. The engine keeps an upper bound on pending fees, raised by
-``submit`` and ``bump_group`` and set by ``bump_all``, so a new fee above it
-passes the must-increase check without reading a member; a bound left high
-by a transaction that has since left falls back to reading every fee.
+directly: no clock move, band bisect or cohort lookup, only the duplicate
+check, the id-order check and the append. The engine forgets it whenever a
+cohort leaves the queue (a bump that empties it, or a block that finds it
+empty), when ``bump_all`` renames a cohort, and when the clock moves, so
+a submit at an instant the clock has left still raises. ``submit`` builds
+the record in place, ``object.__new__`` and two slot stores: a class call
+runs ``MonitoredTx.__init__`` in a frame of its own.
 
 Blocks and cohort positions read the current snapshot's counts as a plain
 list. The ``FeeHistogram`` view of a snapshot is built only when
@@ -92,8 +99,9 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
-from operator import add, attrgetter, is_
+from heapq import merge
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import add, attrgetter, ge, is_, itemgetter
 from typing import TextIO
 
 import numpy as np
@@ -241,9 +249,11 @@ class MempoolTimeline:
     timeline holds its counts as one array and nothing else of their size:
     int32 when every count is below 2**31, int64 otherwise. An int32 array
     is held as given; other counts are read as int64 and narrowed to int32
-    when they fit. ``outflow(i, j)`` sums the count drops between two
-    snapshots on demand, in int64. A timeline whose cumulative outflow does
-    not fit int64 is rejected.
+    when they fit. A list of ints is held as the timestamps as given, and
+    checked for order and the int64 range in place, with no copy.
+    ``outflow(i, j)`` sums the count drops between two snapshots on demand,
+    in int64. A timeline whose cumulative outflow does not fit int64 is
+    rejected.
     """
 
     def __init__(self, band_edges, timestamps, counts):
@@ -252,18 +262,19 @@ class MempoolTimeline:
             raise TimelineError("at least one band required")
         if any(lo >= hi for lo, hi in zip(edges, edges[1:])):
             raise TimelineError("band edges must be strictly ascending")
-        ts = [int(t) for t in timestamps]
+        ts = timestamps
+        if type(ts) is not list or not all(map(is_, map(type, ts), repeat(int))):
+            ts = [int(t) for t in timestamps]
         if not ts:
             raise TimelineError("timeline must be non-empty")
-        try:
-            ts_arr = np.asarray(ts, dtype=np.int64)
-        except OverflowError:
-            raise TimelineError("timestamp does not fit in int64") from None
-        # compared, not differenced: np.diff can overflow int64
-        stalled = ts_arr[1:] <= ts_arr[:-1]
-        if stalled.any():
-            i = int(stalled.argmax())
-            raise TimelineError(f"timestamp {ts[i + 1]} does not increase past {ts[i]}")
+        # the first i with ts[i] >= ts[i + 1]; increasing timestamps fit
+        # int64 when both ends do
+        stalled = next(compress(count(), map(ge, ts, islice(ts, 1, None))), None)
+        low, high = (ts[0], ts[-1]) if stalled is None else (min(ts), max(ts))
+        if low < -(2**63) or high >= 2**63:
+            raise TimelineError("timestamp does not fit in int64")
+        if stalled is not None:
+            raise TimelineError(f"timestamp {ts[stalled + 1]} does not increase past {ts[stalled]}")
         if isinstance(counts, np.ndarray) and counts.dtype == np.int32:
             arr = counts
         else:
@@ -551,7 +562,7 @@ def _parse_int(cell: str, lineno: int, what: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockEntry:
     height: int
     timestamp: int
@@ -645,47 +656,109 @@ PENDING, CONFIRMED, WITHDRAWN = TxStatus.PENDING, TxStatus.CONFIRMED, TxStatus.W
 TxId = Hashable  # and ordered against the engine's other ids
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
+class _Left:
+    """Where a transaction that has left the queue left it: the fee, band
+    and instant of its last cohort, its status, and its confirmation height
+    (None unless confirmed). One record serves every member that a block
+    confirms from one cohort, and every member withdrawn from one cohort."""
+
+    fee: FeeRate
+    band: int
+    queued_at: int
+    status: TxStatus
+    confirmed_height: int | None
+
+
 class MonitoredTx:
     """A simulated transaction tracked against historical congestion.
 
-    ``band`` and ``queued_at`` name the cohort that holds its queue
-    position; ``queued_at`` is the replace-by-fee re-submission time used
-    for FIFO tie-breaking. Slotted, as a mass exit keeps millions of them:
-    without a per-instance ``__dict__`` a record takes 80 bytes instead of
-    128 on CPython 3.11.
+    The record holds two fields: ``id`` and ``home``. While the
+    transaction is pending, ``home`` is its cohort, keyed by ``(band,
+    queued_at, fee)``, which holds its queue position; once it has
+    confirmed or been withdrawn, ``home`` is a ``_Left`` record shared with
+    the other members that left that cohort the same way (at the same block,
+    for a confirmation). ``fee``, ``band``, ``queued_at`` (the
+    replace-by-fee re-submission time used for FIFO tie-breaking),
+    ``status`` and ``confirmed_height`` are read-only, through ``home``.
+    Members of the cohorts of one band and one instant confirm in id order
+    across those cohorts. Slotted, as a mass exit keeps millions of them: a
+    record takes 48 bytes on CPython 3.11.
+
+    Built directly, ``MonitoredTx(id, fee, band, status, confirmed_height,
+    queued_at)`` gets a home of its own, outside any engine; two records are
+    equal when those six values are.
     """
 
-    id: TxId  # unique in its engine; breaks ties inside a cohort
-    fee: FeeRate
-    band: int
-    status: TxStatus = TxStatus.PENDING
-    confirmed_height: int | None = None
-    queued_at: int = 0
+    __slots__ = ("id", "home")
+
+    def __init__(
+        self,
+        id: TxId,
+        fee: FeeRate,
+        band: int,
+        status: TxStatus = TxStatus.PENDING,
+        confirmed_height: int | None = None,
+        queued_at: int = 0,
+    ):
+        self.id = id  # unique in its engine; breaks ties between members of tied cohorts
+        self.home = _Left(fee, band, queued_at, status, confirmed_height)
+
+    fee = property(attrgetter("home.fee"))
+    band = property(attrgetter("home.band"))
+    status = property(attrgetter("home.status"))
+    confirmed_height = property(attrgetter("home.confirmed_height"))
+    queued_at = property(attrgetter("home.queued_at"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _tx_fields(self) == _tx_fields(other)
+
+    __hash__ = None  # mutable and compared by value, as a dataclass would be
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(id={self.id!r}, fee={self.fee!r}, band={self.band!r}, "
+            f"status={self.status!r}, confirmed_height={self.confirmed_height!r}, queued_at={self.queued_at!r})"
+        )
 
 
+_tx_fields = attrgetter("id", "fee", "band", "status", "confirmed_height", "queued_at")
 _new_tx = object.__new__  # MonitoredTx has no __new__ of its own
 
 
 class _Cohort:
-    """The pending transactions that entered one band at one instant.
+    """The pending transactions that entered one band at one instant at one
+    fee, keyed in the engine by ``(band, queued_at, fee)``.
 
-    ``members[head:]`` are exactly the pending transactions whose current
-    ``(band, queued_at)`` is the cohort's, in id order; entries before
-    ``head`` have confirmed or left. ``pos`` and ``mark`` are the band's
-    count and cumulative outflow when the cohort was created: the queue
-    position every member holds, drained by the band's outflow since then.
+    ``members[head:]`` are exactly the pending transactions whose ``home``
+    is this cohort, in id order; entries before ``head`` have confirmed or
+    left. ``pos`` and ``mark`` are the band's count and cumulative outflow
+    when the cohort took its key: the queue position every member holds,
+    drained by the band's outflow since then. Cohorts of one band and one
+    instant took them from the same snapshot, so they tie on position, and
+    a block confirms their members in id order across them. ``status`` and
+    ``confirmed_height`` are the class's, as every member is pending.
     """
 
-    __slots__ = ("band", "queued_at", "pos", "mark", "members", "head")
+    __slots__ = ("band", "queued_at", "fee", "pos", "mark", "members", "head", "_withdrawn")
+    status = PENDING
+    confirmed_height = None
 
-    def __init__(self, band: int, queued_at: int, pos: int, mark: int, members: list[MonitoredTx]):
-        self.band = band
-        self.queued_at = queued_at
-        self.pos = pos
-        self.mark = mark
+    def __init__(self, band: int, queued_at: int, fee: FeeRate, pos: int, mark: int, members: list[MonitoredTx]):
         self.members = members
         self.head = 0
+        self.rename(band, queued_at, fee, pos, mark)
+
+    def rename(self, band: int, queued_at: int, fee: FeeRate, pos: int, mark: int) -> None:
+        """Take a new key and position; every member follows, untouched."""
+        self.band = band
+        self.queued_at = queued_at
+        self.fee = fee
+        self.pos = pos
+        self.mark = mark
+        self._withdrawn = None  # the _Left of members withdrawn under this key
 
     def ahead(self, outflow: list[int]) -> int:
         """Historical transactions of the band still queued before every
@@ -710,6 +783,12 @@ class _Cohort:
             raise ReplayError(f"transaction {tx.id!r} is not in its cohort")
         del members[i]
 
+    def withdrawn(self) -> _Left:
+        """The home of the members withdrawn from this cohort, one for all."""
+        if self._withdrawn is None:
+            self._withdrawn = _Left(self.fee, self.band, self.queued_at, WITHDRAWN, None)
+        return self._withdrawn
+
     def discard(self, ids: set[TxId]) -> None:
         """Take out the live members whose id is in ids, keeping id order."""
         self.members = [tx for tx in self.live() if tx.id not in ids]
@@ -726,16 +805,26 @@ class _Cohort:
     def live(self) -> list[MonitoredTx]:
         return self.members[self.head:]
 
-    def confirm(self, room: int, height: int, out: list[MonitoredTx]) -> int:
-        """Confirm up to room members in id order, appending them to out;
-        returns how many confirmed."""
+    def confirm(self, room: int, height: int) -> list[MonitoredTx]:
+        """Confirm up to room members in id order, sharing one ``_Left``
+        among them; returns them."""
         taken = self.members[self.head:self.head + room]
+        left = _Left(self.fee, self.band, self.queued_at, CONFIRMED, height)
         for tx in taken:
-            tx.status = CONFIRMED
-            tx.confirmed_height = height
-        out.extend(taken)
+            tx.home = left
         self.head += len(taken)
-        return len(taken)
+        return taken
+
+
+def _confirm_tied(cohorts: list[_Cohort], room: int, height: int) -> list[MonitoredTx]:
+    """Confirm up to room members of cohorts that tie on position, in id
+    order across them, as one cohort holding all of them would. Each cohort
+    gives up a prefix of its live members."""
+    runs = [cohort.members[cohort.head:cohort.head + room] for cohort in cohorts]
+    taken = list(islice(merge(*runs, key=attrgetter("id")), room))
+    for cohort, room_here in Counter(map(attrgetter("home"), taken)).items():
+        cohort.confirm(room_here, height)
+    return taken
 
 
 class ReplayEngine:
@@ -751,16 +840,15 @@ class ReplayEngine:
         self._edges = [edge.centi for edge in timeline.band_edges]  # bisected as ints
         self.capacity_mode = capacity_mode
         self.transactions: dict[TxId, MonitoredTx] = {}
-        # band -> queued_at -> cohort
-        self._bands: dict[int, dict[int, _Cohort]] = {}
+        # band -> (queued_at, fee.centi) -> cohort
+        self._bands: dict[int, dict[tuple[int, int], _Cohort]] = {}
         self._snap = 0
         self._clock = timeline.timestamps[0]
         self._counts = timeline.counts[0].tolist()  # the current snapshot's band counts
         self._hist: FeeHistogram | None = None  # built by histogram() from _counts
         self._outflow = [0] * len(self._edges)  # each band's count drops since snapshot 0
-        self._fee_bound = -1  # no pending fee is above it
-        # (fee, at, band, cohort) of the last submit, while that cohort is queued
-        self._last: tuple[FeeRate, int, int, _Cohort] | None = None
+        # (fee, at, cohort) of the last submit, while that cohort is queued
+        self._last: tuple[FeeRate, int, _Cohort] | None = None
         self._last_height: int | None = None
         self._avg = None  # the block average as an integer ratio num / den
         if isinstance(capacity_mode, ConstantAverage):
@@ -810,24 +898,16 @@ class ReplayEngine:
             raise ReplayError(f"duplicate transaction id {tx_id!r}")
         last = self._last
         if last is not None and last[0] is fee and last[1] == at:
-            band, cohort = last[2], last[3]
+            cohort = last[2]
         else:
             self._advance(at)
-            centi = fee.centi
-            band = bisect_right(self._edges, centi) - 1
-            cohort = self._cohort(band, at)
-            self._last = (fee, at, band, cohort)
-            if centi > self._fee_bound:
-                self._fee_bound = centi
-        # built in place: a class call runs the dataclass __init__ in a frame
+            cohort = self._cohort(self._band_index(fee), at, fee)
+            self._last = (fee, at, cohort)
+        # built in place: a class call runs MonitoredTx.__init__ in a frame
         # of its own, and a mass exit submits millions of transactions
         tx = _new_tx(MonitoredTx)
         tx.id = tx_id
-        tx.fee = fee
-        tx.band = band
-        tx.status = PENDING
-        tx.confirmed_height = None
-        tx.queued_at = at
+        tx.home = cohort
         members = cohort.members
         if cohort.head == len(members) or tx_id > members[-1].id:
             members.append(tx)
@@ -848,87 +928,72 @@ class ReplayEngine:
 
     def bump_group(self, txs: list[MonitoredTx], new_fee: FeeRate, at: int) -> None:
         """Bump every transaction of txs to new_fee, as one ``bump`` per
-        member would: afterwards all of them are in new_fee's band's cohort
-        at ``at``, and a member already queued there keeps its place.
-        Nothing changes unless every member is a distinct pending
-        transaction of this engine paying less than new_fee."""
+        member would: afterwards all of them are in the cohort of new_fee's
+        band at ``at`` and new_fee, which no member was in, as new_fee is
+        above every member's fee. Nothing changes unless every member is a
+        distinct pending transaction of this engine paying less than
+        new_fee. The fee check reads one fee per source cohort, and each
+        member that moves gets one field written, its ``home``."""
         if not txs:
             return
         lookup = self.transactions.get
         ids = list(map(attrgetter("id"), txs))
+        homes = list(map(attrgetter("home"), txs))
         known = all(map(is_, map(lookup, ids), txs))
         # compared by identity: hashing an Enum member runs Python code
-        if not known or not all(map(is_, map(attrgetter("status"), txs), repeat(PENDING))):
-            bad = next(tx for tx in txs if lookup(tx.id) is not tx or tx.status is not PENDING)
+        if not known or not all(map(is_, map(attrgetter("status"), homes), repeat(PENDING))):
+            bad = next(tx for tx in txs if lookup(tx.id) is not tx or tx.home.status is not PENDING)
             raise ReplayError(f"transaction {bad.id!r} is not pending")
         leaving = set(ids)
         if len(leaving) != len(ids):
             raise ReplayError("a transaction is listed twice in one bump")
-        top = max(map(attrgetter("fee.centi"), txs))
+        sources = Counter(homes)
+        top = max(map(attrgetter("fee.centi"), sources))
         if new_fee.centi <= top:
             raise ReplayError(f"bump must increase the fee ({new_fee} <= {FeeRate(top)})")
         self._advance(at)
-        band = self._band_index(new_fee)
-        sources = Counter(map(attrgetter("band", "queued_at"), txs))
-        if sources.pop((band, at), 0):
-            # members queued at this instant in the new band stay: the clock
-            # has not moved since their cohort was created, so their position
-            # is the band's count still
-            movers = [tx for tx in txs if tx.band != band or tx.queued_at != at]
-        else:
-            movers = txs
-        for (source_band, queued_at), count in sources.items():
-            cohort = self._bands[source_band][queued_at]
-            if count == len(cohort.members) - cohort.head:
-                self._drop(source_band, queued_at)  # every live member leaves
+        for cohort, moving in sources.items():
+            if moving == len(cohort.members) - cohort.head:
+                self._drop(cohort)  # every live member leaves
             else:
                 cohort.discard(leaving)
+        target = self._cohort(self._band_index(new_fee), at, new_fee)
         for tx in txs:
-            tx.fee = new_fee
-            tx.band = band
-            tx.queued_at = at
-        if movers:
-            self._cohort(band, at).merge(movers)
-        if new_fee.centi > self._fee_bound:
-            self._fee_bound = new_fee.centi
+            tx.home = target
+        target.merge(txs)
 
     def bump_all(self, new_fee: FeeRate, at: int) -> None:
         """Bump every pending transaction to new_fee, as one ``bump`` per
-        pending transaction would, in one pass over the cohorts: afterwards
-        all of them form the single cohort of new_fee's band at ``at``.
+        pending transaction would: afterwards all of them form the single
+        cohort of new_fee's band at ``at`` and new_fee.
 
-        A new_fee above the engine's bound on pending fees needs no fee read;
-        only a bound left high by a transaction that has since confirmed or
-        been withdrawn sends the check to the members' fees."""
-        sources = [cohort for cohorts in self._bands.values() for cohort in cohorts.values()]
-        if len(sources) == 1:
-            movers = sources[0].live()  # already in id order
-        else:
-            movers = [tx for cohort in sources for tx in cohort.live()]
-        if not movers:
+        When one cohort holds every pending transaction, as in a mass exit,
+        the fee check reads its fee and the cohort takes the new key and
+        position in place: no member is touched. Pending transactions in
+        several cohorts are bumped as one group."""
+        sources = [
+            cohort for cohorts in self._bands.values() for cohort in cohorts.values()
+            if cohort.head < len(cohort.members)
+        ]
+        if len(sources) != 1:
+            self.bump_group([tx for cohort in sources for tx in cohort.live()], new_fee, at)
             return
-        if new_fee.centi <= self._fee_bound:
-            top = FeeRate(max(map(attrgetter("fee.centi"), movers)))
-            if new_fee <= top:
-                raise ReplayError(f"bump must increase the fee ({new_fee} <= {top})")
-        if len(sources) > 1:
-            movers.sort(key=attrgetter("id"))
+        cohort = sources[0]
+        if new_fee.centi <= cohort.fee.centi:
+            raise ReplayError(f"bump must increase the fee ({new_fee} <= {cohort.fee})")
         self._advance(at)
         band = self._band_index(new_fee)
-        for tx in movers:
-            tx.fee = new_fee
-            tx.band = band
-            tx.queued_at = at
-        self._fee_bound = new_fee.centi  # may fall below the last submit's fee
+        cohort.rename(band, at, new_fee, *self._position(band))
         self._last = None
-        self._bands = {band: {at: _Cohort(band, at, *self._position(band), movers)}}
+        self._bands = {band: {(at, new_fee.centi): cohort}}
 
     def withdraw(self, tx_id: TxId) -> MonitoredTx:
         tx = self.transactions.get(tx_id)
-        if tx is None or tx.status is not PENDING:
+        if tx is None or tx.home.status is not PENDING:
             raise ReplayError(f"transaction {tx_id!r} is not pending")
-        self._bands[tx.band][tx.queued_at].remove(tx)
-        tx.status = WITHDRAWN
+        cohort = tx.home
+        cohort.remove(tx)
+        tx.home = cohort.withdrawn()
         return tx
 
     def apply_block(self, entry: BlockEntry) -> list[MonitoredTx]:
@@ -952,25 +1017,30 @@ class ReplayEngine:
             above = suffix[band + 1]  # band -1 sits below the whole mempool
             if above >= remaining:
                 break  # lower bands have even more above them
-            for ahead, _, cohort in self._queue(band):
+            for ahead, tied in self._queue(band):
                 room = remaining - above - ahead
                 if room <= 0:
-                    break  # cohorts ascend by position: the rest of the band fails too
-                remaining -= cohort.confirm(room, entry.height, confirmed)
+                    break  # groups ascend by position: the rest of the band fails too
+                if len(tied) == 1:
+                    taken = tied[0].confirm(room, entry.height)
+                else:
+                    taken = _confirm_tied(tied, room, entry.height)
+                confirmed += taken
+                remaining -= len(taken)
         return confirmed
 
     def pending(self) -> list[MonitoredTx]:
         """Pending transactions in submission order."""
-        return [tx for tx in self.transactions.values() if tx.status is PENDING]
+        return [tx for tx in self.transactions.values() if tx.home.status is PENDING]
 
     def same_band_ahead(self, tx_id: TxId) -> int:
         """Historical transactions in a pending transaction's band that must
         confirm before it: the band count when it entered its cohort,
         drained by the band's outflow since then, floored at zero."""
         tx = self.transactions.get(tx_id)
-        if tx is None or tx.status is not PENDING:
+        if tx is None or tx.home.status is not PENDING:
             raise ReplayError(f"transaction {tx_id!r} is not pending")
-        return self._bands[tx.band][tx.queued_at].ahead(self._outflow)
+        return tx.home.ahead(self._outflow)
 
     # -- internals ---------------------------------------------------------
 
@@ -980,36 +1050,39 @@ class ReplayEngine:
             return 0, 0
         return self._counts[band], self._outflow[band]
 
-    def _cohort(self, band: int, at: int) -> _Cohort:
+    def _cohort(self, band: int, at: int, fee: FeeRate) -> _Cohort:
         cohorts = self._bands.get(band)
         if cohorts is None:
             cohorts = self._bands[band] = {}
-        cohort = cohorts.get(at)
+        key = (at, fee.centi)
+        cohort = cohorts.get(key)
         if cohort is None:
-            cohort = cohorts[at] = _Cohort(band, at, *self._position(band), [])
+            cohort = cohorts[key] = _Cohort(band, at, fee, *self._position(band), [])
         return cohort
 
-    def _drop(self, band: int, queued_at: int) -> None:
+    def _drop(self, cohort: _Cohort) -> None:
         """Take the cohort out of its band, and forget the last submit's
         cohort: it may be this one."""
-        cohorts = self._bands[band]
-        del cohorts[queued_at]
+        cohorts = self._bands[cohort.band]
+        del cohorts[cohort.queued_at, cohort.fee.centi]
         if not cohorts:
-            del self._bands[band]
+            del self._bands[cohort.band]
         self._last = None
 
-    def _queue(self, band: int) -> list[tuple[int, int, _Cohort]]:
-        """The band's cohorts as (same_band_ahead, queued_at, cohort) in
-        priority order, dropping cohorts that every member left."""
+    def _queue(self, band: int) -> list[tuple[int, list[_Cohort]]]:
+        """The band's cohorts in priority order, as (same_band_ahead,
+        cohorts) groups of the cohorts that entered the band at one instant
+        and so tie on position; cohorts that every member left are
+        dropped."""
         outflow = self._outflow
         order = []
-        for queued_at, cohort in list(self._bands[band].items()):
+        for cohort in list(self._bands[band].values()):
             if cohort.head == len(cohort.members):
-                self._drop(band, queued_at)
+                self._drop(cohort)
             else:
-                order.append((cohort.ahead(outflow), queued_at, cohort))
-        order.sort()  # queued_at is unique in a band, so cohorts never compare
-        return order
+                order.append((cohort.ahead(outflow), cohort.queued_at, cohort.fee.centi, cohort))
+        order.sort()  # (queued_at, fee) is unique in a band, so cohorts never compare
+        return [(ahead, [entry[3] for entry in group]) for (ahead, _), group in groupby(order, itemgetter(0, 1))]
 
     def _block_capacity(self, entry: BlockEntry) -> int:
         if self._avg is None:

@@ -16,7 +16,7 @@ race rule by rule, per block and per channel, and is compared with
 
 import random
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import floor
 
@@ -227,7 +227,8 @@ def random_scenario(seed, mass_bumps=False, group_bumps=False, lift=0):
 def draw_group(rng, naive, t):
     """A random group of pending transactions. Half the time it holds a
     transaction queued at t and no fee above that one's, so that a small
-    beta keeps the group's target at that transaction's own cohort."""
+    beta keeps the group's target in that transaction's band at t, in a
+    cohort that ties with its own on position."""
     pending = [tid for tid, ref in naive.txs.items() if ref["status"] == "pending"]
     fresh = [tid for tid in pending if naive.txs[tid]["queued_at"] == t]
     if fresh and rng.random() < 0.5:
@@ -258,12 +259,14 @@ def group_cases(naive, group, new_fee, t):
 
 def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=False, lift=0):
     """Replay one random scenario on both engines and compare them. Returns
-    a count per case: how often a transaction re-joined a ``(band, at)``
-    cohort that a withdrawal left at that instant (``rejoined``), how often
+    a count per case: how often a transaction entered a band at an instant
+    at which a withdrawal had left a cohort of that band (``rejoined``), how often
     a submit joined the last submit's cohort without a lookup
     (``remembered``), how often a bump kept a transaction in its band at the
-    instant it was submitted (``same_band``), and how often a group bump
-    exercised each case of ``group_cases``."""
+    instant it was submitted (``same_band``), how many block confirmations
+    took a transaction queued in one band at one instant beside a pending
+    transaction of another fee, whose cohorts tie on position (``tied``),
+    and how often a group bump exercised each case of ``group_cases``."""
     timeline, events = random_scenario(seed, mass_bumps, group_bumps, lift)
     fast = ReplayEngine(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
@@ -274,7 +277,7 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
         if kind == "submit":
             _, t, tid, fee_rate = event
             cases["rejoined"] += (naive._band(fee_rate), t) in left
-            last = fast._last  # the remembered (fee, at, band, cohort), or None
+            last = fast._last  # the remembered (fee, at, cohort), or None
             cases["remembered"] += last is not None and last[0] is fee_rate and last[1] == t
             fast.submit(tid, fee_rate, t)
             naive.submit(tid, fee_rate, t)
@@ -322,9 +325,14 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
             fast.withdraw(tid)
         else:
             _, t, height, capacity = event
+            fees = defaultdict(set)  # (band, queued_at) -> fees pending there
+            for ref in naive.txs.values():
+                if ref["status"] == "pending":
+                    fees[ref["band"], ref["queued_at"]].add(ref["fee"])
             got = [tx.id for tx in fast.apply_block(BlockEntry(height, t, capacity))]
             want = naive.apply_block(BlockEntry(height, t, capacity))
             assert got == want, f"seed {seed} height {height}: {got} != {want}"
+            cases["tied"] += sum(len(fees[naive.txs[tid]["band"], naive.txs[tid]["queued_at"]]) > 1 for tid in want)
         # the kept snapshot view must follow every snapshot change
         assert fast.histogram() == fast.timeline.snapshot_at(fast.clock), f"seed {seed} {event}"
     statuses = {"pending": TxStatus.PENDING, "confirmed": TxStatus.CONFIRMED, "withdrawn": TxStatus.WITHDRAWN}
@@ -350,6 +358,7 @@ def test_matches_naive_reference_across_seeds():
     assert cases["rejoined"] >= 30
     assert cases["remembered"] >= 30
     assert cases["same_band"] >= 30
+    assert cases["tied"] >= 30
 
 
 def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
@@ -398,8 +407,10 @@ def test_counts_near_int64_match_naive_reference():
 
 
 def test_bump_all_matches_per_transaction_bumps():
+    cases = Counter()
     for seed in range(30):
-        replay_both(seed, mass_bumps=True)
+        cases += replay_both(seed, mass_bumps=True)
+    assert cases["tied"] >= 30
 
 
 GROUP_CASES = (
@@ -489,9 +500,9 @@ class TestRememberedCohort:
 
         def state():
             cohorts = {
-                (band, queued_at): (c.pos, c.mark, [tx.id for tx in c.live()])
-                for band, by_time in fast._bands.items()
-                for queued_at, c in by_time.items()
+                (c.band, c.queued_at, c.fee): (c.pos, c.mark, [tx.id for tx in c.live()])
+                for by_key in fast._bands.values()
+                for c in by_key.values()
             }
             return fast.clock, dict(fast.transactions), cohorts
 

@@ -761,6 +761,11 @@ def simple_engine(rows, interval=60, **kw):
     return ReplayEngine(tl, **kw)
 
 
+def cohorts(eng):
+    """The engine's queued cohorts by their (band, queued_at, fee) keys."""
+    return {(c.band, c.queued_at, c.fee): c for by_key in eng._bands.values() for c in by_key.values()}
+
+
 def test_histogram_is_built_on_demand(histogram_work):
     built, _ = histogram_work
     eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -818,18 +823,14 @@ class TestSubmitAndBump:
         eng.submit("a", fee(20), T0 + 100)
 
         def state():
-            cohorts = {
-                (band, queued_at): (c.pos, c.mark, [tx.id for tx in c.live()])
-                for band, by_time in eng._bands.items()
-                for queued_at, c in by_time.items()
-            }
-            return eng.clock, eng.histogram(), dict(eng.transactions), eng.pending(), cohorts
+            queued = {key: (c.pos, c.mark, [tx.id for tx in c.live()]) for key, c in cohorts(eng).items()}
+            return eng.clock, eng.histogram(), dict(eng.transactions), eng.pending(), queued
 
         before = state()
         with pytest.raises(error, match=match):
             eng.submit(tx_id, fee(20), at)
         assert state() == before
-        assert before[0] == T0 + 100 and before[4] == {(1, T0 + 100): (5, 0, ["a", "b"])}
+        assert before[0] == T0 + 100 and before[4] == {(1, T0 + 100, fee(20)): (5, 0, ["a", "b"])}
 
     def test_monitored_tx_is_a_slotted_record(self):
         rate = fee(20)
@@ -838,9 +839,13 @@ class TestSubmitAndBump:
         # that "a" looked up, and both records are built in place
         tx, other = eng.submit("a", rate, T0), eng.submit("b", rate, T0)
         assert not hasattr(tx, "__dict__") and not hasattr(other, "__dict__")
-        assert [f.name for f in dataclasses.fields(MonitoredTx)] == [
-            "id", "fee", "band", "status", "confirmed_height", "queued_at",
-        ]
+        assert MonitoredTx.__slots__ == ("id", "home")
+        assert tx.home is other.home  # the cohort holds the fee, band and instant
+        assert (tx.id, tx.fee, tx.band, tx.status, tx.confirmed_height, tx.queued_at) == (
+            "a", fee(20), 1, TxStatus.PENDING, None, T0,
+        )
+        with pytest.raises(AttributeError):
+            tx.fee = fee(30)  # read through home, never written per member
         assert tx == MonitoredTx("a", fee(20), 1, TxStatus.PENDING, None, T0)
         assert other == MonitoredTx("b", fee(20), 1, TxStatus.PENDING, None, T0)
         assert repr(tx) == (
@@ -893,8 +898,8 @@ class TestSubmitAndBump:
 
     @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
     def test_bump_all_below_a_fee_that_has_left(self, leave):
-        # "c" lifted the engine's bound on pending fees to 80 and then left,
-        # so a bump to 50 must read the pending fees, 20 and 30, and proceed
+        # "c" left its cohort at 80 empty, and an empty cohort's fee is no
+        # pending fee: a bump to 50 is above the pending 20 and 30, and proceeds
         eng = simple_engine([[0, 0, 0]] * 3)
         for tid, rate in (("a", 20), ("b", 30), ("c", 80)):
             eng.submit(tid, fee(rate), T0)
@@ -906,7 +911,7 @@ class TestSubmitAndBump:
         assert [(tx.id, tx.fee, tx.queued_at) for tx in eng.pending()] == [
             ("a", fee(50), T0 + 60), ("b", fee(50), T0 + 60),
         ]
-        assert [tx.id for tx in eng._bands[2][T0 + 60].live()] == ["a", "b"]
+        assert [tx.id for tx in cohorts(eng)[2, T0 + 60, fee(50)].live()] == ["a", "b"]
         with pytest.raises(ReplayError, match=r"increase the fee \(50.00 <= 50.00\)"):
             eng.bump_all(fee(50), T0 + 60)
 
@@ -930,10 +935,15 @@ class TestSubmitAndBump:
             eng.submit(tid, fee(rate), T0)
         eng.submit("e", fee(70), T0 + 60)
         eng.bump_group([eng.transactions[t] for t in ("d", "c", "a")], fee(65), T0 + 60)
-        assert [tx.id for tx in eng._bands[1][T0].live()] == ["b"]
-        assert [tx.id for tx in eng._bands[2][T0 + 60].live()] == ["a", "c", "d", "e"]
+        queued = cohorts(eng)
+        assert [tx.id for tx in queued[1, T0, fee(20)].live()] == ["b"]
+        assert [tx.id for tx in queued[2, T0 + 60, fee(65)].live()] == ["a", "c", "d"]
+        assert [tx.id for tx in queued[2, T0 + 60, fee(70)].live()] == ["e"]
         assert {eng.transactions[t].fee for t in "acd"} == {fee(65)}
-        assert T0 not in eng._bands[2]  # "c" was its cohort's only member
+        # "a" and "c" were their cohorts' only members
+        assert (1, T0, fee(12)) not in queued and (2, T0, fee(60)) not in queued
+        # the two cohorts at T0 + 60 tie on position: one group, ids in order
+        assert [tx.id for tx in eng.apply_block(BlockEntry(1, T0 + 60, 19))] == ["a", "c", "d", "e"]
 
     def test_bump_group_needs_pending_members(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -1141,7 +1151,7 @@ class TestApplyBlock:
         blocked = eng.submit("blocked", fee(70), T0)
         # stuck behind a synthetic backlog; the public API never puts a
         # cohort above its band's current count
-        eng._bands[blocked.band][T0].pos = 10**6
+        blocked.home.pos = 10**6
         eng.submit("nimble", fee(20), T0)
         confirmed = eng.apply_block(BlockEntry(1, T0, 5))
         assert [tx.id for tx in confirmed] == ["nimble"]
@@ -1178,7 +1188,7 @@ class TestApplyBlock:
         eng.withdraw("c")
         eng.bump("b", fee(70), T0)  # another band at the same instant
         eng.bump("d", fee(30), T0 + 60)  # the same band at a later instant
-        assert [tx.id for tx in eng._bands[1][T0].live()] == ["a", "e"]
+        assert [tx.id for tx in cohorts(eng)[1, T0, fee(20)].live()] == ["a", "e"]
         confirmed = eng.apply_block(BlockEntry(1, T0 + 60, 10))
         assert [tx.id for tx in confirmed] == ["b", "a", "e", "d"]
         assert eng.transactions["c"].status is TxStatus.WITHDRAWN
@@ -1191,11 +1201,25 @@ class TestApplyBlock:
         if block_between:  # drops the emptied cohort
             assert eng.apply_block(BlockEntry(1, T0, 5)) == []
         eng.submit("b", fee(20), T0)
-        assert list(eng._bands[1]) == [T0]
+        assert list(cohorts(eng)) == [(1, T0, fee(20))]
         assert eng.same_band_ahead("b") == 40
         eng.apply_block(BlockEntry(2, T0 + 60, 0))
         assert eng.same_band_ahead("b") == 25  # drained 15 by outflow
         assert [tx.id for tx in eng.apply_block(BlockEntry(3, T0 + 60, 26))] == ["b"]
+
+    def test_fees_of_one_band_and_instant_confirm_in_id_order(self):
+        # three fees of band 1 at T0 give three cohorts, all behind the
+        # band's 3 historical transactions: one group, confirmed by id
+        eng = simple_engine([[0, 3, 0]] * 3)
+        for tid, rate in (("e", 20), ("b", 30), ("d", 30), ("a", 20), ("c", 25)):
+            eng.submit(tid, fee(rate), T0)
+        assert len(cohorts(eng)) == 3
+        confirmed = eng.apply_block(BlockEntry(1, T0, 6))  # room for 3 of the 5
+        assert [(tx.id, tx.fee, tx.confirmed_height) for tx in confirmed] == [
+            ("a", fee(20), 1), ("b", fee(30), 1), ("c", fee(25), 1),
+        ]
+        assert [tx.id for tx in eng.pending()] == ["e", "d"]
+        assert [tx.id for tx in eng.apply_block(BlockEntry(2, T0 + 60, 10))] == ["d", "e"]
 
     def test_constant_average_capacity(self):
         tl = constant_timeline([0, 10, 50], [0, 0, 0], 5)
@@ -1226,6 +1250,46 @@ class TestApplyBlock:
         for i in range(1, 20_001):
             total += eng._block_capacity(BlockEntry(i, T0, 0))
             assert total == math.floor(i * rate), f"block {i}"
+
+
+class TestCohortHome:
+    """A pending transaction's fee, band and instant live on its cohort; a
+    transaction that has left reads them from the shared record of how it
+    left."""
+
+    def test_one_cohort_bump_all_touches_no_member(self):
+        eng = simple_engine([[0, 0, 9]] * 3)
+        txs = [eng.submit(i, fee(20), T0) for i in range(5)]
+        cohort = txs[0].home
+        eng.bump_all(fee(70), T0 + 60)
+        assert all(tx.home is cohort for tx in txs)  # renamed in place
+        assert list(cohorts(eng)) == [(2, T0 + 60, fee(70))]
+        assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in txs] == [
+            (fee(70), 2, T0 + 60, 9)
+        ] * 5
+        confirmed = eng.apply_block(BlockEntry(1, T0 + 60, 12))
+        assert [tx.id for tx in confirmed] == [0, 1, 2]
+        assert all(tx.home is confirmed[0].home for tx in confirmed)  # one record per cohort and block
+        assert eng.withdraw(3).home is eng.withdraw(4).home  # one record per cohort
+
+    @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
+    def test_left_record_keeps_its_values_through_a_rename(self, leave):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        for tid in ("a", "b", "c"):
+            eng.submit(tid, fee(20), T0)
+        if leave == "withdraw":
+            gone, status, height = eng.withdraw("a"), TxStatus.WITHDRAWN, None
+        else:
+            [gone], status, height = eng.apply_block(BlockEntry(1, T0, 1)), TxStatus.CONFIRMED, 1
+        cohort = eng.transactions["b"].home
+        eng.bump_all(fee(70), T0 + 60)
+        assert eng.transactions["b"].home is cohort
+        later = eng.withdraw("b")  # withdrawn under the cohort's new key
+        assert [(tx.id, tx.fee, tx.band, tx.queued_at, tx.status, tx.confirmed_height) for tx in (gone, later)] == [
+            ("a", fee(20), 1, T0, status, height),
+            ("b", fee(70), 2, T0 + 60, TxStatus.WITHDRAWN, None),
+        ]
+        assert [(tx.id, tx.fee) for tx in eng.pending()] == [("c", fee(70))]
 
 
 class TestEngineProperties:
