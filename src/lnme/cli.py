@@ -558,7 +558,7 @@ def main(argv=None) -> int:
     # A run's data hold no reference cycles: the only cyclic garbage it
     # leaves is its argument parser's and JSON encoder's, a few hundred
     # objects whatever the input. So the cyclic collector would only rescan
-    # the replay's records, a million in a mass exit, and free nothing.
+    # the run's containers, such as the parsed graph's, and free nothing.
     collecting = gc.isenabled()
     gc.disable()
     try:

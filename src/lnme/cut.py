@@ -186,11 +186,12 @@ class CutFile:
 def read_cut_json(document: str) -> CutFile:
     """Re-read a ``cut_to_json`` export. A document of another shape raises
     ``ValueError("malformed cut JSON: ...")``: one with a missing total, a
-    ``cut_channels`` entry whose ``id``, ``node1`` or ``node2`` is not a
-    string, a non-string ``objective``, a ``coalition`` that is not a list of
-    strings, a negative or non-integer capacity, ``k``, ``edge_count`` or
-    ``cut_capacity_sat``, or an ``edge_count`` or ``cut_capacity_sat`` that
-    disagrees with its ``cut_channels``."""
+    ``cut_channels`` that is not a list of objects, an entry whose ``id``,
+    ``node1`` or ``node2`` is not a string, a non-string ``objective``, a
+    ``coalition`` that is not a list of strings, a negative or non-integer
+    capacity, ``k``, ``edge_count`` or ``cut_capacity_sat``, or an
+    ``edge_count`` or ``cut_capacity_sat`` that disagrees with its
+    ``cut_channels``."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -199,6 +200,8 @@ def read_cut_json(document: str) -> CutFile:
         raise ValueError("malformed cut JSON: the document is not an object")
     try:
         entries = doc.get("cut_channels", [])
+        if type(entries) is not list:
+            raise ValueError("cut_channels is not a list")
         try:
             columns = _read_cut_channels_bulk(entries)
         except (KeyError, TypeError, ValueError):
@@ -260,6 +263,8 @@ def _read_cut_channels(entries: list):
     ends2: list[str] = []
     capacity: list[int] = []
     for pos, entry in enumerate(entries):
+        if type(entry) is not dict:
+            raise ValueError(f"cut_channels entry {pos} is not an object")
         fields = [entry[name] for name in CHANNEL_FIELDS]
         for name, value in zip(CHANNEL_FIELDS, fields):
             if type(value) is not str:

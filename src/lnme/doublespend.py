@@ -25,7 +25,7 @@ from operator import attrgetter
 
 from .cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
 from .graph import LnGraph, dumps_with_records
-from .mempool import PENDING, FeeRate, MonitoredTx, ReplayEngine, average_fee, div_round_half_up
+from .mempool import PENDING, FeeRate, ReplayEngine, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
 
@@ -133,8 +133,8 @@ class ChannelAttack:
     commitment_height: int | None = None
     sweep_submit_height: int | None = None
     decided_height: int | None = None
-    penalty: MonitoredTx | None = None
-    sweep: MonitoredTx | None = None
+    penalty: int | None = None  # the engine id, once submitted
+    sweep: int | None = None
 
 
 @dataclass
@@ -221,7 +221,7 @@ def simulate_double_spend(
 
     Future work waits in one schedule keyed by the height at which it falls
     due: ``sweeps[h]`` holds the channels whose dispute delay ends at height
-    h, and ``bumps[h]`` the ``(members, step, beta)`` groups of dynamic
+    h, and ``bumps[h]`` the ``(members, fee, step, beta)`` groups of dynamic
     penalties and sweeps due for a bump. The penalties submitted in one
     block form one group, and the sweeps submitted in one block another:
     each group shares one fee and one cadence, so its pending members share
@@ -244,8 +244,10 @@ def simulate_double_spend(
         engine.submit(3 * i + COMMIT, attacker.commitment_fee, scenario_start)
 
     sweep = attacker.sweep
+    sweep_fee = initial_fee(sweep)
+    status = engine.status
     sweeps: defaultdict[int, list[ChannelAttack]] = defaultdict(list)
-    bumps: defaultdict[int, list[tuple[list[MonitoredTx], int, float]]] = defaultdict(list)
+    bumps: defaultdict[int, list[tuple[list[int], FeeRate, int, float]]] = defaultdict(list)
     series: list[tuple[int, int]] = []
     events: list[tuple[int, list[str]]] | None = [] if record_events else None
     compromised_total = 0
@@ -254,14 +256,17 @@ def simulate_double_spend(
         height, now = entry.height, entry.timestamp
         confirmed = engine.apply_block(entry)
         if events is not None and confirmed:
-            events.append((height, [tx_name(tx.id) for tx in confirmed]))
-        penalties: list[MonitoredTx] = []
-        for tx in confirmed:
-            i, role = divmod(tx.id, 3)
+            events.append((height, list(map(tx_name, confirmed))))
+        penalties: list[int] = []
+        penalty_fee = None  # the average at ``now``, shared by this block's penalties
+        for tx_id in confirmed:
+            i, role = divmod(tx_id, 3)
             atk = attacks[i]
             if role == COMMIT:
                 atk.commitment_height = height
-                atk.penalty = engine.submit(3 * i + PENALTY, average_fee(engine.histogram()), now)
+                atk.penalty = 3 * i + PENALTY
+                penalty_fee = average_fee(engine.histogram())
+                engine.submit(atk.penalty, penalty_fee, now)
                 penalties.append(atk.penalty)
                 sweeps[height + atk.delay].append(atk)
                 continue
@@ -273,33 +278,35 @@ def simulate_double_spend(
             undecided -= 1
             compromised_total += swept
             loser = atk.penalty if swept else atk.sweep
-            if loser is not None and loser.status is PENDING:
-                engine.withdraw(loser.id)
+            if loser is not None and status(loser) is PENDING:
+                engine.withdraw(loser)
         if honest.dynamic and penalties:
-            bumps[height + honest.step].append((penalties, honest.step, honest.beta))
+            bumps[height + honest.step].append((penalties, penalty_fee, honest.step, honest.beta))
         # each channel is filed once, and its penalty is pending while it is
         # undecided, so an undecided channel has no sweep yet
-        swept_now: list[MonitoredTx] = []
+        swept_now: list[int] = []
         for atk in sweeps.pop(height, ()):
             if atk.outcome is not Outcome.UNDECIDED:
                 continue
-            atk.sweep = engine.submit(3 * atk.index + SWEEP, initial_fee(sweep), now)
+            atk.sweep = 3 * atk.index + SWEEP
+            engine.submit(atk.sweep, sweep_fee, now)
             atk.sweep_submit_height = height
             swept_now.append(atk.sweep)
             if strict_expiry:
-                engine.withdraw(atk.penalty.id)
+                engine.withdraw(atk.penalty)
         if isinstance(sweep, Dynamic) and swept_now:
-            bumps[height + sweep.step].append((swept_now, sweep.step, sweep.beta))
-        # bumps at one instant join id-ordered cohorts, so their order is moot
-        for members, step, beta in bumps.pop(height, ()):
-            members = [tx for tx in members if tx.status is PENDING]
+            bumps[height + sweep.step].append((swept_now, sweep_fee, sweep.step, sweep.beta))
+        # bumps at one instant join id-ordered cohorts, so their order is moot;
+        # a group's pending members are bumped only together, so they share its fee
+        for members, fee, step, beta in bumps.pop(height, ()):
+            members = [tx_id for tx_id in members if status(tx_id) is PENDING]
             if not members:
                 continue
-            fee = members[0].fee  # shared by the whole group
             new_fee = fee.bumped(beta)
             if new_fee > fee:
                 engine.bump_group(members, new_fee, now)
-            bumps[height + step].append((members, step, beta))
+                fee = new_fee
+            bumps[height + step].append((members, fee, step, beta))
         series.append((height, compromised_total))
         if undecided == 0:
             break

@@ -21,48 +21,62 @@ the engine's other ids (the simulators use integers), so ties inside a
 cohort confirm in id order.
 
 The engine queues cohorts, not transactions. A cohort, keyed by ``(band,
-queued_at, fee)``, holds exactly the pending transactions that entered that
-band at that instant (a submission or a bump) at that fee, in id order;
-bumps, withdrawals and confirmations take them out. Only the cohort holds
-its members' fee, band, instant, queue position and outflow mark, so all of
-them have the same ``same_band_ahead``. Inside a band, cohorts are ordered
-by ``(same_band_ahead, queued_at)`` and members by id, which is the
-priority order above. Cohorts of one band and one instant tie on position
-(both took it from the same snapshot), so a block confirms their members in
-id order across all of them, as one cohort would. With ``above`` historical
-transactions in higher bands, one block confirms ``max(0, min(live,
-remaining - above - same_band_ahead))`` of such a group's ``live`` members,
-exactly what confirming them one by one would do. So queue order and the
-confirmation test cost one step per cohort, however many identical
-transactions a mass exit submits and bumps together.
+queued_at, fee)``, holds the ids of exactly the pending transactions that
+entered that band at that instant (a submission or a bump) at that fee, in
+id order; bumps, withdrawals and confirmations take them out. Only the
+cohort holds its members' fee, band, instant, queue position and outflow
+mark, so all of them have the same ``same_band_ahead``. Inside a band,
+cohorts are ordered by ``(same_band_ahead, queued_at)`` and members by id,
+which is the priority order above. Cohorts of one band and one instant
+tie on position (both took it from the same snapshot), so a block confirms
+their members in id order across all of them, as one cohort would. With
+``above`` historical transactions in higher bands, one block confirms
+``max(0, min(live, remaining - above - same_band_ahead))`` of such a
+group's ``live`` members, exactly what confirming them one by one would
+do. So queue order and the confirmation test cost one step per cohort,
+however many identical transactions a mass exit submits and bumps
+together.
 
-A transaction is one slotted ``MonitoredTx`` record of two fields, its id
-and its ``home``: its cohort while it is pending, held by the engine's id
-map and by that cohort's member list, and nothing else. Once it has left,
-``home`` is a ``_Left`` record of the fee, band and instant of its last
-cohort, its status and its confirmation height, shared by the members that
-a block confirms from one cohort, and by the members withdrawn from one
-cohort. The record's ``fee``, ``band``, ``queued_at``, ``status`` and
-``confirmed_height`` are read through ``home``. So a bump writes one field
-per member that moves, and a bump of everything pending that sits in one
-cohort (``bump_all``) renames that cohort in place and touches no member.
-The must-increase check of a bump reads one fee per source cohort. The
-engine reads a status through the module constants ``PENDING``,
-``CONFIRMED`` and ``WITHDRAWN``, the ``TxStatus`` members read once: on
-CPython 3.11 reading a member through its class costs about 200 ns a time.
-Statuses are compared by identity, never hashed, as an ``Enum`` member's
-hash runs Python code.
+A transaction is its id. The engine's id map holds each id's ``home``:
+its cohort while it is pending, whose member list holds the id too, and
+nothing else. Once it has left, its home is a ``_Left`` record of the fee,
+band and instant of its last cohort, its status and its confirmation height,
+shared by the ids that a block confirms from one cohort, and by the ids
+withdrawn from one cohort. A bump writes one map entry per id that moves,
+and a bump of everything pending that sits in one cohort (``bump_all``)
+renames that cohort in place and writes none. The must-increase check of a
+bump reads one fee per source cohort. ``status(tx_id)`` reads an id's status
+through its home, and ``tx(tx_id)`` builds a ``MonitoredTx`` snapshot of its
+six values on request. The engine reads a status through the module
+constants ``PENDING``, ``CONFIRMED`` and ``WITHDRAWN``, the ``TxStatus``
+members read once: on CPython 3.11 reading a member through its class costs
+about 200 ns a time. Statuses are compared by identity, never hashed, as an
+``Enum`` member's hash runs Python code.
 
-A mass exit's submissions share one ``FeeRate`` object and one instant. The
-engine remembers the cohort the last submit joined, as ``(fee, at,
-cohort)``, and a submit with that same fee object at that instant joins it
-directly: no clock move, band bisect or cohort lookup, only the duplicate
-check, the id-order check and the append. The engine forgets it whenever a
-cohort leaves the queue (a bump that empties it, or a block that finds it
-empty), when ``bump_all`` renames a cohort, and when the clock moves, so
-a submit at an instant the clock has left still raises. ``submit`` builds
-the record in place, ``object.__new__`` and two slot stores: a class call
-runs ``MonitoredTx.__init__`` in a frame of its own.
+The id map is brought up to date on demand. A mass exit's submissions share
+one ``FeeRate`` object and one instant, and take rising ids. The engine
+remembers the cohort the last submit joined, as ``(fee, at, cohort)``, and
+the highest id ever submitted, ``_top``. A submit with that same fee object
+at that instant and an id above ``_top`` is new, as it is above every id
+seen, and sorts last in that cohort: it is one list append and nothing else,
+no clock move, lookup or map entry. The ids that join a cohort that way
+since its last map write form the open run, ``(cohort, start)``: they are
+``members[start:]``. A block writes no map entry either: each cohort it
+takes ids from appends one ``(members, start, end, _Left)`` entry to a log.
+Every read or write by id calls ``_index()`` first, which writes the run's
+ids into the map, then the log over them, and leaves the run open and empty.
+Edits that reorder a member list (an insert below the tail, a withdrawal, a
+group bump) come only after ``_index()``, so the logged positions hold; a
+withdrawal and a group bump then close the run, as the run's start no longer
+marks its cohort's tail. ``status`` skips ``_index()`` for an id the map
+holds while the log is empty, as the map is then right about it. So the 1M
+submits and blocks of a mass exit that nothing reads by id write one map
+entry in all. Any other submit checks for a duplicate id, then joins its
+cohort by lookup, or by the remembered cohort, and opens a new run there.
+The engine forgets the remembered cohort whenever a cohort leaves the queue
+(a bump that empties it, or a block that finds it empty), when the run
+closes, when ``bump_all`` renames a cohort, and when the clock moves, so a
+submit at an instant the clock has left still raises.
 
 Blocks and cohort positions read the current snapshot's counts as a plain
 list. The ``FeeHistogram`` view of a snapshot is built only when
@@ -670,83 +684,43 @@ class _Left:
     confirmed_height: int | None
 
 
+@dataclass(frozen=True, slots=True)
 class MonitoredTx:
-    """A simulated transaction tracked against historical congestion.
+    """A snapshot of one transaction of a ``ReplayEngine``, built by
+    ``ReplayEngine.tx`` on request: its id, the fee, band and instant of its
+    cohort (``queued_at`` is the replace-by-fee re-submission time used for
+    FIFO tie-breaking), its status and its confirmation height (None unless
+    confirmed). The engine keeps no record per transaction."""
 
-    The record holds two fields: ``id`` and ``home``. While the
-    transaction is pending, ``home`` is its cohort, keyed by ``(band,
-    queued_at, fee)``, which holds its queue position; once it has
-    confirmed or been withdrawn, ``home`` is a ``_Left`` record shared with
-    the other members that left that cohort the same way (at the same block,
-    for a confirmation). ``fee``, ``band``, ``queued_at`` (the
-    replace-by-fee re-submission time used for FIFO tie-breaking),
-    ``status`` and ``confirmed_height`` are read-only, through ``home``.
-    Members of the cohorts of one band and one instant confirm in id order
-    across those cohorts. Slotted, as a mass exit keeps millions of them: a
-    record takes 48 bytes on CPython 3.11.
-
-    Built directly, ``MonitoredTx(id, fee, band, status, confirmed_height,
-    queued_at)`` gets a home of its own, outside any engine; two records are
-    equal when those six values are.
-    """
-
-    __slots__ = ("id", "home")
-
-    def __init__(
-        self,
-        id: TxId,
-        fee: FeeRate,
-        band: int,
-        status: TxStatus = TxStatus.PENDING,
-        confirmed_height: int | None = None,
-        queued_at: int = 0,
-    ):
-        self.id = id  # unique in its engine; breaks ties between members of tied cohorts
-        self.home = _Left(fee, band, queued_at, status, confirmed_height)
-
-    fee = property(attrgetter("home.fee"))
-    band = property(attrgetter("home.band"))
-    status = property(attrgetter("home.status"))
-    confirmed_height = property(attrgetter("home.confirmed_height"))
-    queued_at = property(attrgetter("home.queued_at"))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _tx_fields(self) == _tx_fields(other)
-
-    __hash__ = None  # mutable and compared by value, as a dataclass would be
-
-    def __repr__(self):
-        return (
-            f"{type(self).__qualname__}(id={self.id!r}, fee={self.fee!r}, band={self.band!r}, "
-            f"status={self.status!r}, confirmed_height={self.confirmed_height!r}, queued_at={self.queued_at!r})"
-        )
-
-
-_tx_fields = attrgetter("id", "fee", "band", "status", "confirmed_height", "queued_at")
-_new_tx = object.__new__  # MonitoredTx has no __new__ of its own
+    id: TxId
+    fee: FeeRate
+    band: int
+    status: TxStatus = TxStatus.PENDING
+    confirmed_height: int | None = None
+    queued_at: int = 0
 
 
 class _Cohort:
     """The pending transactions that entered one band at one instant at one
     fee, keyed in the engine by ``(band, queued_at, fee)``.
 
-    ``members[head:]`` are exactly the pending transactions whose ``home``
-    is this cohort, in id order; entries before ``head`` have confirmed or
-    left. ``pos`` and ``mark`` are the band's count and cumulative outflow
-    when the cohort took its key: the queue position every member holds,
-    drained by the band's outflow since then. Cohorts of one band and one
-    instant took them from the same snapshot, so they tie on position, and
-    a block confirms their members in id order across them. ``status`` and
-    ``confirmed_height`` are the class's, as every member is pending.
+    ``members[head:]`` are exactly the ids whose home is this cohort, in id
+    order, whether or not the engine's id map says so yet (the open run
+    and the confirmation log say what it has still to write); ids before
+    ``head`` have confirmed or left. ``pos`` and ``mark`` are the band's
+    count and cumulative outflow when the cohort took its key: the queue
+    position every member holds, drained by the band's outflow since
+    then. Cohorts of one band and one instant took them from
+    the same snapshot, so they tie on position, and a block confirms their
+    members in id order across them. ``status`` and ``confirmed_height``
+    are the class's, as every member is pending.
     """
 
     __slots__ = ("band", "queued_at", "fee", "pos", "mark", "members", "head", "_withdrawn")
     status = PENDING
     confirmed_height = None
 
-    def __init__(self, band: int, queued_at: int, fee: FeeRate, pos: int, mark: int, members: list[MonitoredTx]):
+    def __init__(self, band: int, queued_at: int, fee: FeeRate, pos: int, mark: int, members: list[TxId]):
         self.members = members
         self.head = 0
         self.rename(band, queued_at, fee, pos, mark)
@@ -768,19 +742,19 @@ class _Cohort:
         remaining = self.pos - (outflow[self.band] - self.mark)
         return remaining if remaining > 0 else 0
 
-    def add(self, tx: MonitoredTx) -> None:
-        """Insert tx among the live members in id order; ``submit`` appends
-        the common case, an id above every member's, itself."""
-        insort(self.members, tx, lo=self.head, key=attrgetter("id"))
+    def add(self, tx_id: TxId) -> None:
+        """Insert an id among the live members in id order; ``submit``
+        appends the common case, an id above every member's, itself."""
+        insort(self.members, tx_id, lo=self.head)
 
-    def remove(self, tx: MonitoredTx) -> None:
+    def remove(self, tx_id: TxId) -> None:
         members, head = self.members, self.head
-        if head < len(members) and members[head] is tx:
+        if head < len(members) and members[head] == tx_id:
             self.head = head + 1  # members mostly leave in id order
             return
-        i = bisect_left(members, tx.id, lo=head, key=attrgetter("id"))
-        if i == len(members) or members[i] is not tx:
-            raise ReplayError(f"transaction {tx.id!r} is not in its cohort")
+        i = bisect_left(members, tx_id, lo=head)
+        if i == len(members) or members[i] != tx_id:
+            raise ReplayError(f"transaction {tx_id!r} is not in its cohort")
         del members[i]
 
     def withdrawn(self) -> _Left:
@@ -790,40 +764,42 @@ class _Cohort:
         return self._withdrawn
 
     def discard(self, ids: set[TxId]) -> None:
-        """Take out the live members whose id is in ids, keeping id order."""
-        self.members = [tx for tx in self.live() if tx.id not in ids]
+        """Take out the live members that are in ids, keeping id order."""
+        self.members = [tx_id for tx_id in self.live() if tx_id not in ids]
         self.head = 0
 
-    def merge(self, txs: list[MonitoredTx]) -> None:
-        """Add txs, none of them a member yet, keeping id order."""
+    def merge(self, ids: list[TxId]) -> None:
+        """Add ids, none of them a member yet, keeping id order."""
         members = self.members[self.head:]
-        members += txs
-        members.sort(key=attrgetter("id"))  # a merge pass when both runs are in id order
+        members += ids
+        members.sort()  # a merge pass when both runs are in id order
         self.members = members
         self.head = 0
 
-    def live(self) -> list[MonitoredTx]:
+    def live(self) -> list[TxId]:
         return self.members[self.head:]
 
-    def confirm(self, room: int, height: int) -> list[MonitoredTx]:
-        """Confirm up to room members in id order, sharing one ``_Left``
-        among them; returns them."""
-        taken = self.members[self.head:self.head + room]
-        left = _Left(self.fee, self.band, self.queued_at, CONFIRMED, height)
-        for tx in taken:
-            tx.home = left
-        self.head += len(taken)
+    def confirm(self, room: int, height: int, log: list) -> list[TxId]:
+        """Confirm up to room members in id order, logging their positions
+        with one shared ``_Left`` for the engine's id map; returns their
+        ids."""
+        head = self.head
+        taken = self.members[head:head + room]
+        self.head = end = head + len(taken)
+        log.append((self.members, head, end, _Left(self.fee, self.band, self.queued_at, CONFIRMED, height)))
         return taken
 
 
-def _confirm_tied(cohorts: list[_Cohort], room: int, height: int) -> list[MonitoredTx]:
+def _confirm_tied(cohorts: list[_Cohort], room: int, height: int, log: list) -> list[TxId]:
     """Confirm up to room members of cohorts that tie on position, in id
     order across them, as one cohort holding all of them would. Each cohort
-    gives up a prefix of its live members."""
+    gives up the prefix of its live members up to the last id taken."""
     runs = [cohort.members[cohort.head:cohort.head + room] for cohort in cohorts]
-    taken = list(islice(merge(*runs, key=attrgetter("id")), room))
-    for cohort, room_here in Counter(map(attrgetter("home"), taken)).items():
-        cohort.confirm(room_here, height)
+    taken = list(islice(merge(*runs), room))
+    for cohort, run in zip(cohorts, runs):
+        share = bisect_right(run, taken[-1])
+        if share:
+            cohort.confirm(share, height, log)
     return taken
 
 
@@ -839,7 +815,15 @@ class ReplayEngine:
         self.timeline = timeline
         self._edges = [edge.centi for edge in timeline.band_edges]  # bisected as ints
         self.capacity_mode = capacity_mode
-        self.transactions: dict[TxId, MonitoredTx] = {}
+        # each id's cohort, or how it left; up to date after _index()
+        self._homes: dict[TxId, _Cohort | _Left] = {}
+        self._top = None  # the highest id ever submitted
+        # (cohort, start): members[start:] of cohort joined it by the fast
+        # path of submit and are not in the id map yet
+        self._run: tuple[_Cohort, int] | None = None
+        # (members, start, end, left) per confirmation: members[start:end]
+        # left that way, and the id map does not say so yet
+        self._log: list[tuple[list[TxId], int, int, _Left]] = []
         # band -> (queued_at, fee.centi) -> cohort
         self._bands: dict[int, dict[tuple[int, int], _Cohort]] = {}
         self._snap = 0
@@ -848,6 +832,7 @@ class ReplayEngine:
         self._hist: FeeHistogram | None = None  # built by histogram() from _counts
         self._outflow = [0] * len(self._edges)  # each band's count drops since snapshot 0
         # (fee, at, cohort) of the last submit, while that cohort is queued
+        # and holds the open run
         self._last: tuple[FeeRate, int, _Cohort] | None = None
         self._last_height: int | None = None
         self._avg = None  # the block average as an integer ratio num / den
@@ -887,63 +872,62 @@ class ReplayEngine:
 
     # -- operations --------------------------------------------------------
 
-    def submit(self, tx_id: TxId, fee: FeeRate, at: int) -> MonitoredTx:
+    def submit(self, tx_id: TxId, fee: FeeRate, at: int) -> None:
         """Register a pending transaction; its queue position is the
         historical count of its band at the submission-time snapshot.
 
-        A submit with the last submit's fee object at the same instant joins
-        that submit's cohort with no band or cohort lookup."""
-        transactions = self.transactions
-        if tx_id in transactions:
-            raise ReplayError(f"duplicate transaction id {tx_id!r}")
+        A submit with the last submit's fee object at the same instant and
+        an id above every id submitted so far is new: it joins that
+        submit's cohort, the open run, with one append and no lookup."""
         last = self._last
+        if last is not None and last[0] is fee and last[1] == at and tx_id > self._top:
+            last[2].members.append(tx_id)
+            self._top = tx_id
+            return
+        self._index()
+        homes = self._homes
+        if tx_id in homes:
+            raise ReplayError(f"duplicate transaction id {tx_id!r}")
+        top = self._top
+        rises = top is None or tx_id > top  # before any change: an id others cannot order raises here
         if last is not None and last[0] is fee and last[1] == at:
             cohort = last[2]
         else:
             self._advance(at)
             cohort = self._cohort(self._band_index(fee), at, fee)
-            self._last = (fee, at, cohort)
-        # built in place: a class call runs MonitoredTx.__init__ in a frame
-        # of its own, and a mass exit submits millions of transactions
-        tx = _new_tx(MonitoredTx)
-        tx.id = tx_id
-        tx.home = cohort
         members = cohort.members
-        if cohort.head == len(members) or tx_id > members[-1].id:
-            members.append(tx)
+        if cohort.head == len(members) or tx_id > members[-1]:
+            members.append(tx_id)
         else:
-            cohort.add(tx)
-        transactions[tx_id] = tx  # last: an id its cohort cannot order leaves no record
-        return tx
+            cohort.add(tx_id)
+        homes[tx_id] = cohort
+        if rises:
+            self._top = tx_id
+        self._last = (fee, at, cohort)
+        self._run = (cohort, len(members))
 
-    def bump(self, tx_id: TxId, new_fee: FeeRate, at: int) -> MonitoredTx:
+    def bump(self, tx_id: TxId, new_fee: FeeRate, at: int) -> None:
         """Replace-by-fee: re-submission semantics, so the queue position
         resets to the new band's current historical count. A one-member
         ``bump_group``."""
-        tx = self.transactions.get(tx_id)
-        if tx is None:
-            raise ReplayError(f"transaction {tx_id!r} is not pending")
-        self.bump_group([tx], new_fee, at)
-        return tx
+        self.bump_group([tx_id], new_fee, at)
 
-    def bump_group(self, txs: list[MonitoredTx], new_fee: FeeRate, at: int) -> None:
-        """Bump every transaction of txs to new_fee, as one ``bump`` per
-        member would: afterwards all of them are in the cohort of new_fee's
-        band at ``at`` and new_fee, which no member was in, as new_fee is
-        above every member's fee. Nothing changes unless every member is a
-        distinct pending transaction of this engine paying less than
-        new_fee. The fee check reads one fee per source cohort, and each
-        member that moves gets one field written, its ``home``."""
-        if not txs:
+    def bump_group(self, ids: list[TxId], new_fee: FeeRate, at: int) -> None:
+        """Bump every transaction of ids to new_fee, as one ``bump`` per id
+        would: afterwards all of them are in the cohort of new_fee's band at
+        ``at`` and new_fee, which no member was in, as new_fee is above every
+        member's fee. Nothing changes unless every id is a distinct pending
+        transaction of this engine paying less than new_fee. The fee check
+        reads one fee per source cohort, and each id that moves gets one map
+        entry written, its home."""
+        if not ids:
             return
-        lookup = self.transactions.get
-        ids = list(map(attrgetter("id"), txs))
-        homes = list(map(attrgetter("home"), txs))
-        known = all(map(is_, map(lookup, ids), txs))
+        self._index()
+        homes = list(map(self._homes.get, ids))
         # compared by identity: hashing an Enum member runs Python code
-        if not known or not all(map(is_, map(attrgetter("status"), homes), repeat(PENDING))):
-            bad = next(tx for tx in txs if lookup(tx.id) is not tx or tx.home.status is not PENDING)
-            raise ReplayError(f"transaction {bad.id!r} is not pending")
+        if None in homes or not all(map(is_, map(attrgetter("status"), homes), repeat(PENDING))):
+            bad = next(tx_id for tx_id, home in zip(ids, homes) if home is None or home.status is not PENDING)
+            raise ReplayError(f"transaction {bad!r} is not pending")
         leaving = set(ids)
         if len(leaving) != len(ids):
             raise ReplayError("a transaction is listed twice in one bump")
@@ -958,9 +942,9 @@ class ReplayEngine:
             else:
                 cohort.discard(leaving)
         target = self._cohort(self._band_index(new_fee), at, new_fee)
-        for tx in txs:
-            tx.home = target
-        target.merge(txs)
+        self._homes.update(zip(ids, repeat(target)))
+        target.merge(ids)
+        self._close_run()
 
     def bump_all(self, new_fee: FeeRate, at: int) -> None:
         """Bump every pending transaction to new_fee, as one ``bump`` per
@@ -969,14 +953,14 @@ class ReplayEngine:
 
         When one cohort holds every pending transaction, as in a mass exit,
         the fee check reads its fee and the cohort takes the new key and
-        position in place: no member is touched. Pending transactions in
+        position in place: no id is touched. Pending transactions in
         several cohorts are bumped as one group."""
         sources = [
             cohort for cohorts in self._bands.values() for cohort in cohorts.values()
             if cohort.head < len(cohort.members)
         ]
         if len(sources) != 1:
-            self.bump_group([tx for cohort in sources for tx in cohort.live()], new_fee, at)
+            self.bump_group([tx_id for cohort in sources for tx_id in cohort.live()], new_fee, at)
             return
         cohort = sources[0]
         if new_fee.centi <= cohort.fee.centi:
@@ -987,17 +971,15 @@ class ReplayEngine:
         self._last = None
         self._bands = {band: {(at, new_fee.centi): cohort}}
 
-    def withdraw(self, tx_id: TxId) -> MonitoredTx:
-        tx = self.transactions.get(tx_id)
-        if tx is None or tx.home.status is not PENDING:
-            raise ReplayError(f"transaction {tx_id!r} is not pending")
-        cohort = tx.home
-        cohort.remove(tx)
-        tx.home = cohort.withdrawn()
-        return tx
+    def withdraw(self, tx_id: TxId) -> None:
+        cohort = self._pending_home(tx_id)
+        cohort.remove(tx_id)
+        self._homes[tx_id] = cohort.withdrawn()
+        self._close_run()
 
-    def apply_block(self, entry: BlockEntry) -> list[MonitoredTx]:
-        """Confirm monitored transactions that fit this block.
+    def apply_block(self, entry: BlockEntry) -> list[TxId]:
+        """Confirm monitored transactions that fit this block; returns their
+        ids in priority order.
 
         A transaction confirms when the count of strictly-higher-priority
         historical transactions is below the block's remaining capacity;
@@ -1008,7 +990,8 @@ class ReplayEngine:
         self._advance(entry.timestamp)
         self._last_height = entry.height
         remaining = self._block_capacity(entry)
-        confirmed: list[MonitoredTx] = []
+        confirmed: list[TxId] = []
+        log = self._log
         counts = self._counts
         suffix = [0] * (len(counts) + 1)
         for i in range(len(counts) - 1, -1, -1):
@@ -1022,27 +1005,82 @@ class ReplayEngine:
                 if room <= 0:
                     break  # groups ascend by position: the rest of the band fails too
                 if len(tied) == 1:
-                    taken = tied[0].confirm(room, entry.height)
+                    taken = tied[0].confirm(room, entry.height, log)
                 else:
-                    taken = _confirm_tied(tied, room, entry.height)
+                    taken = _confirm_tied(tied, room, entry.height, log)
                 confirmed += taken
                 remaining -= len(taken)
         return confirmed
 
-    def pending(self) -> list[MonitoredTx]:
-        """Pending transactions in submission order."""
-        return [tx for tx in self.transactions.values() if tx.home.status is PENDING]
+    def pending(self) -> list[TxId]:
+        """The ids of the pending transactions in submission order."""
+        self._index()
+        return [tx_id for tx_id, home in self._homes.items() if home.status is PENDING]
+
+    def status(self, tx_id: TxId) -> TxStatus:
+        """A transaction's status, read through its home. The id map holds
+        an id's current home unless the id is in the open run or a logged
+        confirmation took it, so an id the map holds while the log is empty
+        is read at once, with no ``_index()`` call: the double-spend reads
+        one status per bump-group member per bump."""
+        home = None if self._log else self._homes.get(tx_id)
+        if home is None:
+            home = self._home(tx_id)
+        return home.status
+
+    def tx(self, tx_id: TxId) -> MonitoredTx:
+        """A snapshot of a transaction's id, fee, band, status, confirmation
+        height and instant, built from its home."""
+        home = self._home(tx_id)
+        return MonitoredTx(tx_id, home.fee, home.band, home.status, home.confirmed_height, home.queued_at)
 
     def same_band_ahead(self, tx_id: TxId) -> int:
         """Historical transactions in a pending transaction's band that must
         confirm before it: the band count when it entered its cohort,
         drained by the band's outflow since then, floored at zero."""
-        tx = self.transactions.get(tx_id)
-        if tx is None or tx.home.status is not PENDING:
-            raise ReplayError(f"transaction {tx_id!r} is not pending")
-        return tx.home.ahead(self._outflow)
+        return self._pending_home(tx_id).ahead(self._outflow)
 
     # -- internals ---------------------------------------------------------
+
+    def _index(self) -> None:
+        """Bring the id map up to date: the open run's ids into its cohort,
+        then each logged confirmation over them, in the order they
+        happened. The run stays open, empty, at the end of its cohort's
+        member list. Every read or write by id, and every edit that
+        reorders a member list, comes after this, so the logged positions
+        still hold."""
+        homes = self._homes
+        if self._run is not None:
+            cohort, start = self._run
+            members = cohort.members
+            if start < len(members):
+                homes.update(zip(islice(members, start, None), repeat(cohort)))
+                self._run = (cohort, len(members))
+        if self._log:
+            for members, start, end, left in self._log:
+                homes.update(zip(islice(members, start, end), repeat(left)))
+            self._log.clear()
+
+    def _close_run(self) -> None:
+        """Close the run and forget the last submit's cohort, after an edit
+        that may have shortened a member list: the run's start may no longer
+        mark its cohort's tail. The next submit looks its cohort up and opens
+        a new run."""
+        self._run = self._last = None
+
+    def _home(self, tx_id: TxId) -> _Cohort | _Left:
+        self._index()
+        home = self._homes.get(tx_id)
+        if home is None:
+            raise ReplayError(f"unknown transaction {tx_id!r}")
+        return home
+
+    def _pending_home(self, tx_id: TxId) -> _Cohort:
+        self._index()
+        home = self._homes.get(tx_id)
+        if home is None or home.status is not PENDING:
+            raise ReplayError(f"transaction {tx_id!r} is not pending")
+        return home
 
     def _position(self, band: int) -> tuple[int, int]:
         """Queue position and outflow mark of a cohort entering band now."""

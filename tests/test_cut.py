@@ -235,8 +235,9 @@ class TestExport:
         ('{"k": 1}', "missing 'edge_count'"),
         ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5,'
          ' "cut_channels": [{"id": "x", "node2": "b", "capacity_sat": 5}]}', "missing 'node1'"),
-        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": [7]}', "not subscriptable"),
-        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": 7}', "not iterable"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": [7]}',
+         "cut_channels entry 0 is not an object"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": 7}', "cut_channels is not a list"),
         ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 3,'
          ' "cut_channels": [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 3.7}]}',
          "non-integer capacity"),
@@ -274,6 +275,20 @@ class TestExport:
          ' "cut_channels": [{"id": 5, "node1": "a", "node2": "b", "capacity_sat": 5},'
          ' {"id": "y", "node2": "b", "capacity_sat": 5}]}',
          "non-string id 5 in cut_channels entry 0"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": "ab"}', "cut_channels is not a list"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": {"a": 1}}',
+         "cut_channels is not a list"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": {}}', "cut_channels is not a list"),
+        ('{"k": 1, "edge_count": 0, "cut_capacity_sat": 0, "cut_channels": null}', "cut_channels is not a list"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": [5]}',
+         "cut_channels entry 0 is not an object"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": [null]}',
+         "cut_channels entry 0 is not an object"),
+        ('{"k": 1, "edge_count": 1, "cut_capacity_sat": 5, "cut_channels": [[1, 2, 3, 4]]}',
+         "cut_channels entry 0 is not an object"),
+        ('{"k": 1, "edge_count": 2, "cut_capacity_sat": 10, "cut_channels":'
+         ' [{"id": "x", "node1": "a", "node2": "b", "capacity_sat": 5}, 7]}',
+         "cut_channels entry 1 is not an object"),
     ])
     def test_malformed_shape(self, doc, message):
         with pytest.raises(ValueError, match=f"malformed cut JSON: .*{message}"):

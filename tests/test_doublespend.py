@@ -168,8 +168,16 @@ class TestSimulate:
         )
         assert report.compromised + report.defended + report.undecided == 60
 
-    def test_penalty_causality(self):
+    def test_penalty_causality(self, monkeypatch):
         # 10 commitments confirm per block, so two blocks leave 10 of 30 unconfirmed
+        submitted = {}  # tx id -> (engine, submission instant)
+        real_submit = ReplayEngine.submit
+
+        def recording_submit(engine, tx_id, fee_rate, at):
+            submitted[tx_id] = (engine, at)
+            return real_submit(engine, tx_id, fee_rate, at)
+
+        monkeypatch.setattr(ReplayEngine, "submit", recording_submit)
         scenario = congested_scenario(blocks=2, txs=10)
         report = simulate_double_spend(
             channels(30),
@@ -184,7 +192,9 @@ class TestSimulate:
             assert (atk.penalty is None) == (atk.commitment_height is None)
             if atk.penalty is not None:
                 # a static penalty is never bumped, so it stays queued at its submission
-                assert atk.penalty.queued_at == timestamp_at[atk.commitment_height]
+                engine, at = submitted[atk.penalty]
+                assert at == timestamp_at[atk.commitment_height]
+                assert engine.tx(atk.penalty).queued_at == at
 
     def test_unconfirmed_commitments_stay_undecided(self):
         # commitment fee sits inside the jammed band and never confirms
@@ -237,7 +247,7 @@ class TestSimulate:
 
         def recording_apply_block(engine, entry):
             confirmed = real_apply_block(engine, entry)
-            blocks.append((entry.height, [tx_name(tx.id) for tx in confirmed]))
+            blocks.append((entry.height, [tx_name(tx_id) for tx_id in confirmed]))
             return confirmed
 
         monkeypatch.setattr(ReplayEngine, "apply_block", recording_apply_block)
@@ -320,9 +330,9 @@ class TestSchedule:
         bumped = []
         real_bump_group = ReplayEngine.bump_group
 
-        def recording_bump_group(engine, txs, new_fee, at):
-            bumped.extend((at, tx.id) for tx in txs)
-            return real_bump_group(engine, txs, new_fee, at)
+        def recording_bump_group(engine, ids, new_fee, at):
+            bumped.extend((at, tx_id) for tx_id in ids)
+            return real_bump_group(engine, ids, new_fee, at)
 
         monkeypatch.setattr(ReplayEngine, "bump_group", recording_bump_group)
         scenario = congested_scenario(blocks=blocks, txs=10)
@@ -351,9 +361,9 @@ class TestSchedule:
             if atk.penalty is not None:
                 # strict expiry withdraws the penalty when the sweep is submitted
                 withdrawn = atk.sweep_submit_height if strict_expiry else None
-                expected[atk.penalty.id] = cadence(atk.commitment_height, 3, withdrawn or ends)
+                expected[atk.penalty] = cadence(atk.commitment_height, 3, withdrawn or ends)
             if atk.sweep is not None:
-                expected[atk.sweep.id] = cadence(atk.sweep_submit_height, 2, ends)
+                expected[atk.sweep] = cadence(atk.sweep_submit_height, 2, ends)
         assert actual == {tx_id: hs for tx_id, hs in expected.items() if hs}
         assert {tx_id % 3 for tx_id in actual} == {PENALTY, SWEEP}
         assert len({atk.commitment_height for atk in report.attacks}) > 1

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import floor
+from operator import and_
 
 import pytest
 
@@ -167,7 +168,9 @@ def random_timeline(rng, band_edges, snapshots=50, start=1_000_000, interval=60,
 
 def random_scenario(seed, mass_bumps=False, group_bumps=False, lift=0):
     """Random events, several of them at one instant: submit bursts whose ids
-    arrive out of lexical order, bumps of several transactions by one beta,
+    arrive out of lexical order or, for a share of the bursts, rise above
+    every id before them (as the simulators' integer ids do), so that a
+    submit can skip the id map; bumps of several transactions by one beta,
     withdrawals, with ``mass_bumps`` bumps of every pending transaction to
     one new fee, and with ``group_bumps`` bumps of a group of pending
     transactions to one new fee, drawn when the event is replayed. The
@@ -190,16 +193,18 @@ def random_scenario(seed, mass_bumps=False, group_bumps=False, lift=0):
         roll = rng.random()
         if roll < 0.35:
             burst_fees = rng.sample(SUBMIT_FEES, rng.choice([1, 1, 2]))
+            rising = rng.random() < 0.4
             burst = []
             for _ in range(rng.choice([1, 1, 2, 3, 5])):
-                tid = fresh_ids.pop()
+                # "u..." sorts above every "tx..." id, and len(tx_ids) rises
+                tid = f"u{len(tx_ids):04d}" if rising else fresh_ids.pop()
                 tx_ids.append(tid)
                 burst.append(("submit", t, tid, fees[rng.choice(burst_fees)]))
             events += burst
             follow = rng.random()
             if follow < 0.25:  # one leaves, and a same-fee replacement re-joins its cohort
                 _, _, gone, rate = rng.choice(burst)
-                tid = fresh_ids.pop()
+                tid = f"u{len(tx_ids):04d}" if rising else fresh_ids.pop()
                 tx_ids.append(tid)
                 events += [("withdraw", t, gone), ("submit", t, tid, rate)]
             elif follow < 0.5:  # one is bumped at once, often inside its band
@@ -221,6 +226,48 @@ def random_scenario(seed, mass_bumps=False, group_bumps=False, lift=0):
             height += 1
         if rng.random() < 0.6:  # otherwise the next event shares this instant
             t += rng.randint(20, 150)
+    return timeline, events
+
+
+TIED_FEES = ((80, 120), (8, 15))  # two fees of one band on both grids
+
+
+def run_scenario(seed):
+    """Random events that keep the id map behind: bursts of integer ids,
+    each above every id before it, in runs of one fee object, so that a
+    submit after a burst's first one of each fee writes no map entry. Each
+    burst is followed at its instant by a block and, seven times in ten, by
+    a withdrawal or a bump of one of its ids or (most often) a bump of
+    everything pending, before or after the block. So the block may confirm
+    ids before their first lookup, and the withdrawal or bump may take an id
+    inside the run. Half the bursts pay two fees of one band, whose cohorts
+    tie on position."""
+    rng = random.Random(seed)
+    timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)])
+    fees = {rate: fee(rate) for rate in SUBMIT_FEES}
+    t, end = timeline.timestamps[0], timeline.timestamps[-1]
+    events = []
+    height = next_id = 1
+    while t <= end - 120:
+        rates = rng.choice(TIED_FEES) if rng.random() < 0.5 else rng.sample(SUBMIT_FEES, rng.choice([1, 2]))
+        burst = []
+        for rate in rates:
+            for _ in range(rng.randint(1, 5)):
+                burst.append(next_id)
+                events.append(("submit", t, next_id, fees[rate]))
+                next_id += 1
+        after = [("block", t, height, rng.randint(0, 100))]
+        height += 1
+        follow = rng.random()
+        if follow < 0.2:
+            after.append(("withdraw", t, rng.choice(burst)))
+        elif follow < 0.4:
+            after.append(("bump", t, rng.choice(burst), 1.5))
+        elif follow < 0.7:
+            after.append(("bump_all", t, 1.5))
+        rng.shuffle(after)
+        events += after
+        t += rng.randint(20, 150)
     return timeline, events
 
 
@@ -257,7 +304,7 @@ def group_cases(naive, group, new_fee, t):
     }
 
 
-def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=False, lift=0):
+def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=False, lift=0, scenario=None):
     """Replay one random scenario on both engines and compare them. Returns
     a count per case: how often a transaction entered a band at an instant
     at which a withdrawal had left a cohort of that band (``rejoined``), how often
@@ -266,20 +313,41 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
     instant it was submitted (``same_band``), how many block confirmations
     took a transaction queued in one band at one instant beside a pending
     transaction of another fee, whose cohorts tie on position (``tied``),
-    and how often a group bump exercised each case of ``group_cases``."""
-    timeline, events = random_scenario(seed, mass_bumps, group_bumps, lift)
+    and how often a group bump exercised each case of ``group_cases``.
+
+    The id map is brought up to date only on demand, so it also counts how
+    often a submit wrote no map entry (``deferred``), how many block
+    confirmations took an id that had not reached the map
+    (``deferred_confirmed``), how many of those were ``tied`` too
+    (``deferred_tied``), how often ``bump_all`` renamed a cohort that held
+    such ids (``renamed_run``), and how often a withdrawal or a bump took an
+    id that such ids followed in its cohort (``mid_run``). ``scenario``,
+    a ``(timeline, events)`` pair, replaces the random scenario."""
+    timeline, events = scenario or random_scenario(seed, mass_bumps, group_bumps, lift)
     fast = ReplayEngine(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
     left = set()  # (band, at) of cohorts that a withdrawal left at their instant
     cases = Counter()
+
+    def deferred():
+        """The ids of the open run, which the id map does not hold yet."""
+        if fast._run is None:
+            return []
+        cohort, start = fast._run
+        return cohort.members[start:]
+
     for event in events:
         kind = event[0]
+        if kind in ("bump", "withdraw"):
+            cases["mid_run"] += event[2] in deferred()[:-1]
         if kind == "submit":
             _, t, tid, fee_rate = event
             cases["rejoined"] += (naive._band(fee_rate), t) in left
             last = fast._last  # the remembered (fee, at, cohort), or None
             cases["remembered"] += last is not None and last[0] is fee_rate and last[1] == t
+            entries = len(fast._homes)
             fast.submit(tid, fee_rate, t)
+            cases["deferred"] += len(fast._homes) == entries
             naive.submit(tid, fee_rate, t)
         elif kind == "bump":
             _, t, tid, beta = event
@@ -305,7 +373,7 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
                 continue
             cases.update(group_cases(naive, group, new_fee, t))
             naive.bump_group(group, new_fee, t)
-            fast.bump_group([fast.transactions[tid] for tid in group], new_fee, t)
+            fast.bump_group(group, new_fee, t)
         elif kind == "bump_all":
             _, t, beta = event
             fees = naive.pending_fees()
@@ -314,6 +382,7 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
             new_fee = max(fees).bumped(beta)  # above every pending fee
             naive.bump_all(new_fee, t)
             fast.bump_all(new_fee, t)
+            cases["renamed_run"] += bool(deferred())
         elif kind == "withdraw":
             _, t, tid = event
             ref = naive.txs[tid]
@@ -329,15 +398,20 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
             for ref in naive.txs.values():
                 if ref["status"] == "pending":
                     fees[ref["band"], ref["queued_at"]].add(ref["fee"])
-            got = [tx.id for tx in fast.apply_block(BlockEntry(height, t, capacity))]
+            got = fast.apply_block(BlockEntry(height, t, capacity))
             want = naive.apply_block(BlockEntry(height, t, capacity))
             assert got == want, f"seed {seed} height {height}: {got} != {want}"
-            cases["tied"] += sum(len(fees[naive.txs[tid]["band"], naive.txs[tid]["queued_at"]]) > 1 for tid in want)
+            tied = [len(fees[naive.txs[tid]["band"], naive.txs[tid]["queued_at"]]) > 1 for tid in want]
+            unmapped = [tid not in fast._homes for tid in want]
+            cases["tied"] += sum(tied)
+            cases["deferred_confirmed"] += sum(unmapped)
+            cases["deferred_tied"] += sum(map(and_, tied, unmapped))
         # the kept snapshot view must follow every snapshot change
         assert fast.histogram() == fast.timeline.snapshot_at(fast.clock), f"seed {seed} {event}"
     statuses = {"pending": TxStatus.PENDING, "confirmed": TxStatus.CONFIRMED, "withdrawn": TxStatus.WITHDRAWN}
+    assert fast.pending() == [tid for tid, ref in naive.txs.items() if ref["status"] == "pending"], f"seed {seed}"
     for tid, ref in naive.txs.items():
-        tx = fast.transactions[tid]
+        tx = fast.tx(tid)
         assert tx.status is statuses[ref["status"]], f"seed {seed} {tid}"
         assert tx.fee == ref["fee"] and tx.band == ref["band"] and tx.queued_at == ref["queued_at"]
         if ref["status"] == "pending":
@@ -359,6 +433,7 @@ def test_matches_naive_reference_across_seeds():
     assert cases["remembered"] >= 30
     assert cases["same_band"] >= 30
     assert cases["tied"] >= 30
+    assert cases["deferred"] >= 30
 
 
 def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
@@ -369,10 +444,10 @@ def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
     add = _Cohort.add
     fallbacks = 0
 
-    def counting_add(cohort, tx):
+    def counting_add(cohort, tx_id):
         nonlocal fallbacks
         fallbacks += 1
-        add(cohort, tx)
+        add(cohort, tx_id)
 
     monkeypatch.setattr(_Cohort, "add", counting_add)
     timeline = make_timeline([0, 5], [[4, 2], [1, 2]])
@@ -383,7 +458,7 @@ def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
         naive.submit(tid, fee(1), start)
     assert fallbacks == 3
     for height, t in ((1, start), (2, start + 60)):
-        got = [tx.id for tx in fast.apply_block(BlockEntry(height, t, 9))]
+        got = fast.apply_block(BlockEntry(height, t, 9))
         assert got == naive.apply_block(BlockEntry(height, t, 9))
     assert got == [7, 8, 9, 10]
     submits = 0
@@ -404,6 +479,18 @@ def test_counts_near_int64_match_naive_reference():
         assert int(timeline.counts.max()) * (len(timeline) - 1) >= 2**63
         replay_both(seed, lift=2**62)
         replay_both(seed, ConstantAverage(2.7), mass_bumps=True, lift=2**62)
+
+
+@pytest.mark.parametrize("capacity_mode", [Historical(), ConstantAverage(40.5)], ids=["historical", "constant"])
+def test_deferred_index_matches_naive_reference(capacity_mode):
+    """Submits that write no map entry, then blocks, withdrawals, bumps and
+    renames that meet their ids before any read brings the map up to
+    date."""
+    cases = Counter()
+    for seed in range(30):
+        cases += replay_both(seed, capacity_mode, scenario=run_scenario(seed))
+    want = ("deferred", "deferred_confirmed", "deferred_tied", "renamed_run", "mid_run", "tied")
+    assert {case: cases[case] >= 30 for case in want} == dict.fromkeys(want, True), cases
 
 
 def test_bump_all_matches_per_transaction_bumps():
@@ -454,7 +541,7 @@ class TestRememberedCohort:
         """Each block's confirmed ids, the same on both engines."""
         confirmed = []
         for entry in blocks:
-            got = [tx.id for tx in fast.apply_block(entry)]
+            got = fast.apply_block(entry)
             assert got == naive.apply_block(entry), entry
             confirmed.append(got)
         return confirmed
@@ -464,7 +551,7 @@ class TestRememberedCohort:
         fast, naive = self.engines()
         for eng in (fast, naive):
             eng.submit("a", rate, T0)
-        fast.bump_group([fast.transactions["a"]], fee(70), T0)
+        fast.bump_group(["a"], fee(70), T0)
         naive.bump_group(["a"], fee(70), T0)
         for eng in (fast, naive):
             eng.submit("b", rate, T0)
@@ -500,11 +587,11 @@ class TestRememberedCohort:
 
         def state():
             cohorts = {
-                (c.band, c.queued_at, c.fee): (c.pos, c.mark, [tx.id for tx in c.live()])
+                (c.band, c.queued_at, c.fee): (c.pos, c.mark, c.live())
                 for by_key in fast._bands.values()
                 for c in by_key.values()
             }
-            return fast.clock, dict(fast.transactions), cohorts
+            return fast.clock, dict(fast._homes), cohorts
 
         before = state()
         with pytest.raises(ReplayError, match="precedes engine clock"):

@@ -794,12 +794,12 @@ def test_histogram_is_kept_until_the_snapshot_changes():
 class TestSubmitAndBump:
     def test_submit_into_empty_band(self):
         eng = simple_engine([[0, 0, 0]] * 3)
-        tx = eng.submit("a", fee(70), T0)
+        eng.submit("a", fee(70), T0)
         assert eng.same_band_ahead("a") == 0
 
     def test_submit_behind_band_count(self):
         eng = simple_engine([[0, 12, 0]] * 3)
-        tx = eng.submit("a", fee(20), T0)
+        eng.submit("a", fee(20), T0)
         assert eng.same_band_ahead("a") == 12
 
     def test_duplicate_id(self):
@@ -823,8 +823,8 @@ class TestSubmitAndBump:
         eng.submit("a", fee(20), T0 + 100)
 
         def state():
-            queued = {key: (c.pos, c.mark, [tx.id for tx in c.live()]) for key, c in cohorts(eng).items()}
-            return eng.clock, eng.histogram(), dict(eng.transactions), eng.pending(), queued
+            queued = {key: (c.pos, c.mark, c.live()) for key, c in cohorts(eng).items()}
+            return eng.clock, eng.histogram(), dict(eng._homes), eng.pending(), queued
 
         before = state()
         with pytest.raises(error, match=match):
@@ -835,17 +835,19 @@ class TestSubmitAndBump:
     def test_monitored_tx_is_a_slotted_record(self):
         rate = fee(20)
         eng = simple_engine([[0, 0, 0]] * 3)
-        # "b" reuses the fee object at the same instant: it joins the cohort
-        # that "a" looked up, and both records are built in place
-        tx, other = eng.submit("a", rate, T0), eng.submit("b", rate, T0)
+        # "b" reuses the fee object at the same instant with a higher id: it
+        # joins the cohort that "a" looked up, by one append and no map entry
+        assert eng.submit("a", rate, T0) is None and eng.submit("b", rate, T0) is None
+        assert list(eng._homes) == ["a"]
+        tx, other = eng.tx("a"), eng.tx("b")  # snapshots, built on request
+        assert eng._homes["a"] is eng._homes["b"]  # the cohort holds the fee, band and instant
         assert not hasattr(tx, "__dict__") and not hasattr(other, "__dict__")
-        assert MonitoredTx.__slots__ == ("id", "home")
-        assert tx.home is other.home  # the cohort holds the fee, band and instant
+        assert MonitoredTx.__slots__ == ("id", "fee", "band", "status", "confirmed_height", "queued_at")
         assert (tx.id, tx.fee, tx.band, tx.status, tx.confirmed_height, tx.queued_at) == (
             "a", fee(20), 1, TxStatus.PENDING, None, T0,
         )
         with pytest.raises(AttributeError):
-            tx.fee = fee(30)  # read through home, never written per member
+            tx.fee = fee(30)  # a frozen snapshot: the engine's state is not written through it
         assert tx == MonitoredTx("a", fee(20), 1, TxStatus.PENDING, None, T0)
         assert other == MonitoredTx("b", fee(20), 1, TxStatus.PENDING, None, T0)
         assert repr(tx) == (
@@ -853,17 +855,60 @@ class TestSubmitAndBump:
             f"status=<TxStatus.PENDING: 'pending'>, confirmed_height=None, queued_at={T0})"
         )
 
+    def test_status_and_snapshot_of_an_unknown_id(self):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        eng.submit("a", fee(20), T0)
+        assert eng.status("a") is TxStatus.PENDING
+        for query in (eng.status, eng.tx):
+            with pytest.raises(ReplayError, match="unknown transaction 'b'"):
+                query("b")
+
+    def test_a_submit_holds_no_object_of_its_own(self):
+        """Submits of rising ids that share one fee object and one instant
+        each store one member-list slot: no id map entry and no object.
+
+        The bytes that tracemalloc sees held after the submits are bounded
+        by what grows with them plus what does not:
+        - ``sys.getsizeof(cohort.members)``: the member list and its
+          over-allocated slots, 8 bytes a slot; the ids are made before
+          tracing;
+        - ``SLACK``: the one cohort, its band's dict, its key tuple, the
+          first id's map entry, the remembered ``(fee, at, cohort)`` and the
+          open run ``(cohort, start)``, a few hundred bytes that do not grow
+          with n.
+        A map entry per id would exceed the bound by at least n * 24 bytes
+        (a hash, a key and a value), 4.8 MB here, and even the smallest
+        object per id by n * 16 bytes (a reference count and a type
+        pointer), against a slack of 4 KiB."""
+        n, SLACK = 200_000, 4096
+        rate = fee(20)
+        ids = list(range(n))
+        eng = simple_engine([[0, 0, 0]] * 3)
+        submit = eng.submit
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for tx_id in ids:
+                submit(tx_id, rate, T0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        [cohort] = cohorts(eng).values()
+        assert cohort.live() == ids
+        assert held <= sys.getsizeof(cohort.members) + SLACK
+        assert eng.pending() == ids  # the ids reach the map on the first read
+
     def test_bump_to_empty_band_resets_queue(self):
         eng = simple_engine([[0, 40, 0]] * 3)
-        tx = eng.submit("a", fee(20), T0)
+        eng.submit("a", fee(20), T0)
         assert eng.same_band_ahead("a") == 40
-        eng.bump("a", fee(60), T0)
+        assert eng.bump("a", fee(60), T0) is None
         assert eng.same_band_ahead("a") == 0
-        assert tx.band == 2
+        assert eng.tx("a").band == 2
 
     def test_bump_within_band_resets_to_current_count(self):
         eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
-        tx = eng.submit("a", fee(20), T0)
+        eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 25  # drained 15 by outflow
         eng.bump("a", fee(30), T0 + 60)
@@ -881,12 +926,12 @@ class TestSubmitAndBump:
             eng.submit(tid, fee(rate), T0)
         eng.withdraw("c")
         eng.bump_all(fee(70), T0 + 60)
-        moved = [eng.transactions[t] for t in ("a", "b")]
+        moved = [eng.tx(t) for t in ("a", "b")]
         assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in moved] == [
             (fee(70), 2, T0 + 60, 9)
         ] * 2
-        assert eng.transactions["c"].fee == fee(20)
-        assert [tx.id for tx in eng.apply_block(BlockEntry(1, T0 + 60, 10))] == ["a"]
+        assert eng.tx("c").fee == fee(20)
+        assert eng.apply_block(BlockEntry(1, T0 + 60, 10)) == ["a"]
 
     def test_bump_all_requires_fee_above_every_pending_fee(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -894,7 +939,7 @@ class TestSubmitAndBump:
         eng.submit("b", fee(60), T0)
         with pytest.raises(ReplayError, match=r"increase the fee \(60.00 <= 60.00\)"):
             eng.bump_all(fee(60), T0)
-        assert eng.transactions["a"].fee == fee(20)
+        assert eng.tx("a").fee == fee(20)
 
     @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
     def test_bump_all_below_a_fee_that_has_left(self, leave):
@@ -906,12 +951,12 @@ class TestSubmitAndBump:
         if leave == "withdraw":
             eng.withdraw("c")
         else:
-            assert [tx.id for tx in eng.apply_block(BlockEntry(1, T0, 1))] == ["c"]
+            assert eng.apply_block(BlockEntry(1, T0, 1)) == ["c"]
         eng.bump_all(fee(50), T0 + 60)
-        assert [(tx.id, tx.fee, tx.queued_at) for tx in eng.pending()] == [
+        assert [(tx.id, tx.fee, tx.queued_at) for tx in map(eng.tx, eng.pending())] == [
             ("a", fee(50), T0 + 60), ("b", fee(50), T0 + 60),
         ]
-        assert [tx.id for tx in cohorts(eng)[2, T0 + 60, fee(50)].live()] == ["a", "b"]
+        assert cohorts(eng)[2, T0 + 60, fee(50)].live() == ["a", "b"]
         with pytest.raises(ReplayError, match=r"increase the fee \(50.00 <= 50.00\)"):
             eng.bump_all(fee(50), T0 + 60)
 
@@ -924,26 +969,26 @@ class TestSubmitAndBump:
             eng.bump("a", fee(80), T0)  # a one-member bump_group
         else:
             eng.bump_all(fee(80), T0)
-        before = [(tx.fee, tx.band, tx.queued_at) for tx in eng.pending()]
+        before = [(tx.fee, tx.band, tx.queued_at) for tx in map(eng.tx, eng.pending())]
         with pytest.raises(ReplayError, match=r"increase the fee \(70.00 <= 80.00\)"):
             eng.bump_all(fee(70), T0 + 60)
-        assert [(tx.fee, tx.band, tx.queued_at) for tx in eng.pending()] == before
+        assert [(tx.fee, tx.band, tx.queued_at) for tx in map(eng.tx, eng.pending())] == before
 
     def test_bump_group_moves_members_of_several_cohorts_into_one(self):
         eng = simple_engine([[0, 40, 9]] * 3)
         for tid, rate in (("d", 20), ("a", 12), ("c", 60), ("b", 20)):
             eng.submit(tid, fee(rate), T0)
         eng.submit("e", fee(70), T0 + 60)
-        eng.bump_group([eng.transactions[t] for t in ("d", "c", "a")], fee(65), T0 + 60)
+        eng.bump_group(["d", "c", "a"], fee(65), T0 + 60)
         queued = cohorts(eng)
-        assert [tx.id for tx in queued[1, T0, fee(20)].live()] == ["b"]
-        assert [tx.id for tx in queued[2, T0 + 60, fee(65)].live()] == ["a", "c", "d"]
-        assert [tx.id for tx in queued[2, T0 + 60, fee(70)].live()] == ["e"]
-        assert {eng.transactions[t].fee for t in "acd"} == {fee(65)}
+        assert queued[1, T0, fee(20)].live() == ["b"]
+        assert queued[2, T0 + 60, fee(65)].live() == ["a", "c", "d"]
+        assert queued[2, T0 + 60, fee(70)].live() == ["e"]
+        assert {eng.tx(t).fee for t in "acd"} == {fee(65)}
         # "a" and "c" were their cohorts' only members
         assert (1, T0, fee(12)) not in queued and (2, T0, fee(60)) not in queued
         # the two cohorts at T0 + 60 tie on position: one group, ids in order
-        assert [tx.id for tx in eng.apply_block(BlockEntry(1, T0 + 60, 19))] == ["a", "c", "d", "e"]
+        assert eng.apply_block(BlockEntry(1, T0 + 60, 19)) == ["a", "c", "d", "e"]
 
     def test_bump_group_needs_pending_members(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -951,23 +996,23 @@ class TestSubmitAndBump:
             eng.submit(tid, fee(20), T0)
         eng.withdraw("b")
         with pytest.raises(ReplayError, match="'b' is not pending"):
-            eng.bump_group([eng.transactions["a"], eng.transactions["b"]], fee(70), T0)
+            eng.bump_group(["a", "b"], fee(70), T0)
         other = ReplayEngine(eng.timeline)
-        stranger = other.submit("c", fee(20), T0)  # pending, but in another engine
+        other.submit("c", fee(20), T0)  # pending, but in another engine
         with pytest.raises(ReplayError, match="'c' is not pending"):
-            eng.bump_group([eng.transactions["a"], stranger], fee(70), T0)
-        assert eng.transactions["a"].fee == fee(20)
+            eng.bump_group(["a", "c"], fee(70), T0)
+        assert eng.tx("a").fee == fee(20)
 
     def test_bump_group_requires_fee_above_every_member_fee(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("a", fee(20), T0)
         eng.submit("b", fee(60), T0)
-        members = [eng.transactions["a"], eng.transactions["b"]]
+        members = ["a", "b"]
         with pytest.raises(ReplayError, match=r"increase the fee \(60.00 <= 60.00\)"):
             eng.bump_group(members, fee(60), T0)
         with pytest.raises(ReplayError, match="twice"):
             eng.bump_group(members + members[:1], fee(70), T0)
-        assert [tx.fee for tx in members] == [fee(20), fee(60)]
+        assert [eng.tx(t).fee for t in members] == [fee(20), fee(60)]
 
     def test_bump_confirmed_tx_rejected(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -980,19 +1025,19 @@ class TestSubmitAndBump:
 class TestDecay:
     def test_outflow_drains(self):
         eng = simple_engine([[0, 50, 0], [0, 30, 0]])
-        tx = eng.submit("a", fee(20), T0)
+        eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 30
 
     def test_inflow_ignored(self):
         eng = simple_engine([[0, 30, 0], [0, 50, 0]])
-        tx = eng.submit("a", fee(20), T0)
+        eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 30
 
     def test_floor_at_zero(self):
         eng = simple_engine([[0, 5, 0], [0, 0, 0], [0, 9, 0], [0, 0, 0]])
-        tx = eng.submit("a", fee(20), T0)
+        eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 0
         eng.apply_block(BlockEntry(2, T0 + 120, 0))  # counts rise to 9
@@ -1098,9 +1143,8 @@ class TestApplyBlock:
     def test_single_tx_confirms(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("a", fee(70), T0)
-        confirmed = eng.apply_block(BlockEntry(1, T0, 1))
-        assert [tx.id for tx in confirmed] == ["a"]
-        assert confirmed[0].confirmed_height == 1
+        assert eng.apply_block(BlockEntry(1, T0, 1)) == ["a"]
+        assert eng.tx("a").confirmed_height == 1
 
     def test_capacity_limits_confirmations(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -1121,14 +1165,14 @@ class TestApplyBlock:
         eng.submit("z-early", fee(70), T0)
         eng.submit("a-late", fee(70), T0 + 60)
         confirmed = eng.apply_block(BlockEntry(1, T0 + 60, 1))
-        assert [tx.id for tx in confirmed] == ["z-early"]
+        assert confirmed == ["z-early"]
 
     def test_id_breaks_simultaneous_ties(self):
         eng = simple_engine([[0, 0, 0]] * 5)
         eng.submit("b", fee(70), T0)
         eng.submit("a", fee(70), T0)
         confirmed = eng.apply_block(BlockEntry(1, T0, 1))
-        assert [tx.id for tx in confirmed] == ["a"]
+        assert confirmed == ["a"]
 
     def test_integer_ids_break_ties_numerically(self):
         # as strings, "10" would sort before "9"
@@ -1136,25 +1180,25 @@ class TestApplyBlock:
         eng.submit(10, fee(70), T0)
         eng.submit(9, fee(70), T0)
         confirmed = eng.apply_block(BlockEntry(1, T0, 1))
-        assert [tx.id for tx in confirmed] == [9]
+        assert confirmed == [9]
 
     def test_higher_band_first(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("low", fee(20), T0)
         eng.submit("high", fee(70), T0)
         confirmed = eng.apply_block(BlockEntry(1, T0, 2))
-        assert [tx.id for tx in confirmed] == ["high", "low"]
+        assert confirmed == ["high", "low"]
 
     def test_lower_band_can_pass_blocked_higher_band(self):
         # the higher band is saturated but a lower-band tx still fits
         eng = simple_engine([[0, 0, 0], [0, 0, 0]])
-        blocked = eng.submit("blocked", fee(70), T0)
+        eng.submit("blocked", fee(70), T0)
         # stuck behind a synthetic backlog; the public API never puts a
         # cohort above its band's current count
-        blocked.home.pos = 10**6
+        eng._homes["blocked"].pos = 10**6
         eng.submit("nimble", fee(20), T0)
         confirmed = eng.apply_block(BlockEntry(1, T0, 5))
-        assert [tx.id for tx in confirmed] == ["nimble"]
+        assert confirmed == ["nimble"]
 
     def test_out_of_order_block_rejected(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -1168,7 +1212,7 @@ class TestApplyBlock:
             eng.submit(tid, fee(70), T0)
         eng.withdraw("gone")
         eng.apply_block(BlockEntry(1, T0, 1))
-        assert eng.transactions["done"].status is TxStatus.CONFIRMED
+        assert eng.status("done") is TxStatus.CONFIRMED
         assert eng.same_band_ahead("left") == 0
         for tid in ("done", "gone", "unknown"):
             with pytest.raises(ReplayError, match="not pending"):
@@ -1177,9 +1221,9 @@ class TestApplyBlock:
     def test_withdraw_removes_from_race(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("a", fee(70), T0)
-        eng.withdraw("a")
+        assert eng.withdraw("a") is None
         assert eng.apply_block(BlockEntry(1, T0, 5)) == []
-        assert eng.transactions["a"].status is TxStatus.WITHDRAWN
+        assert eng.status("a") is TxStatus.WITHDRAWN
 
     def test_cohort_members_leave_from_the_middle(self):
         eng = simple_engine([[0, 0, 0]] * 3)
@@ -1188,10 +1232,9 @@ class TestApplyBlock:
         eng.withdraw("c")
         eng.bump("b", fee(70), T0)  # another band at the same instant
         eng.bump("d", fee(30), T0 + 60)  # the same band at a later instant
-        assert [tx.id for tx in cohorts(eng)[1, T0, fee(20)].live()] == ["a", "e"]
-        confirmed = eng.apply_block(BlockEntry(1, T0 + 60, 10))
-        assert [tx.id for tx in confirmed] == ["b", "a", "e", "d"]
-        assert eng.transactions["c"].status is TxStatus.WITHDRAWN
+        assert cohorts(eng)[1, T0, fee(20)].live() == ["a", "e"]
+        assert eng.apply_block(BlockEntry(1, T0 + 60, 10)) == ["b", "a", "e", "d"]
+        assert eng.status("c") is TxStatus.WITHDRAWN
 
     @pytest.mark.parametrize("block_between", [False, True])
     def test_emptied_cohort_rejoined_at_its_instant_keeps_its_position(self, block_between):
@@ -1205,7 +1248,7 @@ class TestApplyBlock:
         assert eng.same_band_ahead("b") == 40
         eng.apply_block(BlockEntry(2, T0 + 60, 0))
         assert eng.same_band_ahead("b") == 25  # drained 15 by outflow
-        assert [tx.id for tx in eng.apply_block(BlockEntry(3, T0 + 60, 26))] == ["b"]
+        assert eng.apply_block(BlockEntry(3, T0 + 60, 26)) == ["b"]
 
     def test_fees_of_one_band_and_instant_confirm_in_id_order(self):
         # three fees of band 1 at T0 give three cohorts, all behind the
@@ -1215,11 +1258,11 @@ class TestApplyBlock:
             eng.submit(tid, fee(rate), T0)
         assert len(cohorts(eng)) == 3
         confirmed = eng.apply_block(BlockEntry(1, T0, 6))  # room for 3 of the 5
-        assert [(tx.id, tx.fee, tx.confirmed_height) for tx in confirmed] == [
+        assert [(tx.id, tx.fee, tx.confirmed_height) for tx in map(eng.tx, confirmed)] == [
             ("a", fee(20), 1), ("b", fee(30), 1), ("c", fee(25), 1),
         ]
-        assert [tx.id for tx in eng.pending()] == ["e", "d"]
-        assert [tx.id for tx in eng.apply_block(BlockEntry(2, T0 + 60, 10))] == ["d", "e"]
+        assert eng.pending() == ["e", "d"]
+        assert eng.apply_block(BlockEntry(2, T0 + 60, 10)) == ["d", "e"]
 
     def test_constant_average_capacity(self):
         tl = constant_timeline([0, 10, 50], [0, 0, 0], 5)
@@ -1253,24 +1296,28 @@ class TestApplyBlock:
 
 
 class TestCohortHome:
-    """A pending transaction's fee, band and instant live on its cohort; a
-    transaction that has left reads them from the shared record of how it
-    left."""
+    """A pending transaction's home is its cohort, which holds its fee, band
+    and instant; a transaction that has left reads them from the shared
+    record of how it left."""
 
     def test_one_cohort_bump_all_touches_no_member(self):
         eng = simple_engine([[0, 0, 9]] * 3)
-        txs = [eng.submit(i, fee(20), T0) for i in range(5)]
-        cohort = txs[0].home
+        homes = eng._homes
+        for i in range(5):
+            eng.submit(i, fee(20), T0)
+        cohort = homes[0]
         eng.bump_all(fee(70), T0 + 60)
-        assert all(tx.home is cohort for tx in txs)  # renamed in place
+        assert all(homes[i] is cohort for i in range(5))  # renamed in place
         assert list(cohorts(eng)) == [(2, T0 + 60, fee(70))]
-        assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in txs] == [
+        assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in map(eng.tx, range(5))] == [
             (fee(70), 2, T0 + 60, 9)
         ] * 5
         confirmed = eng.apply_block(BlockEntry(1, T0 + 60, 12))
-        assert [tx.id for tx in confirmed] == [0, 1, 2]
-        assert all(tx.home is confirmed[0].home for tx in confirmed)  # one record per cohort and block
-        assert eng.withdraw(3).home is eng.withdraw(4).home  # one record per cohort
+        assert confirmed == [0, 1, 2]
+        assert all(homes[i] is homes[0] for i in confirmed)  # one record per cohort and block
+        eng.withdraw(3)
+        eng.withdraw(4)
+        assert homes[3] is homes[4]  # one record per cohort
 
     @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
     def test_left_record_keeps_its_values_through_a_rename(self, leave):
@@ -1278,18 +1325,75 @@ class TestCohortHome:
         for tid in ("a", "b", "c"):
             eng.submit(tid, fee(20), T0)
         if leave == "withdraw":
-            gone, status, height = eng.withdraw("a"), TxStatus.WITHDRAWN, None
+            eng.withdraw("a")
+            status, height = TxStatus.WITHDRAWN, None
         else:
-            [gone], status, height = eng.apply_block(BlockEntry(1, T0, 1)), TxStatus.CONFIRMED, 1
-        cohort = eng.transactions["b"].home
+            assert eng.apply_block(BlockEntry(1, T0, 1)) == ["a"]
+            status, height = TxStatus.CONFIRMED, 1
+        cohort = eng._homes["b"]
         eng.bump_all(fee(70), T0 + 60)
-        assert eng.transactions["b"].home is cohort
-        later = eng.withdraw("b")  # withdrawn under the cohort's new key
-        assert [(tx.id, tx.fee, tx.band, tx.queued_at, tx.status, tx.confirmed_height) for tx in (gone, later)] == [
+        assert eng._homes["b"] is cohort
+        eng.withdraw("b")  # withdrawn under the cohort's new key
+        left = [(tx.id, tx.fee, tx.band, tx.queued_at, tx.status, tx.confirmed_height) for tx in map(eng.tx, "ab")]
+        assert left == [
             ("a", fee(20), 1, T0, status, height),
             ("b", fee(70), 2, T0 + 60, TxStatus.WITHDRAWN, None),
         ]
-        assert [(tx.id, tx.fee) for tx in eng.pending()] == [("c", fee(70))]
+        assert [(tx.id, tx.fee) for tx in map(eng.tx, eng.pending())] == [("c", fee(70))]
+
+
+class TestDeferredIndex:
+    """Rising ids that share the last submit's fee object and instant join
+    its cohort by one append; the id map learns of them, and of the blocks
+    that confirm them, only when something reads or writes by id."""
+
+    def test_confirmed_and_renamed_before_the_first_read(self):
+        eng = simple_engine([[0, 0, 9]] * 3)
+        rate = fee(70)
+        for i in range(6):
+            eng.submit(i, rate, T0)
+        assert list(eng._homes) == [0]  # 1 to 5 are the open run
+        assert eng.apply_block(BlockEntry(1, T0, 11)) == [0, 1]  # 9 ahead of them
+        eng.bump_all(fee(80), T0 + 60)  # renames the cohort that holds the run
+        assert list(eng._homes) == [0]
+        assert [eng.status(i) for i in range(6)] == [TxStatus.CONFIRMED] * 2 + [TxStatus.PENDING] * 4
+        assert eng.pending() == [2, 3, 4, 5]
+        assert [(tx.fee, tx.confirmed_height) for tx in map(eng.tx, range(6))] == (
+            [(fee(70), 1)] * 2 + [(fee(80), None)] * 4
+        )
+
+    def test_an_id_below_the_highest_is_checked_and_inserted(self):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        rate = fee(70)
+        for i in (2, 4, 6):
+            eng.submit(i, rate, T0)
+        with pytest.raises(ReplayError, match="duplicate transaction id 4"):
+            eng.submit(4, rate, T0)
+        eng.submit(3, rate, T0)  # below the highest id: checked, then inserted in id order
+        eng.submit(7, rate, T0)  # above it again: appended, with no map entry
+        assert list(eng._homes) == [2, 4, 6, 3]
+        assert eng.pending() == [2, 4, 6, 3, 7]  # submission order
+        assert eng.apply_block(BlockEntry(1, T0, 5)) == [2, 3, 4, 6, 7]
+
+    @pytest.mark.parametrize(
+        "edit, pending",
+        [
+            ("withdraw", [0, 1, 3, 4]),  # deletes 2 from the middle of the member list
+            ("bump", [0, 1, 2, 3, 4]),  # rebuilds the member list without 2
+        ],
+    )
+    def test_an_edit_inside_the_run_closes_it(self, edit, pending):
+        eng = simple_engine([[0, 0, 0]] * 3)
+        rate = fee(70)
+        for i in range(4):
+            eng.submit(i, rate, T0)
+        if edit == "withdraw":
+            eng.withdraw(2)
+        else:
+            eng.bump(2, fee(80), T0)  # same band and instant: ties with the rest
+        eng.submit(4, rate, T0)
+        assert eng.pending() == pending
+        assert eng.apply_block(BlockEntry(1, T0, 9)) == pending
 
 
 class TestEngineProperties:
@@ -1312,7 +1416,7 @@ class TestEngineProperties:
         eng.withdraw("t03")
         for h in range(1, 6):
             eng.apply_block(BlockEntry(h, T0 + 60 * (h - 1), 3))
-        statuses = [tx.status for tx in eng.transactions.values()]
+        statuses = [eng.status(f"t{i:02d}") for i in range(20)]
         assert len(statuses) == 20
         assert all(
             s in (TxStatus.PENDING, TxStatus.CONFIRMED, TxStatus.WITHDRAWN) for s in statuses
@@ -1336,11 +1440,11 @@ class TestEngineProperties:
             heights = {}
             for h in range(1, 25):
                 ts = T0 + 60 * (h - 1)
-                for tx in eng.apply_block(BlockEntry(h, ts, 4)):
-                    heights[tx.id] = tx.confirmed_height
+                for tx_id in eng.apply_block(BlockEntry(h, ts, 4)):
+                    heights[tx_id] = eng.tx(tx_id).confirmed_height
                 if h % 5 == 0:
-                    for tx in eng.pending():
-                        eng.bump(tx.id, tx.fee.bumped(1.5), ts)
+                    for tx_id in eng.pending():
+                        eng.bump(tx_id, eng.tx(tx_id).fee.bumped(1.5), ts)
             return heights
 
         assert run() == run() == run()
@@ -1354,9 +1458,8 @@ class TestEngineProperties:
                 ts = T0 + 60 * (h - 1)
                 if bump and h == 3:
                     eng.bump("x", fee(70), ts)
-                for tx in eng.apply_block(BlockEntry(h, ts, 2)):
-                    if tx.id == "x":
-                        return tx.confirmed_height
+                if "x" in eng.apply_block(BlockEntry(h, ts, 2)):
+                    return eng.tx("x").confirmed_height
             return None
 
         plain = confirmation_height(bump=False)

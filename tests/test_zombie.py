@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import constant_scenario, constant_timeline, fee, make_blocks
-from lnme.mempool import ConstantAverage
+from lnme.mempool import ConstantAverage, ReplayEngine
 from lnme.scenario import Scenario
 from lnme.strategies import Dynamic, Static
 from lnme.zombie import ZombieConfig, simulate_zombie, sweep_csv, sweep_zombie
@@ -128,6 +128,48 @@ class TestSimulateZombie:
     def test_dynamic_beta_must_be_finite_and_above_one(self, beta):
         with pytest.raises(ValueError, match="beta must be finite and > 1"):
             Dynamic(fee(10), 2, beta)
+
+
+class TestEngineCalls:
+    """The traced benchmark's zombie gates, at small n: one ``submit`` per
+    victim, one ``apply_block`` per series row, and ``apply_block`` results
+    whose lengths sum to n."""
+
+    @pytest.mark.parametrize(
+        "strategy, scenario, closes_at",
+        [
+            (Static(fee(70)), empty_scenario(), 3),
+            # climbs past the mid-band backlog only after six bumps
+            (Dynamic(fee(5), 2, 1.5), mid_band_congestion(blocks=30, backlog=3000), 15),
+        ],
+        ids=["static", "dynamic"],
+    )
+    def test_engine_calls_match_the_traced_gates(self, monkeypatch, strategy, scenario, closes_at):
+        calls = {"submit": 0, "apply_block": 0, "bump_all": 0}
+        confirmations = 0
+
+        def counting(name):
+            real = getattr(ReplayEngine, name)
+
+            def wrapper(engine, *args):
+                nonlocal confirmations
+                calls[name] += 1
+                result = real(engine, *args)
+                if name == "apply_block":
+                    confirmations += len(result)
+                return result
+
+            monkeypatch.setattr(ReplayEngine, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        n = 4500
+        report = simulate_zombie(ZombieConfig(n, strategy, scenario))
+        assert report.blocks_to_close_all == closes_at
+        assert calls["submit"] == n
+        assert calls["apply_block"] == len(report.series)
+        assert confirmations == n
+        assert (calls["bump_all"] > 0) == isinstance(strategy, Dynamic)
 
 
 class TestSweep:
