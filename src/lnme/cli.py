@@ -436,7 +436,7 @@ def _add_scenario_args(parser):
         "--avg-block-txs",
         type=_block_average,
         default=None,
-        help="constant block capacity (required for scenario 2)",
+        help="constant block capacity (required for scenario 2, refused for scenario 1)",
     )
 
 
@@ -550,7 +550,12 @@ def _validate(args, parser) -> None:
             )
     if args.command == "doublespend" and args.profit_mode == "average" and args.avg_capacity is None:
         parser.error("--profit-mode average requires --avg-capacity")
-    if getattr(args, "scenario", None) == "2" and args.avg_block_txs is None:
+    scenario = getattr(args, "scenario", "custom")
+    if scenario != "custom" and args.start is not None:
+        parser.error(f"--start applies to --scenario custom; --scenario {scenario} starts at its preset time")
+    if scenario == "1" and args.avg_block_txs is not None:
+        parser.error("--scenario 1 replays historical block sizes; --avg-block-txs applies to 2 and custom")
+    if scenario == "2" and args.avg_block_txs is None:
         parser.error("--scenario 2 requires --avg-block-txs")
 
 

@@ -25,7 +25,7 @@ from operator import attrgetter
 
 from .cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
 from .graph import LnGraph, dumps_with_records
-from .mempool import PENDING, FeeRate, ReplayEngine, average_fee, div_round_half_up
+from .mempool import PENDING, FeeRate, ReplayEngine, _Cohort, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
 
@@ -221,19 +221,23 @@ def simulate_double_spend(
 
     Future work waits in one schedule keyed by the height at which it falls
     due: ``sweeps[h]`` holds the channels whose dispute delay ends at height
-    h, and ``bumps[h]`` the ``(members, fee, step, beta)`` groups of dynamic
-    penalties and sweeps due for a bump. The penalties submitted in one
-    block form one group, and the sweeps submitted in one block another:
-    each group shares one fee and one cadence, so its pending members share
-    one fee path. Each block pops its own height, drops the members of each
-    due group that are no longer pending, bumps the rest in one engine call
-    and files them again ``step`` heights on, so bumping (honest or sweep)
-    counts from each transaction's own submission block. Popping exact
-    heights misses nothing, because the block window is a run of
+    h, and ``bumps[h]`` the ``(group, step, beta)`` entries of dynamic
+    penalties and sweeps due for a bump. Each block submits its penalties
+    as one uninterrupted run after its confirmations, and its sweeps as
+    another, so each is one engine group (see ``ReplayEngine.submit``),
+    with one fee and one cadence. The engine keeps a group's pending
+    members: confirmations and withdrawals take members out, and a bump
+    renames the group. Each block pops its own height, drops each due
+    group that has no pending member left, bumps the others in one engine
+    call each and files them again ``step`` heights on, so bumping (honest
+    or sweep) counts from each transaction's own submission block. Popping
+    exact heights misses nothing, because the block window is a run of
     consecutive heights and delays are non-negative. With
-    ``strict_expiry`` the penalty is withdrawn the moment the sweep is
-    submitted, so an expired channel can no longer be defended; the default
-    lets a late penalty still win the race until the sweep confirms.
+    ``strict_expiry`` the penalty is withdrawn once the block's sweeps are
+    submitted, so an expired channel can no longer be defended; the
+    default lets a late penalty still win the race until the sweep
+    confirms. Neither run's order changes a queue position: nothing moves
+    the clock in between.
     """
     scenario_start = scenario.start()
     blocks = scenario.attack_blocks()
@@ -244,10 +248,12 @@ def simulate_double_spend(
         engine.submit(3 * i + COMMIT, attacker.commitment_fee, scenario_start)
 
     sweep = attacker.sweep
-    sweep_fee = initial_fee(sweep)
+    # a fee object of its own, so that a block's sweeps never join the
+    # group of its penalties, whose fee object is a snapshot's average
+    sweep_fee = FeeRate(initial_fee(sweep).centi)
     status = engine.status
     sweeps: defaultdict[int, list[ChannelAttack]] = defaultdict(list)
-    bumps: defaultdict[int, list[tuple[list[int], FeeRate, int, float]]] = defaultdict(list)
+    bumps: defaultdict[int, list[tuple[_Cohort, int, float]]] = defaultdict(list)
     series: list[tuple[int, int]] = []
     events: list[tuple[int, list[str]]] | None = [] if record_events else None
     compromised_total = 0
@@ -266,7 +272,6 @@ def simulate_double_spend(
                 atk.commitment_height = height
                 atk.penalty = 3 * i + PENALTY
                 penalty_fee = average_fee(engine.histogram())
-                engine.submit(atk.penalty, penalty_fee, now)
                 penalties.append(atk.penalty)
                 sweeps[height + atk.delay].append(atk)
                 continue
@@ -280,33 +285,31 @@ def simulate_double_spend(
             loser = atk.penalty if swept else atk.sweep
             if loser is not None and status(loser) is PENDING:
                 engine.withdraw(loser)
+        for tx_id in penalties:  # one run, so one group
+            group = engine.submit(tx_id, penalty_fee, now)
         if honest.dynamic and penalties:
-            bumps[height + honest.step].append((penalties, penalty_fee, honest.step, honest.beta))
+            bumps[height + honest.step].append((group, honest.step, honest.beta))
         # each channel is filed once, and its penalty is pending while it is
         # undecided, so an undecided channel has no sweep yet
-        swept_now: list[int] = []
-        for atk in sweeps.pop(height, ()):
-            if atk.outcome is not Outcome.UNDECIDED:
-                continue
+        expired = [atk for atk in sweeps.pop(height, ()) if atk.outcome is Outcome.UNDECIDED]
+        for atk in expired:  # one run, so one group
             atk.sweep = 3 * atk.index + SWEEP
-            engine.submit(atk.sweep, sweep_fee, now)
+            group = engine.submit(atk.sweep, sweep_fee, now)
             atk.sweep_submit_height = height
-            swept_now.append(atk.sweep)
-            if strict_expiry:
+        if isinstance(sweep, Dynamic) and expired:
+            bumps[height + sweep.step].append((group, sweep.step, sweep.beta))
+        if strict_expiry:
+            for atk in expired:
                 engine.withdraw(atk.penalty)
-        if isinstance(sweep, Dynamic) and swept_now:
-            bumps[height + sweep.step].append((swept_now, sweep_fee, sweep.step, sweep.beta))
-        # bumps at one instant join id-ordered cohorts, so their order is moot;
-        # a group's pending members are bumped only together, so they share its fee
-        for members, fee, step, beta in bumps.pop(height, ()):
-            members = [tx_id for tx_id in members if status(tx_id) is PENDING]
-            if not members:
-                continue
-            new_fee = fee.bumped(beta)
-            if new_fee > fee:
-                engine.bump_group(members, new_fee, now)
-                fee = new_fee
-            bumps[height + step].append((members, fee, step, beta))
+        # groups bumped at one instant tie on position and confirm in id
+        # order, so their order is moot
+        for group, step, beta in bumps.pop(height, ()):
+            if not len(group):
+                continue  # every member confirmed or was withdrawn
+            new_fee = group.fee.bumped(beta)
+            if new_fee > group.fee:
+                engine.bump(group, new_fee, now)
+            bumps[height + step].append((group, step, beta))
         series.append((height, compromised_total))
         if undecided == 0:
             break

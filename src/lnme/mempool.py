@@ -20,63 +20,64 @@ transaction id is the caller's key: any hashable value ordered against
 the engine's other ids (the simulators use integers), so ties inside a
 cohort confirm in id order.
 
-The engine queues cohorts, not transactions. A cohort, keyed by ``(band,
-queued_at, fee)``, holds the ids of exactly the pending transactions that
-entered that band at that instant (a submission or a bump) at that fee, in
-id order; bumps, withdrawals and confirmations take them out. Only the
-cohort holds its members' fee, band, instant, queue position and outflow
-mark, so all of them have the same ``same_band_ahead``. Inside a band,
-cohorts are ordered by ``(same_band_ahead, queued_at)`` and members by id,
-which is the priority order above. Cohorts of one band and one instant
-tie on position (both took it from the same snapshot), so a block confirms
-their members in id order across all of them, as one cohort would. With
-``above`` historical transactions in higher bands, one block confirms
-``max(0, min(live, remaining - above - same_band_ahead))`` of such a
-group's ``live`` members, exactly what confirming them one by one would
-do. So queue order and the confirmation test cost one step per cohort,
-however many identical transactions a mass exit submits and bumps
-together.
+The engine queues cohorts, not transactions, and a cohort is a group: the
+transactions that one run of submits enters with one ``FeeRate`` object
+(the object, not an equal one) at one instant. ``submit`` returns the
+group it joined. Anything else in between ends the run: a block, even at
+an unchanged instant, a bump, a withdrawal or a clock move, so the next
+submit starts a new group, whatever its fee. A cohort holds the ids of
+exactly its pending members, in id order; withdrawals and confirmations
+take them out. Only the cohort holds its members' fee, band, instant,
+queue position and outflow mark, so all of them have the same
+``same_band_ahead``, and a bump renames the cohort in place: it takes the
+new fee's band, the bump's instant and that band's current position, and
+no member is touched. That is the engine's one bump path: the zombie's
+victims are one group, and the double-spend's penalties of one block,
+and its sweeps of one block, are one group each. Each band holds its
+cohorts in creation order. Inside a band, cohorts are ordered by
+``(same_band_ahead, queued_at)`` and members by id, which is the priority
+order above. Cohorts of one band and one instant tie on position (both
+took it from the same snapshot), so a block confirms their members in id
+order across all of them, as one cohort would. With ``above`` historical
+transactions in higher bands, one block confirms ``max(0, min(live,
+remaining - above - same_band_ahead))`` of such a tied set's ``live``
+members, exactly what confirming them one by one would do. So queue
+order, the confirmation test and a bump cost one step per cohort, however
+many identical transactions a mass exit submits and bumps together.
 
 A transaction is its id. The engine's id map holds each id's ``home``:
 its cohort while it is pending, whose member list holds the id too, and
 nothing else. Once it has left, its home is a ``_Left`` record of the fee,
 band and instant of its last cohort, its status and its confirmation height,
 shared by the ids that a block confirms from one cohort, and by the ids
-withdrawn from one cohort. A bump writes one map entry per id that moves,
-and a bump of everything pending that sits in one cohort (``bump_all``)
-renames that cohort in place and writes none. The must-increase check of a
-bump reads one fee per source cohort. ``status(tx_id)`` reads an id's status
-through its home, and ``tx(tx_id)`` builds a ``MonitoredTx`` snapshot of its
-six values on request. The engine reads a status through the module
-constants ``PENDING``, ``CONFIRMED`` and ``WITHDRAWN``, the ``TxStatus``
-members read once: on CPython 3.11 reading a member through its class costs
-about 200 ns a time. Statuses are compared by identity, never hashed, as an
-``Enum`` member's hash runs Python code.
+withdrawn from one cohort. A bump writes no map entry. ``status(tx_id)``
+reads an id's status through its home, and ``tx(tx_id)`` builds a
+``MonitoredTx`` snapshot of its six values on request. The engine reads a
+status through the module constants ``PENDING``, ``CONFIRMED`` and
+``WITHDRAWN``, the ``TxStatus`` members read once: on CPython 3.11 reading
+a member through its class costs about 200 ns a time. Statuses are
+compared by identity, never hashed, as an ``Enum`` member's hash runs
+Python code.
 
 The id map is brought up to date on demand. A mass exit's submissions share
 one ``FeeRate`` object and one instant, and take rising ids. The engine
-remembers the cohort the last submit joined, as ``(fee, at, cohort)``, and
+remembers the group the last submit joined, as ``(fee, at, cohort)``, and
 the highest id ever submitted, ``_top``. A submit with that same fee object
 at that instant and an id above ``_top`` is new, as it is above every id
-seen, and sorts last in that cohort: it is one list append and nothing else,
-no clock move, lookup or map entry. The ids that join a cohort that way
+seen, and sorts last in that group: it is one list append and nothing else,
+no clock move, duplicate check or map entry. The ids that join a cohort that way
 since its last map write form the open run, ``(cohort, start)``: they are
 ``members[start:]``. A block writes no map entry either: each cohort it
 takes ids from appends one ``(members, start, end, _Left)`` entry to a log.
 Every read or write by id calls ``_index()`` first, which writes the run's
 ids into the map, then the log over them, and leaves the run open and empty.
-Edits that reorder a member list (an insert below the tail, a withdrawal, a
-group bump) come only after ``_index()``, so the logged positions hold; a
-withdrawal and a group bump then close the run, as the run's start no longer
-marks its cohort's tail. ``status`` skips ``_index()`` for an id the map
-holds while the log is empty, as the map is then right about it. So the 1M
+Edits that reorder a member list (an insert below the tail, a withdrawal)
+come only after ``_index()``, so the logged positions hold; a withdrawal
+then closes the run, as the run's start no longer marks its cohort's tail.
+A bump changes no member list, so the run stays open through it. So the 1M
 submits and blocks of a mass exit that nothing reads by id write one map
-entry in all. Any other submit checks for a duplicate id, then joins its
-cohort by lookup, or by the remembered cohort, and opens a new run there.
-The engine forgets the remembered cohort whenever a cohort leaves the queue
-(a bump that empties it, or a block that finds it empty), when the run
-closes, when ``bump_all`` renames a cohort, and when the clock moves, so a
-submit at an instant the clock has left still raises.
+entry in all. Any other submit checks for a duplicate id, then joins the
+remembered group or starts a new one, and opens a new run there.
 
 Blocks and cohort positions read the current snapshot's counts as a plain
 list. The ``FeeHistogram`` view of a snapshot is built only when
@@ -106,7 +107,6 @@ import math
 import os
 import warnings
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -115,7 +115,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import merge
 from itertools import chain, compress, count, groupby, islice, repeat
-from operator import add, attrgetter, ge, is_, itemgetter
+from operator import add, ge, is_, itemgetter
 from typing import TextIO
 
 import numpy as np
@@ -701,19 +701,21 @@ class MonitoredTx:
 
 
 class _Cohort:
-    """The pending transactions that entered one band at one instant at one
-    fee, keyed in the engine by ``(band, queued_at, fee)``.
+    """A group of pending transactions: the ones that one run of submits
+    entered with one fee object at one instant. ``ReplayEngine.submit``
+    returns it, and ``ReplayEngine.bump`` renames it in place.
 
     ``members[head:]`` are exactly the ids whose home is this cohort, in id
     order, whether or not the engine's id map says so yet (the open run
     and the confirmation log say what it has still to write); ids before
-    ``head`` have confirmed or left. ``pos`` and ``mark`` are the band's
-    count and cumulative outflow when the cohort took its key: the queue
-    position every member holds, drained by the band's outflow since
-    then. Cohorts of one band and one instant took them from
-    the same snapshot, so they tie on position, and a block confirms their
-    members in id order across them. ``status`` and ``confirmed_height``
-    are the class's, as every member is pending.
+    ``head`` have confirmed or left. ``len(cohort)`` counts them. ``pos``
+    and ``mark`` are the band's count and cumulative outflow when the
+    cohort took its band and instant: the queue position every member
+    holds, drained by the band's outflow since then. Cohorts of one band
+    and one instant took them from the same snapshot, so they tie on
+    position, and a block confirms their members in id order across them.
+    ``status`` and ``confirmed_height`` are the class's, as every member is
+    pending.
     """
 
     __slots__ = ("band", "queued_at", "fee", "pos", "mark", "members", "head", "_withdrawn")
@@ -725,14 +727,18 @@ class _Cohort:
         self.head = 0
         self.rename(band, queued_at, fee, pos, mark)
 
+    def __len__(self) -> int:
+        return len(self.members) - self.head
+
     def rename(self, band: int, queued_at: int, fee: FeeRate, pos: int, mark: int) -> None:
-        """Take a new key and position; every member follows, untouched."""
+        """Take a new fee, band, instant and position; every member follows,
+        untouched."""
         self.band = band
         self.queued_at = queued_at
         self.fee = fee
         self.pos = pos
         self.mark = mark
-        self._withdrawn = None  # the _Left of members withdrawn under this key
+        self._withdrawn = None  # the _Left of members withdrawn under this name
 
     def ahead(self, outflow: list[int]) -> int:
         """Historical transactions of the band still queued before every
@@ -762,22 +768,6 @@ class _Cohort:
         if self._withdrawn is None:
             self._withdrawn = _Left(self.fee, self.band, self.queued_at, WITHDRAWN, None)
         return self._withdrawn
-
-    def discard(self, ids: set[TxId]) -> None:
-        """Take out the live members that are in ids, keeping id order."""
-        self.members = [tx_id for tx_id in self.live() if tx_id not in ids]
-        self.head = 0
-
-    def merge(self, ids: list[TxId]) -> None:
-        """Add ids, none of them a member yet, keeping id order."""
-        members = self.members[self.head:]
-        members += ids
-        members.sort()  # a merge pass when both runs are in id order
-        self.members = members
-        self.head = 0
-
-    def live(self) -> list[TxId]:
-        return self.members[self.head:]
 
     def confirm(self, room: int, height: int, log: list) -> list[TxId]:
         """Confirm up to room members in id order, logging their positions
@@ -824,15 +814,15 @@ class ReplayEngine:
         # (members, start, end, left) per confirmation: members[start:end]
         # left that way, and the id map does not say so yet
         self._log: list[tuple[list[TxId], int, int, _Left]] = []
-        # band -> (queued_at, fee.centi) -> cohort
-        self._bands: dict[int, dict[tuple[int, int], _Cohort]] = {}
+        # band -> its queued cohorts, in creation order
+        self._bands: dict[int, list[_Cohort]] = {}
         self._snap = 0
         self._clock = timeline.timestamps[0]
         self._counts = timeline.counts[0].tolist()  # the current snapshot's band counts
         self._hist: FeeHistogram | None = None  # built by histogram() from _counts
         self._outflow = [0] * len(self._edges)  # each band's count drops since snapshot 0
-        # (fee, at, cohort) of the last submit, while that cohort is queued
-        # and holds the open run
+        # (fee, at, cohort) of the last submit, while nothing else has
+        # happened since: the open group, which holds the open run
         self._last: tuple[FeeRate, int, _Cohort] | None = None
         self._last_height: int | None = None
         self._avg = None  # the block average as an integer ratio num / den
@@ -872,18 +862,21 @@ class ReplayEngine:
 
     # -- operations --------------------------------------------------------
 
-    def submit(self, tx_id: TxId, fee: FeeRate, at: int) -> None:
-        """Register a pending transaction; its queue position is the
-        historical count of its band at the submission-time snapshot.
+    def submit(self, tx_id: TxId, fee: FeeRate, at: int) -> _Cohort:
+        """Register a pending transaction and return the group it joined.
+        A new group's queue position is the historical count of its band at
+        the submission-time snapshot.
 
-        A submit with the last submit's fee object at the same instant and
-        an id above every id submitted so far is new: it joins that
-        submit's cohort, the open run, with one append and no lookup."""
+        A submit with the last submit's fee object at the same instant, with
+        nothing else in between, joins that submit's group; one with an id
+        above every id submitted so far is new, and joins it, the open run,
+        with one append and no duplicate check."""
         last = self._last
         if last is not None and last[0] is fee and last[1] == at and tx_id > self._top:
-            last[2].members.append(tx_id)
+            cohort = last[2]
+            cohort.members.append(tx_id)
             self._top = tx_id
-            return
+            return cohort
         self._index()
         homes = self._homes
         if tx_id in homes:
@@ -894,7 +887,9 @@ class ReplayEngine:
             cohort = last[2]
         else:
             self._advance(at)
-            cohort = self._cohort(self._band_index(fee), at, fee)
+            band = self._band_index(fee)
+            cohort = _Cohort(band, at, fee, *self._position(band), [])
+            self._bands.setdefault(band, []).append(cohort)
         members = cohort.members
         if cohort.head == len(members) or tx_id > members[-1]:
             members.append(tx_id)
@@ -905,77 +900,38 @@ class ReplayEngine:
             self._top = tx_id
         self._last = (fee, at, cohort)
         self._run = (cohort, len(members))
+        return cohort
 
-    def bump(self, tx_id: TxId, new_fee: FeeRate, at: int) -> None:
-        """Replace-by-fee: re-submission semantics, so the queue position
-        resets to the new band's current historical count. A one-member
-        ``bump_group``."""
-        self.bump_group([tx_id], new_fee, at)
-
-    def bump_group(self, ids: list[TxId], new_fee: FeeRate, at: int) -> None:
-        """Bump every transaction of ids to new_fee, as one ``bump`` per id
-        would: afterwards all of them are in the cohort of new_fee's band at
-        ``at`` and new_fee, which no member was in, as new_fee is above every
-        member's fee. Nothing changes unless every id is a distinct pending
-        transaction of this engine paying less than new_fee. The fee check
-        reads one fee per source cohort, and each id that moves gets one map
-        entry written, its home."""
-        if not ids:
-            return
-        self._index()
-        homes = list(map(self._homes.get, ids))
-        # compared by identity: hashing an Enum member runs Python code
-        if None in homes or not all(map(is_, map(attrgetter("status"), homes), repeat(PENDING))):
-            bad = next(tx_id for tx_id, home in zip(ids, homes) if home is None or home.status is not PENDING)
-            raise ReplayError(f"transaction {bad!r} is not pending")
-        leaving = set(ids)
-        if len(leaving) != len(ids):
-            raise ReplayError("a transaction is listed twice in one bump")
-        sources = Counter(homes)
-        top = max(map(attrgetter("fee.centi"), sources))
-        if new_fee.centi <= top:
-            raise ReplayError(f"bump must increase the fee ({new_fee} <= {FeeRate(top)})")
+    def bump(self, group: _Cohort, new_fee: FeeRate, at: int) -> None:
+        """Replace-by-fee for every pending member of a group that
+        ``submit`` returned: re-submission semantics, so the group's queue
+        position resets to the new band's current historical count. The
+        group is renamed in place, and no member or map entry is touched.
+        Nothing changes unless the group is queued in this engine, has a
+        pending member and pays less than new_fee."""
+        cohorts = self._bands.get(group.band, ())
+        if group not in cohorts:
+            raise ReplayError("the group is not queued in this engine")
+        if not len(group):
+            raise ReplayError("the group has no pending transaction")
+        if new_fee.centi <= group.fee.centi:
+            raise ReplayError(f"bump must increase the fee ({new_fee} <= {group.fee})")
         self._advance(at)
-        for cohort, moving in sources.items():
-            if moving == len(cohort.members) - cohort.head:
-                self._drop(cohort)  # every live member leaves
-            else:
-                cohort.discard(leaving)
-        target = self._cohort(self._band_index(new_fee), at, new_fee)
-        self._homes.update(zip(ids, repeat(target)))
-        target.merge(ids)
-        self._close_run()
-
-    def bump_all(self, new_fee: FeeRate, at: int) -> None:
-        """Bump every pending transaction to new_fee, as one ``bump`` per
-        pending transaction would: afterwards all of them form the single
-        cohort of new_fee's band at ``at`` and new_fee.
-
-        When one cohort holds every pending transaction, as in a mass exit,
-        the fee check reads its fee and the cohort takes the new key and
-        position in place: no id is touched. Pending transactions in
-        several cohorts are bumped as one group."""
-        sources = [
-            cohort for cohorts in self._bands.values() for cohort in cohorts.values()
-            if cohort.head < len(cohort.members)
-        ]
-        if len(sources) != 1:
-            self.bump_group([tx_id for cohort in sources for tx_id in cohort.live()], new_fee, at)
-            return
-        cohort = sources[0]
-        if new_fee.centi <= cohort.fee.centi:
-            raise ReplayError(f"bump must increase the fee ({new_fee} <= {cohort.fee})")
-        self._advance(at)
+        cohorts.remove(group)
+        if not cohorts:
+            del self._bands[group.band]
         band = self._band_index(new_fee)
-        cohort.rename(band, at, new_fee, *self._position(band))
+        group.rename(band, at, new_fee, *self._position(band))
+        self._bands.setdefault(band, []).append(group)
         self._last = None
-        self._bands = {band: {(at, new_fee.centi): cohort}}
 
     def withdraw(self, tx_id: TxId) -> None:
         cohort = self._pending_home(tx_id)
         cohort.remove(tx_id)
         self._homes[tx_id] = cohort.withdrawn()
-        self._close_run()
+        # the member list may have shortened, so the run's start may no
+        # longer mark its cohort's tail; and a withdrawal ends the open group
+        self._run = self._last = None
 
     def apply_block(self, entry: BlockEntry) -> list[TxId]:
         """Confirm monitored transactions that fit this block; returns their
@@ -989,6 +945,7 @@ class ReplayEngine:
             raise ReplayError(f"block {entry.height} out of order after {self._last_height}")
         self._advance(entry.timestamp)
         self._last_height = entry.height
+        self._last = None  # a block ends the open group, even at an unchanged instant
         remaining = self._block_capacity(entry)
         confirmed: list[TxId] = []
         log = self._log
@@ -1018,15 +975,8 @@ class ReplayEngine:
         return [tx_id for tx_id, home in self._homes.items() if home.status is PENDING]
 
     def status(self, tx_id: TxId) -> TxStatus:
-        """A transaction's status, read through its home. The id map holds
-        an id's current home unless the id is in the open run or a logged
-        confirmation took it, so an id the map holds while the log is empty
-        is read at once, with no ``_index()`` call: the double-spend reads
-        one status per bump-group member per bump."""
-        home = None if self._log else self._homes.get(tx_id)
-        if home is None:
-            home = self._home(tx_id)
-        return home.status
+        """A transaction's status, read through its home."""
+        return self._home(tx_id).status
 
     def tx(self, tx_id: TxId) -> MonitoredTx:
         """A snapshot of a transaction's id, fee, band, status, confirmation
@@ -1061,13 +1011,6 @@ class ReplayEngine:
                 homes.update(zip(islice(members, start, end), repeat(left)))
             self._log.clear()
 
-    def _close_run(self) -> None:
-        """Close the run and forget the last submit's cohort, after an edit
-        that may have shortened a member list: the run's start may no longer
-        mark its cohort's tail. The next submit looks its cohort up and opens
-        a new run."""
-        self._run = self._last = None
-
     def _home(self, tx_id: TxId) -> _Cohort | _Left:
         self._index()
         home = self._homes.get(tx_id)
@@ -1088,39 +1031,21 @@ class ReplayEngine:
             return 0, 0
         return self._counts[band], self._outflow[band]
 
-    def _cohort(self, band: int, at: int, fee: FeeRate) -> _Cohort:
-        cohorts = self._bands.get(band)
-        if cohorts is None:
-            cohorts = self._bands[band] = {}
-        key = (at, fee.centi)
-        cohort = cohorts.get(key)
-        if cohort is None:
-            cohort = cohorts[key] = _Cohort(band, at, fee, *self._position(band), [])
-        return cohort
-
-    def _drop(self, cohort: _Cohort) -> None:
-        """Take the cohort out of its band, and forget the last submit's
-        cohort: it may be this one."""
-        cohorts = self._bands[cohort.band]
-        del cohorts[cohort.queued_at, cohort.fee.centi]
-        if not cohorts:
-            del self._bands[cohort.band]
-        self._last = None
-
     def _queue(self, band: int) -> list[tuple[int, list[_Cohort]]]:
         """The band's cohorts in priority order, as (same_band_ahead,
         cohorts) groups of the cohorts that entered the band at one instant
         and so tie on position; cohorts that every member left are
         dropped."""
+        live = [cohort for cohort in self._bands[band] if cohort.head < len(cohort.members)]
+        if live:
+            self._bands[band] = live
+        else:
+            del self._bands[band]
         outflow = self._outflow
-        order = []
-        for cohort in list(self._bands[band].values()):
-            if cohort.head == len(cohort.members):
-                self._drop(cohort)
-            else:
-                order.append((cohort.ahead(outflow), cohort.queued_at, cohort.fee.centi, cohort))
-        order.sort()  # (queued_at, fee) is unique in a band, so cohorts never compare
-        return [(ahead, [entry[3] for entry in group]) for (ahead, _), group in groupby(order, itemgetter(0, 1))]
+        order = [(cohort.ahead(outflow), cohort.queued_at, cohort) for cohort in live]
+        key = itemgetter(0, 1)
+        order.sort(key=key)  # stable: tied cohorts stay in creation order
+        return [(ahead, [entry[2] for entry in group]) for (ahead, _), group in groupby(order, key)]
 
     def _block_capacity(self, entry: BlockEntry) -> int:
         if self._avg is None:

@@ -64,10 +64,11 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
     """Submit all closing transactions at attack start and replay blocks.
 
     With a dynamic strategy, every still-pending transaction is bumped on
-    the shared s-block cadence counted from attack start (all victims
-    submit together). Blocks before the attack start are skipped; if the
-    trace or the timeline ends first, the report flags the exhausted
-    horizon instead of extrapolating.
+    the shared s-block cadence counted from attack start: all victims
+    submit together, as one engine group, and each bump renames that
+    group. Blocks before the attack start are skipped; if the trace or the
+    timeline ends first, the report flags the exhausted horizon instead of
+    extrapolating.
     """
     scenario = config.scenario
     start = scenario.start()
@@ -76,7 +77,8 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
     n = config.channel_count
     fee = initial_fee(config.strategy)
     submit = engine.submit
-    for i in range(n):
+    victims = submit(0, fee, start)
+    for i in range(1, n):
         submit(i, fee, start)
     series: list[tuple[int, int]] = []
     remaining = n
@@ -89,10 +91,9 @@ def simulate_zombie(config: ZombieConfig) -> ZombieReport:
             closed_at = age
             break
         if isinstance(config.strategy, Dynamic) and age % config.strategy.step == 0:
-            new_fee = fee.bumped(config.strategy.beta)
-            if new_fee > fee:  # a no-op bump would reset queue positions
-                engine.bump_all(new_fee, entry.timestamp)
-                fee = new_fee
+            new_fee = victims.fee.bumped(config.strategy.beta)
+            if new_fee > victims.fee:  # a no-op bump would reset queue positions
+                engine.bump(victims, new_fee, entry.timestamp)
     return ZombieReport(config, series, closed_at, remaining > 0)
 
 

@@ -513,6 +513,25 @@ class TestDoublespend:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("zombie", "--channels", 10, "--fee", 70),
+    ("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70),
+])
+@pytest.mark.parametrize("preset, match", [
+    (("--scenario", "1", "--start", 1_600_000_600), "--start applies to --scenario custom"),
+    (("--scenario", "2", "--avg-block-txs", 1000, "--start", 1_600_000_600), "--start applies to --scenario custom"),
+    (("--scenario", "1", "--avg-block-txs", 1000), "--avg-block-txs applies to 2 and custom"),
+])
+def test_a_preset_refuses_the_values_it_ignores(workdir, capsys, command, preset, match):
+    # a preset has its own start, and scenario 1 replays historical block
+    # sizes: a value it would ignore is a usage error, and nothing is written
+    with pytest.raises(SystemExit) as exc:
+        run(*command, *preset, "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "x")
+    assert exc.value.code == 2
+    assert match in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["1e5000", "1e4000000"])
 @pytest.mark.parametrize("argv, flag", [
     (("zombie", "--channels", 10, "--fee"), "--fee"),

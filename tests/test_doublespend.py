@@ -328,13 +328,13 @@ class TestSchedule:
         # and delays of 0-8 blocks spread the sweeps, so penalties and sweeps
         # start their cadences at many heights; 10 blocks cut the race short
         bumped = []
-        real_bump_group = ReplayEngine.bump_group
+        real_bump = ReplayEngine.bump
 
-        def recording_bump_group(engine, ids, new_fee, at):
-            bumped.extend((at, tx_id) for tx_id in ids)
-            return real_bump_group(engine, ids, new_fee, at)
+        def recording_bump(engine, group, new_fee, at):
+            bumped.extend((at, tx_id) for tx_id in group.members[group.head:])  # its pending members
+            return real_bump(engine, group, new_fee, at)
 
-        monkeypatch.setattr(ReplayEngine, "bump_group", recording_bump_group)
+        monkeypatch.setattr(ReplayEngine, "bump", recording_bump)
         scenario = congested_scenario(blocks=blocks, txs=10)
         report = simulate_double_spend(
             [(f"c{i}", rng.randint(1, MAX_FUNDING_SAT)) for i in range(40)],
@@ -371,6 +371,31 @@ class TestSchedule:
             assert report.undecided  # still racing when the window ends
         elif not strict_expiry:
             assert report.compromised and report.defended
+
+    @pytest.mark.parametrize("strict_expiry", [False, True])
+    def test_status_is_read_at_most_once_per_decided_channel(self, monkeypatch, rng, strict_expiry):
+        # the schedule bumps whole engine groups, so only the race's loser
+        # check reads a status: never a bump, whatever the cadences
+        reads = []
+        real_status = ReplayEngine.status
+
+        def counting_status(engine, tx_id):
+            reads.append(tx_id)
+            return real_status(engine, tx_id)
+
+        monkeypatch.setattr(ReplayEngine, "status", counting_status)
+        report = simulate_double_spend(
+            [(f"c{i}", rng.randint(1, MAX_FUNDING_SAT)) for i in range(40)],
+            PenaltyPolicy(dynamic=True, step=1, beta=1.2),
+            AttackerStrategy(fee(70), sweep=Dynamic(fee(20), 1, 1.5)),
+            CapacityScaled(max_delay=8, min_delay=0),
+            congested_scenario(blocks=60, txs=10),
+            strict_expiry=strict_expiry,
+        )
+        decided = report.compromised + report.defended
+        assert decided
+        assert len(reads) <= decided
+        assert len({tx_id // 3 for tx_id in reads}) == len(reads)  # one read per channel at most
 
     def test_zero_delay_sweeps_in_the_commitment_block(self):
         report = simulate_double_spend(

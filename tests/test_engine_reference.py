@@ -4,8 +4,9 @@ rule-literal reference over randomized scenarios.
 The reference engine applies per-snapshot-step queue decay eagerly to every
 pending transaction and evaluates every transaction's confirmation condition
 independently each block, with no cohorts or cumulative-outflow shortcuts.
-It bumps "every pending transaction" one transaction at a time and carries a
-``ConstantAverage`` block size as an exact ``Fraction``. Any divergence in
+It bumps one transaction at a time, so a group bump is one bump per pending
+member, and carries a ``ConstantAverage`` block size as an exact
+``Fraction``. Any divergence in
 confirmation order, confirmation heights, statuses or queue positions is a
 bug in the optimized bookkeeping.
 
@@ -112,15 +113,6 @@ class NaiveEngine:
             queued_at=t,
         )
 
-    def bump_all(self, new_fee, t):
-        for tid, tx in self.txs.items():
-            if tx["status"] == "pending":
-                self.bump(tid, new_fee, t)
-
-    def bump_group(self, tx_ids, new_fee, t):
-        for tid in tx_ids:
-            self.bump(tid, new_fee, t)
-
     def withdraw(self, tx_id):
         assert self.txs[tx_id]["status"] == "pending"
         self.txs[tx_id]["status"] = "withdrawn"
@@ -149,9 +141,6 @@ class NaiveEngine:
                 remaining -= 1
         return confirmed
 
-    def pending_fees(self):
-        return [tx["fee"] for tx in self.txs.values() if tx["status"] == "pending"]
-
 
 def random_timeline(rng, band_edges, snapshots=50, start=1_000_000, interval=60, lift=0):
     """Random-walk band counts; ``lift`` is added to every count of the
@@ -166,21 +155,24 @@ def random_timeline(rng, band_edges, snapshots=50, start=1_000_000, interval=60,
     return make_timeline(band_edges, counts, start=start, interval=interval)
 
 
-def random_scenario(seed, mass_bumps=False, group_bumps=False, lift=0):
+def random_scenario(seed, lift=0, group_bumps=False):
     """Random events, several of them at one instant: submit bursts whose ids
     arrive out of lexical order or, for a share of the bursts, rise above
     every id before them (as the simulators' integer ids do), so that a
-    submit can skip the id map; bumps of several transactions by one beta,
-    withdrawals, with ``mass_bumps`` bumps of every pending transaction to
-    one new fee, and with ``group_bumps`` bumps of a group of pending
-    transactions to one new fee, drawn when the event is replayed. The
+    submit can skip the id map; bumps of the group of a random transaction
+    by one beta, withdrawals and blocks. A burst pays one or two fee
+    objects, so its runs of one fee object form one or more groups. The
     clock stands still for a share of the events, and a burst may be
     followed at its own instant by a withdrawal and a same-fee replacement,
-    by a bump of one of its transactions or, with ``group_bumps``, by a
-    group bump. ``lift`` is ``random_timeline``'s."""
+    by a bump of the group of one of its transactions, or by a block, a
+    same-fee submit and such a bump. With ``group_bumps`` every burst holds
+    3 to 8 transactions and is followed by the last of these, and a share
+    of the bursts pay a fee in two objects of one value, whose runs are
+    groups apart. ``lift`` is ``random_timeline``'s."""
     rng = random.Random(seed)
     timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)], lift=lift)
     fees = {rate: fee(rate) for rate in SUBMIT_FEES}  # one object per value, as the simulators pass them
+    twins = {rate: fee(rate) for rate in SUBMIT_FEES}
     start = timeline.timestamps[0]
     end = timeline.timestamps[-1]
     fresh_ids = [f"tx{i:03d}" for i in range(1000)]
@@ -192,35 +184,48 @@ def random_scenario(seed, mass_bumps=False, group_bumps=False, lift=0):
     while t <= end - 120:
         roll = rng.random()
         if roll < 0.35:
-            burst_fees = rng.sample(SUBMIT_FEES, rng.choice([1, 1, 2]))
+            rates = rng.sample(SUBMIT_FEES, rng.choice([1, 1, 2]))
+            burst_fees = [fees[rate] for rate in rates]
+            if group_bumps and rng.random() < 0.3:
+                burst_fees.append(twins[rates[0]])
             rising = rng.random() < 0.4
             burst = []
-            for _ in range(rng.choice([1, 1, 2, 3, 5])):
+            for _ in range(rng.randint(3, 8) if group_bumps else rng.choice([1, 1, 2, 3, 5])):
                 # "u..." sorts above every "tx..." id, and len(tx_ids) rises
                 tid = f"u{len(tx_ids):04d}" if rising else fresh_ids.pop()
                 tx_ids.append(tid)
-                burst.append(("submit", t, tid, fees[rng.choice(burst_fees)]))
+                burst.append(("submit", t, tid, rng.choice(burst_fees)))
             events += burst
-            follow = rng.random()
-            if follow < 0.25:  # one leaves, and a same-fee replacement re-joins its cohort
+            follow = 0.7 if group_bumps else rng.random()
+            if follow < 0.25:  # one leaves, and a same-fee replacement starts a group at its instant
                 _, _, gone, rate = rng.choice(burst)
                 tid = f"u{len(tx_ids):04d}" if rising else fresh_ids.pop()
                 tx_ids.append(tid)
                 events += [("withdraw", t, gone), ("submit", t, tid, rate)]
-            elif follow < 0.5:  # one is bumped at once, often inside its band
-                events.append(("bump", t, rng.choice(burst)[2], 1.5))
-            elif group_bumps and follow < 0.9:  # a group, often with a member of the burst
-                events.append(("bump_group", t, rng.choice([1.05, 1.1, 1.5]), rng.random()))
-        elif roll < 0.50 and tx_ids:
-            beta = rng.choice([1.5, 2.0, 4.0])
+            elif follow < 0.6:  # a group is bumped at once, often inside its band
+                events.append(("bump", t, rng.choice(burst)[2], rng.choice([1.05, 1.5])))
+            elif follow < 0.85:
+                # a block at the burst's instant, then a submit with one of its
+                # fee objects, which starts a new group, and a bump of a group
+                # of the burst that the block may have taken members from, and
+                # a withdrawal too: the bump names the group by its highest
+                # id, the last of them that a block confirms
+                rate = rng.choice(burst)[3]
+                paying = [tid for _, _, tid, paid in burst if paid is rate]
+                member = max(paying)
+                tid = f"u{len(tx_ids):04d}" if rising else fresh_ids.pop()
+                tx_ids.append(tid)
+                events += [("block", t, height, rng.randint(0, 60)), ("submit", t, tid, rate)]
+                height += 1
+                if len(paying) > 1 and rng.random() < 0.5:
+                    events.append(("withdraw", t, rng.choice([tid for tid in paying if tid != member])))
+                events.append(("bump", t, member, rng.choice([1.05, 1.5])))
+        elif roll < 0.55 and tx_ids:
+            beta = rng.choice([1.1, 1.5, 2.0, 4.0])
             for tid in rng.sample(tx_ids, min(len(tx_ids), rng.choice([1, 1, 2, 4]))):
                 events.append(("bump", t, tid, beta))
-        elif roll < 0.57 and tx_ids:
+        elif roll < 0.62 and tx_ids:
             events.append(("withdraw", t, rng.choice(tx_ids)))
-        elif mass_bumps and roll < 0.64:
-            events.append(("bump_all", t, rng.choice([1.5, 2.0])))
-        elif group_bumps and roll < 0.71:
-            events.append(("bump_group", t, rng.choice([1.1, 1.5, 2.0]), rng.random()))
         else:
             events.append(("block", t, height, rng.randint(0, 10)))
             height += 1
@@ -237,11 +242,12 @@ def run_scenario(seed):
     each above every id before it, in runs of one fee object, so that a
     submit after a burst's first one of each fee writes no map entry. Each
     burst is followed at its instant by a block and, seven times in ten, by
-    a withdrawal or a bump of one of its ids or (most often) a bump of
-    everything pending, before or after the block. So the block may confirm
-    ids before their first lookup, and the withdrawal or bump may take an id
-    inside the run. Half the bursts pay two fees of one band, whose cohorts
-    tie on position."""
+    a withdrawal of one of its ids or a bump of the group of one of them
+    (most often the last group, which holds the open run), before or after
+    the block. So the block may confirm ids before their first lookup, the
+    withdrawal may take an id inside the run and the bump may rename the
+    group that holds it. Half the bursts pay two fees of one band, whose
+    groups tie on position."""
     rng = random.Random(seed)
     timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)])
     fees = {rate: fee(rate) for rate in SUBMIT_FEES}
@@ -264,70 +270,57 @@ def run_scenario(seed):
         elif follow < 0.4:
             after.append(("bump", t, rng.choice(burst), 1.5))
         elif follow < 0.7:
-            after.append(("bump_all", t, 1.5))
+            after.append(("bump", t, burst[-1], 1.5))
         rng.shuffle(after)
         events += after
         t += rng.randint(20, 150)
     return timeline, events
 
 
-def draw_group(rng, naive, t):
-    """A random group of pending transactions. Half the time it holds a
-    transaction queued at t and no fee above that one's, so that a small
-    beta keeps the group's target in that transaction's band at t, in a
-    cohort that ties with its own on position."""
-    pending = [tid for tid, ref in naive.txs.items() if ref["status"] == "pending"]
-    fresh = [tid for tid in pending if naive.txs[tid]["queued_at"] == t]
-    if fresh and rng.random() < 0.5:
-        anchor = rng.choice(fresh)
-        top = naive.txs[anchor]["fee"]
-        others = [tid for tid in pending if tid != anchor and naive.txs[tid]["fee"] <= top]
-        return [anchor] + rng.sample(others, rng.randint(0, len(others)))
-    return rng.sample(pending, rng.randint(1, len(pending))) if pending else []
+def replay_both(seed, capacity_mode=Historical(), lift=0, scenario=None):
+    """Replay one random scenario on both engines and compare them.
 
+    The replay keeps its own account of the groups: a run of submits with
+    one fee object at one instant, with no other event in between, is one
+    group, and every ``submit`` must return its run's group, a new one for
+    a new run. A bump event bumps the group of its transaction on the fast
+    engine, and each pending member of that group on the naive one.
 
-def group_cases(naive, group, new_fee, t):
-    """Which of the group-bump cases a group about to be bumped exercises."""
-    cohort = {
-        tid: (ref["band"], ref["queued_at"]) for tid, ref in naive.txs.items() if ref["status"] == "pending"
-    }
-    target = (naive._band(new_fee), t)
-    sources = {cohort[tid] for tid in group}
-    outsiders = set(cohort) - set(group)
-    return {
-        "group_from_several_cohorts": len(sources) > 1,
-        "group_targets_own_cohort": target in sources,
-        "group_merges_into_others": sources != {target} and any(cohort[tid] == target for tid in outsiders),
-        "group_empties_a_source": any(
-            key != target and all(cohort[tid] != key for tid in outsiders) for key in sources
-        ),
-    }
-
-
-def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=False, lift=0, scenario=None):
-    """Replay one random scenario on both engines and compare them. Returns
-    a count per case: how often a transaction entered a band at an instant
-    at which a withdrawal had left a cohort of that band (``rejoined``), how often
-    a submit joined the last submit's cohort without a lookup
-    (``remembered``), how often a bump kept a transaction in its band at the
+    Returns a count per case: how often a transaction entered a band at an
+    instant at which a withdrawal had left a cohort of that band
+    (``rejoined``), how often a submit joined the last submit's group
+    (``remembered``), how often a bump kept a group in its band at the
     instant it was submitted (``same_band``), how many block confirmations
     took a transaction queued in one band at one instant beside a pending
     transaction of another fee, whose cohorts tie on position (``tied``),
-    and how often a group bump exercised each case of ``group_cases``.
+    how often a new group took the band, instant and fee of a group with a
+    pending member (``equal_keys``), how often a bump found members of its
+    group confirmed (``bumped_after_confirmation``) or withdrawn
+    (``bumped_after_withdrawal``), how often a submit started a new group
+    with the fee object and instant of the submit before it because a block
+    came in between (``split_by_block``), and how often an id joined its
+    group below the group's highest id (``out_of_order``), and how often a
+    submit started a new group with a fee equal to the submit's before it,
+    at its instant, but in another object (``equal_fee_objects``).
 
     The id map is brought up to date only on demand, so it also counts how
     often a submit wrote no map entry (``deferred``), how many block
     confirmations took an id that had not reached the map
     (``deferred_confirmed``), how many of those were ``tied`` too
-    (``deferred_tied``), how often ``bump_all`` renamed a cohort that held
-    such ids (``renamed_run``), and how often a withdrawal or a bump took an
-    id that such ids followed in its cohort (``mid_run``). ``scenario``,
-    a ``(timeline, events)`` pair, replaces the random scenario."""
-    timeline, events = scenario or random_scenario(seed, mass_bumps, group_bumps, lift)
+    (``deferred_tied``), how often a bump renamed the group that held such
+    ids (``renamed_run``), and how often a withdrawal took an id that such
+    ids followed in its cohort (``mid_run``). ``scenario``, a ``(timeline,
+    events)`` pair, replaces the random scenario."""
+    timeline, events = scenario or random_scenario(seed, lift)
     fast = ReplayEngine(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
     left = set()  # (band, at) of cohorts that a withdrawal left at their instant
     cases = Counter()
+    groups = []  # the fast engine's groups, in the order their runs began
+    members = []  # per group, the ids submitted into it
+    group_of = {}  # id -> index of its group
+    run = None  # (fee, at) of the open run
+    split = None  # (fee, at) of the last run, while only blocks have come since
 
     def deferred():
         """The ids of the open run, which the id map does not hold yet."""
@@ -338,7 +331,7 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
 
     for event in events:
         kind = event[0]
-        if kind in ("bump", "withdraw"):
+        if kind == "withdraw":
             cases["mid_run"] += event[2] in deferred()[:-1]
         if kind == "submit":
             _, t, tid, fee_rate = event
@@ -346,9 +339,25 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
             last = fast._last  # the remembered (fee, at, cohort), or None
             cases["remembered"] += last is not None and last[0] is fee_rate and last[1] == t
             entries = len(fast._homes)
-            fast.submit(tid, fee_rate, t)
+            group = fast.submit(tid, fee_rate, t)
             cases["deferred"] += len(fast._homes) == entries
             naive.submit(tid, fee_rate, t)
+            if run is not None and run[0] is fee_rate and run[1] == t:
+                assert group is groups[-1], f"seed {seed} {event}"
+                cases["out_of_order"] += tid < max(members[-1])
+            else:
+                assert all(group is not other for other in groups), f"seed {seed} {event}"
+                key = (group.band, group.queued_at, group.fee)
+                cases["equal_keys"] += any(
+                    (other.band, other.queued_at, other.fee) == key for other in groups if len(other)
+                )
+                cases["split_by_block"] += split is not None and split[0] is fee_rate and split[1] == t
+                cases["equal_fee_objects"] += run is not None and run[0] == fee_rate and run[1] == t
+                groups.append(group)
+                members.append([])
+            group_of[tid] = len(groups) - 1
+            members[-1].append(tid)
+            run, split = (fee_rate, t), None
         elif kind == "bump":
             _, t, tid, beta = event
             ref = naive.txs[tid]
@@ -357,42 +366,31 @@ def replay_both(seed, capacity_mode=Historical(), mass_bumps=False, group_bumps=
             new_fee = ref["fee"].bumped(beta)
             if new_fee <= ref["fee"]:
                 continue
+            run = split = None  # a bump ends the open run
+            index = group_of[tid]
+            statuses = [naive.txs[member]["status"] for member in members[index]]
             band = naive._band(new_fee)
             cases["same_band"] += band == ref["band"] and ref["submitted_at"] == t
             cases["rejoined"] += band != ref["band"] and (band, t) in left
-            naive.bump(tid, new_fee, t)
-            fast.bump(tid, new_fee, t)
-        elif kind == "bump_group":
-            _, t, beta, pick = event
-            group = draw_group(random.Random(pick), naive, t)
-            if not group:
-                continue
-            top = max(naive.txs[tid]["fee"] for tid in group)
-            new_fee = top.bumped(beta)
-            if new_fee <= top:
-                continue
-            cases.update(group_cases(naive, group, new_fee, t))
-            naive.bump_group(group, new_fee, t)
-            fast.bump_group(group, new_fee, t)
-        elif kind == "bump_all":
-            _, t, beta = event
-            fees = naive.pending_fees()
-            if not fees:
-                continue
-            new_fee = max(fees).bumped(beta)  # above every pending fee
-            naive.bump_all(new_fee, t)
-            fast.bump_all(new_fee, t)
-            cases["renamed_run"] += bool(deferred())
+            cases["bumped_after_confirmation"] += "confirmed" in statuses
+            cases["bumped_after_withdrawal"] += "withdrawn" in statuses
+            cases["renamed_run"] += bool(deferred()) and fast._run[0] is groups[index]
+            for member, status in zip(members[index], statuses):
+                if status == "pending":
+                    naive.bump(member, new_fee, t)
+            fast.bump(groups[index], new_fee, t)
         elif kind == "withdraw":
             _, t, tid = event
             ref = naive.txs[tid]
             if ref["status"] != "pending":
                 continue
+            run = split = None  # a withdrawal ends the open run
             if ref["queued_at"] == t:
                 left.add((ref["band"], t))
             naive.withdraw(tid)
             fast.withdraw(tid)
         else:
+            split, run = run or split, None  # a block ends the open run, even at its instant
             _, t, height, capacity = event
             fees = defaultdict(set)  # (band, queued_at) -> fees pending there
             for ref in naive.txs.values():
@@ -453,9 +451,10 @@ def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
     timeline = make_timeline([0, 5], [[4, 2], [1, 2]])
     start = timeline.timestamps[0]
     fast, naive = ReplayEngine(timeline), NaiveEngine(timeline)
+    rate = fee(1)  # one fee object: the burst is one group
     for tid in (5, 7, 3, 9, 1, 8, 10):  # 3, 1 and 8 land below the tail
-        fast.submit(tid, fee(1), start)
-        naive.submit(tid, fee(1), start)
+        fast.submit(tid, rate, start)
+        naive.submit(tid, rate, start)
     assert fallbacks == 3
     for height, t in ((1, start), (2, start + 60)):
         got = fast.apply_block(BlockEntry(height, t, 9))
@@ -478,7 +477,7 @@ def test_counts_near_int64_match_naive_reference():
         timeline = random_scenario(seed, lift=2**62)[0]
         assert int(timeline.counts.max()) * (len(timeline) - 1) >= 2**63
         replay_both(seed, lift=2**62)
-        replay_both(seed, ConstantAverage(2.7), mass_bumps=True, lift=2**62)
+        replay_both(seed, ConstantAverage(2.7), lift=2**62)
 
 
 @pytest.mark.parametrize("capacity_mode", [Historical(), ConstantAverage(40.5)], ids=["historical", "constant"])
@@ -493,26 +492,23 @@ def test_deferred_index_matches_naive_reference(capacity_mode):
     assert {case: cases[case] >= 30 for case in want} == dict.fromkeys(want, True), cases
 
 
-def test_bump_all_matches_per_transaction_bumps():
-    cases = Counter()
-    for seed in range(30):
-        cases += replay_both(seed, mass_bumps=True)
-    assert cases["tied"] >= 30
-
-
 GROUP_CASES = (
-    "group_from_several_cohorts",
-    "group_targets_own_cohort",
-    "group_merges_into_others",
-    "group_empties_a_source",
+    "equal_keys",
+    "bumped_after_confirmation",
+    "bumped_after_withdrawal",
+    "split_by_block",
+    "out_of_order",
+    "equal_fee_objects",
 )
 
 
 @pytest.mark.parametrize("capacity_mode", [Historical(), ConstantAverage(2.7)], ids=["historical", "constant"])
-def test_bump_group_matches_per_transaction_bumps(capacity_mode):
+def test_group_bumps_match_per_transaction_bumps(capacity_mode):
+    """Groups submitted as runs, some of their members confirmed or
+    withdrawn, then bumped whole, against one bump per pending member."""
     cases = Counter()
-    for seed in range(30):
-        cases += replay_both(seed, capacity_mode, group_bumps=True)
+    for seed in range(60):
+        cases += replay_both(seed, capacity_mode, scenario=random_scenario(seed, group_bumps=True))
     assert {case: cases[case] >= 30 for case in GROUP_CASES} == dict.fromkeys(GROUP_CASES, True), cases
 
 
@@ -524,10 +520,11 @@ def test_constant_average_matches_exact_carry(avg):
 
 class TestRememberedCohort:
     """A submit with the last submit's fee object, at that submit's instant,
-    joins the remembered cohort with no lookup. Each case reuses one fee
-    object across a change after which the engine must forget that cohort:
-    a submit into a cohort that has left the queue would never confirm, and
-    one at an instant the clock has left would skip the clock check."""
+    joins the remembered group. Each case reuses one fee object across a
+    change after which the engine must forget that group: a submit into a
+    group that a bump renamed would take the bumped fee, one into a cohort
+    that has left the queue would never confirm, and one at an instant the
+    clock has left would skip the clock check."""
 
     ROWS = [[0, 4, 0], [0, 1, 0], [0, 0, 0]]  # band 1 drains 3 by T0 + 60
     BLOCKS = (BlockEntry(2, T0 + 60, 3), BlockEntry(3, T0 + 120, 3))
@@ -546,24 +543,16 @@ class TestRememberedCohort:
             confirmed.append(got)
         return confirmed
 
-    def test_submit_after_bump_group_emptied_the_cohort(self):
+    def test_submit_after_a_bump_renamed_the_group(self):
         rate = fee(20)
         fast, naive = self.engines()
-        for eng in (fast, naive):
-            eng.submit("a", rate, T0)
-        fast.bump_group(["a"], fee(70), T0)
-        naive.bump_group(["a"], fee(70), T0)
+        group = fast.submit("a", rate, T0)
+        naive.submit("a", rate, T0)
+        fast.bump(group, fee(70), T0)
+        naive.bump("a", fee(70), T0)
         for eng in (fast, naive):
             eng.submit("b", rate, T0)
-        assert self.replay(fast, naive, (BlockEntry(1, T0, 3), *self.BLOCKS)) == [["a"], ["b"], []]
-
-    def test_submit_after_bump_all(self):
-        rate = fee(20)
-        fast, naive = self.engines()
-        for eng in (fast, naive):
-            eng.submit("a", rate, T0)
-            eng.bump_all(fee(70), T0)
-            eng.submit("b", rate, T0)
+        assert fast.tx("b").fee == fee(20)
         assert self.replay(fast, naive, (BlockEntry(1, T0, 3), *self.BLOCKS)) == [["a"], ["b"], []]
 
     def test_submit_after_a_block_dropped_the_withdrawn_cohort(self):
@@ -586,11 +575,11 @@ class TestRememberedCohort:
         assert self.replay(fast, naive, [BlockEntry(1, T0 + 60, 0)]) == [[]]
 
         def state():
-            cohorts = {
-                (c.band, c.queued_at, c.fee): (c.pos, c.mark, c.live())
-                for by_key in fast._bands.values()
-                for c in by_key.values()
-            }
+            cohorts = [
+                (c.band, c.queued_at, c.fee, c.pos, c.mark, c.members[c.head:])
+                for queued in fast._bands.values()
+                for c in queued
+            ]
             return fast.clock, dict(fast._homes), cohorts
 
         before = state()
@@ -731,3 +720,22 @@ def test_double_spend_matches_rule_literal_reference():
         )
     for case in ("compromised", "defended", "undecided", "exhausted", "strict", "both_in_one_block"):
         assert cases[case] >= 20, cases
+
+
+def test_sweeps_at_the_penalties_fee_object_bump_on_their_own_cadence():
+    """An empty snapshot's average fee is the timeline's lowest band edge,
+    that very object. Sweeps priced with it, after a zero delay, are
+    submitted in the commitments' block right after the penalties, at the
+    penalties' fee object and instant, and must still form a group of their
+    own: the penalties bump every block, the sweeps every fifth."""
+    timeline = make_timeline([1, 10, 50], [[0, 0, 0]] + [[0, 50, 50]] * 60, interval=600)
+    trace = BlockTrace([BlockEntry(i + 1, T0 + 600 * i, 5 if i == 0 else 60) for i in range(60)])
+    scenario = Scenario(timeline, trace)
+    channels = [(f"c{i}", 1000) for i in range(5)]
+    honest = PenaltyPolicy(dynamic=True, step=1, beta=4.0)
+    attacker = AttackerStrategy(fee(70), Dynamic(timeline.band_edges[0], 5, 1.5))
+    report = simulate_double_spend(channels, honest, attacker, Fixed(0), scenario, record_events=True)
+    per_channel, _, _, events = reference_double_spend(channels, honest, attacker, Fixed(0), scenario, False)
+    assert [(a.outcome.value, a.commitment_height, a.decided_height) for a in report.attacks] == per_channel
+    assert report.events == events
+    assert events[1] == (5, [tx_name(3 * i + PENALTY) for i in range(5)])  # no sweep has caught up

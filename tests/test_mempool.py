@@ -762,8 +762,9 @@ def simple_engine(rows, interval=60, **kw):
 
 
 def cohorts(eng):
-    """The engine's queued cohorts by their (band, queued_at, fee) keys."""
-    return {(c.band, c.queued_at, c.fee): c for by_key in eng._bands.values() for c in by_key.values()}
+    """The engine's queued cohorts as (band, queued_at, fee, pending ids),
+    band by band, each band's in creation order."""
+    return [(c.band, c.queued_at, c.fee, c.members[c.head:]) for band in sorted(eng._bands) for c in eng._bands[band]]
 
 
 def test_histogram_is_built_on_demand(histogram_work):
@@ -819,25 +820,22 @@ class TestSubmitAndBump:
     )
     def test_rejected_submit_changes_nothing(self, tx_id, at, error, match):
         eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        eng.submit("b", fee(20), T0 + 100)
-        eng.submit("a", fee(20), T0 + 100)
-
-        def state():
-            queued = {key: (c.pos, c.mark, c.live()) for key, c in cohorts(eng).items()}
-            return eng.clock, eng.histogram(), dict(eng._homes), eng.pending(), queued
-
-        before = state()
+        rate = fee(20)
+        eng.submit("b", rate, T0 + 100)
+        eng.submit("a", rate, T0 + 100)
+        before = engine_state(eng)
         with pytest.raises(error, match=match):
-            eng.submit(tx_id, fee(20), at)
-        assert state() == before
-        assert before[0] == T0 + 100 and before[4] == {(1, T0 + 100, fee(20)): (5, 0, ["a", "b"])}
+            eng.submit(tx_id, rate, at)
+        assert engine_state(eng) == before
+        assert before[0] == T0 + 100 and before[4] == [(1, T0 + 100, fee(20), 5, 0, ["a", "b"])]
 
     def test_monitored_tx_is_a_slotted_record(self):
         rate = fee(20)
         eng = simple_engine([[0, 0, 0]] * 3)
         # "b" reuses the fee object at the same instant with a higher id: it
-        # joins the cohort that "a" looked up, by one append and no map entry
-        assert eng.submit("a", rate, T0) is None and eng.submit("b", rate, T0) is None
+        # joins the group that "a" started, by one append and no map entry
+        group = eng.submit("a", rate, T0)
+        assert eng.submit("b", rate, T0) is group
         assert list(eng._homes) == ["a"]
         tx, other = eng.tx("a"), eng.tx("b")  # snapshots, built on request
         assert eng._homes["a"] is eng._homes["b"]  # the cohort holds the fee, band and instant
@@ -872,10 +870,9 @@ class TestSubmitAndBump:
         - ``sys.getsizeof(cohort.members)``: the member list and its
           over-allocated slots, 8 bytes a slot; the ids are made before
           tracing;
-        - ``SLACK``: the one cohort, its band's dict, its key tuple, the
-          first id's map entry, the remembered ``(fee, at, cohort)`` and the
-          open run ``(cohort, start)``, a few hundred bytes that do not grow
-          with n.
+        - ``SLACK``: the one cohort, its band's list, the first id's map
+          entry, the remembered ``(fee, at, cohort)`` and the open run
+          ``(cohort, start)``, a few hundred bytes that do not grow with n.
         A map entry per id would exceed the bound by at least n * 24 bytes
         (a hash, a key and a value), 4.8 MB here, and even the smallest
         object per id by n * 16 bytes (a reference count and a type
@@ -893,133 +890,155 @@ class TestSubmitAndBump:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        [cohort] = cohorts(eng).values()
-        assert cohort.live() == ids
+        [[cohort]] = eng._bands.values()
+        assert cohort.members == ids and cohort.head == 0
         assert held <= sys.getsizeof(cohort.members) + SLACK
         assert eng.pending() == ids  # the ids reach the map on the first read
 
     def test_bump_to_empty_band_resets_queue(self):
         eng = simple_engine([[0, 40, 0]] * 3)
-        eng.submit("a", fee(20), T0)
+        group = eng.submit("a", fee(20), T0)
         assert eng.same_band_ahead("a") == 40
-        assert eng.bump("a", fee(60), T0) is None
+        assert eng.bump(group, fee(60), T0) is None
         assert eng.same_band_ahead("a") == 0
         assert eng.tx("a").band == 2
 
     def test_bump_within_band_resets_to_current_count(self):
         eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
-        eng.submit("a", fee(20), T0)
+        group = eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
         assert eng.same_band_ahead("a") == 25  # drained 15 by outflow
-        eng.bump("a", fee(30), T0 + 60)
+        eng.bump(group, fee(30), T0 + 60)
         assert eng.same_band_ahead("a") == 25  # reset to the band's current count
 
-    def test_bump_requires_fee_increase(self):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        eng.submit("a", fee(20), T0)
-        with pytest.raises(ReplayError, match="increase"):
-            eng.bump("a", fee(20), T0)
-
-    def test_bump_all_moves_every_pending_tx_into_one_cohort(self):
+    def test_a_bump_moves_every_pending_member_of_its_group(self):
         eng = simple_engine([[0, 40, 9]] * 3)
-        for tid, rate in (("c", 20), ("a", 12), ("b", 60)):
-            eng.submit(tid, fee(rate), T0)
+        rate = fee(20)
+        for tid in ("c", "a", "b"):
+            group = eng.submit(tid, rate, T0)
+        other = eng.submit("d", fee(12), T0)
         eng.withdraw("c")
-        eng.bump_all(fee(70), T0 + 60)
+        eng.bump(group, fee(70), T0 + 60)
         moved = [eng.tx(t) for t in ("a", "b")]
         assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in moved] == [
             (fee(70), 2, T0 + 60, 9)
         ] * 2
         assert eng.tx("c").fee == fee(20)
+        assert (eng.tx("d").fee, other.fee) == (fee(12), fee(12))  # another group stays
         assert eng.apply_block(BlockEntry(1, T0 + 60, 10)) == ["a"]
 
-    def test_bump_all_requires_fee_above_every_pending_fee(self):
+    @pytest.mark.parametrize("first", [80, 70])
+    def test_a_bump_must_rise_above_the_groups_last_fee(self, first):
         eng = simple_engine([[0, 0, 0]] * 3)
-        eng.submit("a", fee(20), T0)
-        eng.submit("b", fee(60), T0)
-        with pytest.raises(ReplayError, match=r"increase the fee \(60.00 <= 60.00\)"):
-            eng.bump_all(fee(60), T0)
-        assert eng.tx("a").fee == fee(20)
-
-    @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
-    def test_bump_all_below_a_fee_that_has_left(self, leave):
-        # "c" left its cohort at 80 empty, and an empty cohort's fee is no
-        # pending fee: a bump to 50 is above the pending 20 and 30, and proceeds
-        eng = simple_engine([[0, 0, 0]] * 3)
-        for tid, rate in (("a", 20), ("b", 30), ("c", 80)):
-            eng.submit(tid, fee(rate), T0)
-        if leave == "withdraw":
-            eng.withdraw("c")
-        else:
-            assert eng.apply_block(BlockEntry(1, T0, 1)) == ["c"]
-        eng.bump_all(fee(50), T0 + 60)
-        assert [(tx.id, tx.fee, tx.queued_at) for tx in map(eng.tx, eng.pending())] == [
-            ("a", fee(50), T0 + 60), ("b", fee(50), T0 + 60),
-        ]
-        assert cohorts(eng)[2, T0 + 60, fee(50)].live() == ["a", "b"]
-        with pytest.raises(ReplayError, match=r"increase the fee \(50.00 <= 50.00\)"):
-            eng.bump_all(fee(50), T0 + 60)
-
-    @pytest.mark.parametrize("first", ["bump", "bump_all"])
-    def test_bump_all_stays_above_an_earlier_bump(self, first):
-        eng = simple_engine([[0, 0, 0]] * 3)
+        rate = fee(20)
         for tid in ("a", "b"):
-            eng.submit(tid, fee(20), T0)
-        if first == "bump":
-            eng.bump("a", fee(80), T0)  # a one-member bump_group
-        else:
-            eng.bump_all(fee(80), T0)
+            group = eng.submit(tid, rate, T0)
+        eng.bump(group, fee(first), T0)
         before = [(tx.fee, tx.band, tx.queued_at) for tx in map(eng.tx, eng.pending())]
-        with pytest.raises(ReplayError, match=r"increase the fee \(70.00 <= 80.00\)"):
-            eng.bump_all(fee(70), T0 + 60)
+        with pytest.raises(ReplayError, match=rf"increase the fee \(70.00 <= {first}.00\)"):
+            eng.bump(group, fee(70), T0 + 60)
         assert [(tx.fee, tx.band, tx.queued_at) for tx in map(eng.tx, eng.pending())] == before
 
-    def test_bump_group_moves_members_of_several_cohorts_into_one(self):
+    def test_groups_bumped_into_one_band_and_instant_tie(self):
         eng = simple_engine([[0, 40, 9]] * 3)
-        for tid, rate in (("d", 20), ("a", 12), ("c", 60), ("b", 20)):
-            eng.submit(tid, fee(rate), T0)
+        rate = fee(20)
+        first = eng.submit("d", rate, T0)
+        eng.submit("a", rate, T0)
+        second = eng.submit("c", fee(60), T0)
+        eng.submit("b", fee(20), T0)  # an equal fee, but another object: a group of its own
         eng.submit("e", fee(70), T0 + 60)
-        eng.bump_group(["d", "c", "a"], fee(65), T0 + 60)
-        queued = cohorts(eng)
-        assert queued[1, T0, fee(20)].live() == ["b"]
-        assert queued[2, T0 + 60, fee(65)].live() == ["a", "c", "d"]
-        assert queued[2, T0 + 60, fee(70)].live() == ["e"]
-        assert {eng.tx(t).fee for t in "acd"} == {fee(65)}
-        # "a" and "c" were their cohorts' only members
-        assert (1, T0, fee(12)) not in queued and (2, T0, fee(60)) not in queued
-        # the two cohorts at T0 + 60 tie on position: one group, ids in order
+        eng.bump(first, fee(65), T0 + 60)
+        eng.bump(second, fee(66), T0 + 60)
+        assert cohorts(eng) == [
+            (1, T0, fee(20), ["b"]),
+            (2, T0 + 60, fee(70), ["e"]),
+            (2, T0 + 60, fee(65), ["a", "d"]),
+            (2, T0 + 60, fee(66), ["c"]),
+        ]
+        # the three cohorts at T0 + 60 tie on position: their ids confirm in order
         assert eng.apply_block(BlockEntry(1, T0 + 60, 19)) == ["a", "c", "d", "e"]
 
-    def test_bump_group_needs_pending_members(self):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        for tid in ("a", "b"):
-            eng.submit(tid, fee(20), T0)
-        eng.withdraw("b")
-        with pytest.raises(ReplayError, match="'b' is not pending"):
-            eng.bump_group(["a", "b"], fee(70), T0)
-        other = ReplayEngine(eng.timeline)
-        other.submit("c", fee(20), T0)  # pending, but in another engine
-        with pytest.raises(ReplayError, match="'c' is not pending"):
-            eng.bump_group(["a", "c"], fee(70), T0)
-        assert eng.tx("a").fee == fee(20)
 
-    def test_bump_group_requires_fee_above_every_member_fee(self):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        eng.submit("a", fee(20), T0)
-        eng.submit("b", fee(60), T0)
-        members = ["a", "b"]
-        with pytest.raises(ReplayError, match=r"increase the fee \(60.00 <= 60.00\)"):
-            eng.bump_group(members, fee(60), T0)
-        with pytest.raises(ReplayError, match="twice"):
-            eng.bump_group(members + members[:1], fee(70), T0)
-        assert [eng.tx(t).fee for t in members] == [fee(20), fee(60)]
+def engine_state(eng):
+    """Everything a rejected submit or bump must leave as it found it."""
+    queued = [
+        (c.band, c.queued_at, c.fee, c.pos, c.mark, c.members[c.head:])
+        for band in sorted(eng._bands)
+        for c in eng._bands[band]
+    ]
+    pending = eng.pending()  # brings the id map up to date
+    return eng.clock, eng.histogram(), dict(eng._homes), pending, queued
 
-    def test_bump_confirmed_tx_rejected(self):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        eng.submit("a", fee(70), T0)
-        eng.apply_block(BlockEntry(1, T0, 10))
-        with pytest.raises(ReplayError, match="not pending"):
-            eng.bump("a", fee(90), T0)
+
+class TestGroups:
+    """A group is the cohort that one run of submits joins with one fee
+    object at one instant; anything else in between ends it, and a bump
+    renames one group, whole."""
+
+    ROWS = [[0, 4, 0], [0, 1, 0], [0, 0, 0]]
+
+    @pytest.mark.parametrize("between", ["block", "withdrawal", "bump", "clock move"])
+    def test_anything_between_two_submits_ends_the_group(self, between):
+        eng = simple_engine(self.ROWS)
+        rate = fee(20)
+        group = eng.submit(1, rate, T0)
+        at = T0
+        if between == "block":
+            assert eng.apply_block(BlockEntry(1, T0, 0)) == []  # at an unchanged instant
+        elif between == "withdrawal":
+            eng.submit(0, fee(12), T0)
+            eng.withdraw(0)
+        elif between == "bump":
+            eng.bump(eng.submit(0, fee(12), T0), fee(30), T0)
+        else:
+            at = T0 + 30
+        later = eng.submit(2, rate, at)
+        assert later is not group and eng.submit(3, rate, at) is later
+        assert (later.fee, later.queued_at, len(group), len(later)) == (rate, at, 1, 2)
+        eng.bump(later, fee(70), at)  # the first group stays where it is
+        assert [(tx.fee, tx.band) for tx in map(eng.tx, (1, 2, 3))] == [(fee(20), 1), (fee(70), 2), (fee(70), 2)]
+
+    def test_a_run_of_one_fee_object_is_one_group_whatever_its_id_order(self):
+        eng = simple_engine(self.ROWS)
+        rate = fee(20)
+        groups = {eng.submit(tid, rate, T0) for tid in (5, 7, 3, 9, 1)}
+        [group] = groups
+        assert group.members == [1, 3, 5, 7, 9] and len(group) == 5
+        assert eng.submit(2, fee(20), T0) is not group  # an equal fee, another object
+
+    @pytest.mark.parametrize("case", ["withdrawn", "confirmed", "another engine", "fee not above"])
+    def test_rejected_bump_changes_nothing(self, case):
+        eng = simple_engine(self.ROWS)
+        rate = fee(20)
+        group = eng.submit("a", rate, T0)
+        eng.submit("b", rate, T0)
+        eng.submit("c", fee(60), T0)
+        new_fee = fee(70)
+        if case == "withdrawn":
+            eng.withdraw("a")
+            eng.withdraw("b")
+            match = "no pending transaction"
+        elif case == "confirmed":
+            assert eng.apply_block(BlockEntry(1, T0, 7)) == ["c", "a", "b"]
+            match = "no pending transaction"
+        elif case == "another engine":
+            group = ReplayEngine(eng.timeline).submit("a", rate, T0)  # pending, but in another engine
+            match = "not queued in this engine"
+        else:
+            new_fee = fee(20)
+            match = r"increase the fee \(20.00 <= 20.00\)"
+        before = engine_state(eng)
+        with pytest.raises(ReplayError, match=match):
+            eng.bump(group, new_fee, T0 + 60)
+        assert engine_state(eng) == before
+
+    def test_a_group_a_block_dropped_is_not_queued(self):
+        eng = simple_engine(self.ROWS)
+        group = eng.submit("a", fee(60), T0)
+        assert eng.apply_block(BlockEntry(1, T0, 1)) == ["a"]
+        assert eng.apply_block(BlockEntry(2, T0, 1)) == []  # finds the group empty and drops it
+        with pytest.raises(ReplayError, match="not queued in this engine"):
+            eng.bump(group, fee(70), T0)
 
 
 class TestDecay:
@@ -1227,36 +1246,40 @@ class TestApplyBlock:
 
     def test_cohort_members_leave_from_the_middle(self):
         eng = simple_engine([[0, 0, 0]] * 3)
+        rate = fee(20)
         for tid in ("d", "b", "e", "a", "c"):
-            eng.submit(tid, fee(20), T0)
+            eng.submit(tid, rate, T0)
         eng.withdraw("c")
-        eng.bump("b", fee(70), T0)  # another band at the same instant
-        eng.bump("d", fee(30), T0 + 60)  # the same band at a later instant
-        assert cohorts(eng)[1, T0, fee(20)].live() == ["a", "e"]
-        assert eng.apply_block(BlockEntry(1, T0 + 60, 10)) == ["b", "a", "e", "d"]
-        assert eng.status("c") is TxStatus.WITHDRAWN
+        eng.withdraw("b")
+        assert cohorts(eng) == [(1, T0, fee(20), ["a", "d", "e"])]
+        assert eng.apply_block(BlockEntry(1, T0 + 60, 10)) == ["a", "d", "e"]
+        assert eng.status("c") is eng.status("b") is TxStatus.WITHDRAWN
 
     @pytest.mark.parametrize("block_between", [False, True])
     def test_emptied_cohort_rejoined_at_its_instant_keeps_its_position(self, block_between):
         eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
-        eng.submit("a", fee(20), T0)
+        rate = fee(20)
+        emptied = eng.submit("a", rate, T0)
         eng.withdraw("a")
         if block_between:  # drops the emptied cohort
             assert eng.apply_block(BlockEntry(1, T0, 5)) == []
-        eng.submit("b", fee(20), T0)
-        assert list(cohorts(eng)) == [(1, T0, fee(20))]
+        assert eng.submit("b", rate, T0) is not emptied  # the withdrawal ended the group
+        assert cohorts(eng)[-1] == (1, T0, fee(20), ["b"])
+        assert len(cohorts(eng)) == (1 if block_between else 2)
         assert eng.same_band_ahead("b") == 40
         eng.apply_block(BlockEntry(2, T0 + 60, 0))
         assert eng.same_band_ahead("b") == 25  # drained 15 by outflow
         assert eng.apply_block(BlockEntry(3, T0 + 60, 26)) == ["b"]
 
     def test_fees_of_one_band_and_instant_confirm_in_id_order(self):
-        # three fees of band 1 at T0 give three cohorts, all behind the
-        # band's 3 historical transactions: one group, confirmed by id
+        # three fees of band 1 at T0, one object each, give four groups (the
+        # run of "b" and "d" is one), all behind the band's 3 historical
+        # transactions: they tie, and confirm by id
         eng = simple_engine([[0, 3, 0]] * 3)
+        rates = {rate: fee(rate) for rate in (20, 25, 30)}
         for tid, rate in (("e", 20), ("b", 30), ("d", 30), ("a", 20), ("c", 25)):
-            eng.submit(tid, fee(rate), T0)
-        assert len(cohorts(eng)) == 3
+            eng.submit(tid, rates[rate], T0)
+        assert len(cohorts(eng)) == 4
         confirmed = eng.apply_block(BlockEntry(1, T0, 6))  # room for 3 of the 5
         assert [(tx.id, tx.fee, tx.confirmed_height) for tx in map(eng.tx, confirmed)] == [
             ("a", fee(20), 1), ("b", fee(30), 1), ("c", fee(25), 1),
@@ -1300,15 +1323,17 @@ class TestCohortHome:
     and instant; a transaction that has left reads them from the shared
     record of how it left."""
 
-    def test_one_cohort_bump_all_touches_no_member(self):
+    def test_a_bump_touches_no_member(self):
         eng = simple_engine([[0, 0, 9]] * 3)
         homes = eng._homes
+        rate = fee(20)
         for i in range(5):
-            eng.submit(i, fee(20), T0)
-        cohort = homes[0]
-        eng.bump_all(fee(70), T0 + 60)
-        assert all(homes[i] is cohort for i in range(5))  # renamed in place
-        assert list(cohorts(eng)) == [(2, T0 + 60, fee(70))]
+            cohort = eng.submit(i, rate, T0)
+        assert eng.pending() == [0, 1, 2, 3, 4]  # writes the open run into the map
+        before = dict(homes)
+        eng.bump(cohort, fee(70), T0 + 60)
+        assert homes == before and all(homes[i] is cohort for i in range(5))  # renamed in place
+        assert cohorts(eng) == [(2, T0 + 60, fee(70), [0, 1, 2, 3, 4])]
         assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in map(eng.tx, range(5))] == [
             (fee(70), 2, T0 + 60, 9)
         ] * 5
@@ -1322,17 +1347,17 @@ class TestCohortHome:
     @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
     def test_left_record_keeps_its_values_through_a_rename(self, leave):
         eng = simple_engine([[0, 0, 0]] * 3)
+        rate = fee(20)
         for tid in ("a", "b", "c"):
-            eng.submit(tid, fee(20), T0)
+            cohort = eng.submit(tid, rate, T0)
         if leave == "withdraw":
             eng.withdraw("a")
             status, height = TxStatus.WITHDRAWN, None
         else:
             assert eng.apply_block(BlockEntry(1, T0, 1)) == ["a"]
             status, height = TxStatus.CONFIRMED, 1
-        cohort = eng._homes["b"]
-        eng.bump_all(fee(70), T0 + 60)
-        assert eng._homes["b"] is cohort
+        eng.bump(cohort, fee(70), T0 + 60)  # a bump after a member left
+        assert eng.pending() == ["b", "c"] and eng._homes["b"] is cohort
         eng.withdraw("b")  # withdrawn under the cohort's new key
         left = [(tx.id, tx.fee, tx.band, tx.queued_at, tx.status, tx.confirmed_height) for tx in map(eng.tx, "ab")]
         assert left == [
@@ -1351,10 +1376,10 @@ class TestDeferredIndex:
         eng = simple_engine([[0, 0, 9]] * 3)
         rate = fee(70)
         for i in range(6):
-            eng.submit(i, rate, T0)
+            group = eng.submit(i, rate, T0)
         assert list(eng._homes) == [0]  # 1 to 5 are the open run
         assert eng.apply_block(BlockEntry(1, T0, 11)) == [0, 1]  # 9 ahead of them
-        eng.bump_all(fee(80), T0 + 60)  # renames the cohort that holds the run
+        eng.bump(group, fee(80), T0 + 60)  # renames the cohort that holds the run
         assert list(eng._homes) == [0]
         assert [eng.status(i) for i in range(6)] == [TxStatus.CONFIRMED] * 2 + [TxStatus.PENDING] * 4
         assert eng.pending() == [2, 3, 4, 5]
@@ -1378,20 +1403,20 @@ class TestDeferredIndex:
     @pytest.mark.parametrize(
         "edit, pending",
         [
-            ("withdraw", [0, 1, 3, 4]),  # deletes 2 from the middle of the member list
-            ("bump", [0, 1, 2, 3, 4]),  # rebuilds the member list without 2
+            ("withdraw", [0, 1, 3, 4]),  # deletes 2 from the middle of the member list: closes the run
+            ("bump", [0, 1, 2, 3, 4]),  # renames the run's group: the run stays open
         ],
     )
-    def test_an_edit_inside_the_run_closes_it(self, edit, pending):
+    def test_an_edit_inside_the_run_ends_its_group(self, edit, pending):
         eng = simple_engine([[0, 0, 0]] * 3)
         rate = fee(70)
         for i in range(4):
-            eng.submit(i, rate, T0)
+            group = eng.submit(i, rate, T0)
         if edit == "withdraw":
             eng.withdraw(2)
         else:
-            eng.bump(2, fee(80), T0)  # same band and instant: ties with the rest
-        eng.submit(4, rate, T0)
+            eng.bump(group, fee(80), T0)  # same band and instant: ties with 4
+        assert eng.submit(4, rate, T0) is not group
         assert eng.pending() == pending
         assert eng.apply_block(BlockEntry(1, T0, 9)) == pending
 
@@ -1435,16 +1460,16 @@ class TestEngineProperties:
     def test_determinism_across_reruns(self):
         def run():
             eng = simple_engine([[0, 9, 0]] * 30)
-            for i in range(40):
-                eng.submit(f"t{i:02d}", fee(20 if i % 3 else 70), T0)
+            groups = [eng.submit(f"t{i:02d}", fee(20 if i % 3 else 70), T0) for i in range(40)]
             heights = {}
             for h in range(1, 25):
                 ts = T0 + 60 * (h - 1)
                 for tx_id in eng.apply_block(BlockEntry(h, ts, 4)):
                     heights[tx_id] = eng.tx(tx_id).confirmed_height
                 if h % 5 == 0:
-                    for tx_id in eng.pending():
-                        eng.bump(tx_id, eng.tx(tx_id).fee.bumped(1.5), ts)
+                    for group in groups:
+                        if len(group):
+                            eng.bump(group, group.fee.bumped(1.5), ts)
             return heights
 
         assert run() == run() == run()
@@ -1453,11 +1478,11 @@ class TestEngineProperties:
         # monotone priority in the restricted case: the target band is empty
         def confirmation_height(bump):
             eng = simple_engine([[0, 50, 0]] * 40)
-            eng.submit("x", fee(20), T0)
+            group = eng.submit("x", fee(20), T0)
             for h in range(1, 30):
                 ts = T0 + 60 * (h - 1)
                 if bump and h == 3:
-                    eng.bump("x", fee(70), ts)
+                    eng.bump(group, fee(70), ts)
                 if "x" in eng.apply_block(BlockEntry(h, ts, 2)):
                     return eng.tx("x").confirmed_height
             return None

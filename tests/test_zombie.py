@@ -132,8 +132,8 @@ class TestSimulateZombie:
 
 class TestEngineCalls:
     """The traced benchmark's zombie gates, at small n: one ``submit`` per
-    victim, one ``apply_block`` per series row, and ``apply_block`` results
-    whose lengths sum to n."""
+    victim, one ``apply_block`` per series row, ``apply_block`` results
+    whose lengths sum to n, and no ``bump`` in a static run."""
 
     @pytest.mark.parametrize(
         "strategy, scenario, closes_at",
@@ -145,7 +145,7 @@ class TestEngineCalls:
         ids=["static", "dynamic"],
     )
     def test_engine_calls_match_the_traced_gates(self, monkeypatch, strategy, scenario, closes_at):
-        calls = {"submit": 0, "apply_block": 0, "bump_all": 0}
+        calls = {"submit": 0, "apply_block": 0, "bump": 0}
         confirmations = 0
 
         def counting(name):
@@ -169,7 +169,10 @@ class TestEngineCalls:
         assert calls["submit"] == n
         assert calls["apply_block"] == len(report.series)
         assert confirmations == n
-        assert (calls["bump_all"] > 0) == isinstance(strategy, Dynamic)
+        if isinstance(strategy, Dynamic):
+            assert calls["bump"] > 0
+        else:
+            assert calls["bump"] == 0
 
 
 class TestSweep:
