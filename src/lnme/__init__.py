@@ -47,9 +47,7 @@ from .mempool import (
     FeeRate,
     Historical,
     MempoolTimeline,
-    MonitoredTx,
     ReplayEngine,
-    TxStatus,
     average_fee,
     load_block_trace,
     load_timeline,

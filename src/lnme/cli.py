@@ -537,6 +537,10 @@ def _validate(args, parser) -> None:
             parser.error("--dynamic requires --initial-fee")
         if not args.dynamic and args.fee is None:
             parser.error("either --fee or --dynamic --initial-fee is required")
+        if args.dynamic and args.fee is not None:
+            parser.error("--fee applies to static runs; --dynamic starts at --initial-fee")
+        if not args.dynamic and args.initial_fee is not None:
+            parser.error("--initial-fee applies to --dynamic runs")
     if getattr(args, "gen_command", None) == "graph" and args.n <= args.m:
         parser.error(f"--n must be > --m, got --n {args.n} --m {args.m}")
     if getattr(args, "gen_command", None) == "timeline":
@@ -548,8 +552,11 @@ def _validate(args, parser) -> None:
             parser.error(
                 f"the last timestamp, --start + (--snapshots - 1) * --interval = {last}, exceeds int64"
             )
-    if args.command == "doublespend" and args.profit_mode == "average" and args.avg_capacity is None:
-        parser.error("--profit-mode average requires --avg-capacity")
+    if args.command == "doublespend":
+        if args.profit_mode == "average" and args.avg_capacity is None:
+            parser.error("--profit-mode average requires --avg-capacity")
+        if args.profit_mode != "average" and args.avg_capacity is not None:
+            parser.error("--avg-capacity applies to --profit-mode average")
     scenario = getattr(args, "scenario", "custom")
     if scenario != "custom" and args.start is not None:
         parser.error(f"--start applies to --scenario custom; --scenario {scenario} starts at its preset time")

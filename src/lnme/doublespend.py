@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 
 from .cut import Cut, Objective, crossing_channels, greedy_lopsided_cut
 from .graph import LnGraph, dumps_with_records
-from .mempool import PENDING, FeeRate, ReplayEngine, _Cohort, average_fee, div_round_half_up
+from .mempool import FeeRate, ReplayEngine, _Cohort, average_fee, div_round_half_up
 from .scenario import Scenario
 from .strategies import Dynamic, FeeStrategy, Static, initial_fee
 
@@ -133,8 +133,10 @@ class ChannelAttack:
     commitment_height: int | None = None
     sweep_submit_height: int | None = None
     decided_height: int | None = None
-    penalty: int | None = None  # the engine id, once submitted
-    sweep: int | None = None
+    # the engine groups of the penalty and the sweep, once submitted, which
+    # name them to the engine; a penalty withdrawn on expiry clears its group
+    penalty: _Cohort | None = field(default=None, compare=False, repr=False)
+    sweep: _Cohort | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -225,19 +227,20 @@ def simulate_double_spend(
     penalties and sweeps due for a bump. Each block submits its penalties
     as one uninterrupted run after its confirmations, and its sweeps as
     another, so each is one engine group (see ``ReplayEngine.submit``),
-    with one fee and one cadence. The engine keeps a group's pending
-    members: confirmations and withdrawals take members out, and a bump
-    renames the group. Each block pops its own height, drops each due
-    group that has no pending member left, bumps the others in one engine
-    call each and files them again ``step`` heights on, so bumping (honest
-    or sweep) counts from each transaction's own submission block. Popping
-    exact heights misses nothing, because the block window is a run of
-    consecutive heights and delays are non-negative. With
+    with one fee and one cadence. Each block pops its own height, drops
+    each due group that has no pending member left, bumps the others in one
+    engine call each and files them again ``step`` heights on, so bumping
+    (honest or sweep) counts from each transaction's own submission block.
+    Popping exact heights misses nothing, because the block window is a run
+    of consecutive heights and delays are non-negative. Each channel holds
+    the groups of its penalty and sweep: once a block's confirmations are
+    read, each channel decided in it withdraws its other transaction from
+    that one's group, unless the block confirmed it too. With
     ``strict_expiry`` the penalty is withdrawn once the block's sweeps are
-    submitted, so an expired channel can no longer be defended; the
-    default lets a late penalty still win the race until the sweep
-    confirms. Neither run's order changes a queue position: nothing moves
-    the clock in between.
+    submitted, and its group cleared, so an expired channel can no longer
+    be defended; the default lets a late penalty still win the race until
+    the sweep confirms. Neither run's order changes a queue position:
+    nothing moves the clock in between.
     """
     scenario_start = scenario.start()
     blocks = scenario.attack_blocks()
@@ -251,7 +254,6 @@ def simulate_double_spend(
     # a fee object of its own, so that a block's sweeps never join the
     # group of its penalties, whose fee object is a snapshot's average
     sweep_fee = FeeRate(initial_fee(sweep).centi)
-    status = engine.status
     sweeps: defaultdict[int, list[ChannelAttack]] = defaultdict(list)
     bumps: defaultdict[int, list[tuple[_Cohort, int, float]]] = defaultdict(list)
     series: list[tuple[int, int]] = []
@@ -263,16 +265,16 @@ def simulate_double_spend(
         confirmed = engine.apply_block(entry)
         if events is not None and confirmed:
             events.append((height, list(map(tx_name, confirmed))))
-        penalties: list[int] = []
+        committed: list[ChannelAttack] = []
         penalty_fee = None  # the average at ``now``, shared by this block's penalties
+        losers: list[tuple[_Cohort, int]] = []  # (group, id) of each decided channel's other transaction
         for tx_id in confirmed:
             i, role = divmod(tx_id, 3)
             atk = attacks[i]
             if role == COMMIT:
                 atk.commitment_height = height
-                atk.penalty = 3 * i + PENALTY
                 penalty_fee = average_fee(engine.histogram())
-                penalties.append(atk.penalty)
+                committed.append(atk)
                 sweeps[height + atk.delay].append(atk)
                 continue
             if atk.outcome is not Outcome.UNDECIDED:
@@ -282,25 +284,31 @@ def simulate_double_spend(
             atk.decided_height = height
             undecided -= 1
             compromised_total += swept
-            loser = atk.penalty if swept else atk.sweep
-            if loser is not None and status(loser) is PENDING:
-                engine.withdraw(loser)
-        for tx_id in penalties:  # one run, so one group
-            group = engine.submit(tx_id, penalty_fee, now)
-        if honest.dynamic and penalties:
+            group = atk.penalty if swept else atk.sweep
+            if group is not None:
+                losers.append((group, 3 * i + (PENALTY if swept else SWEEP)))
+        if losers:
+            # a loser is pending unless this block confirmed it too
+            done = set(confirmed)
+            for group, loser in losers:
+                if loser not in done:
+                    engine.withdraw(group, loser)
+        for atk in committed:  # one run, so one group
+            group = atk.penalty = engine.submit(3 * atk.index + PENALTY, penalty_fee, now)
+        if honest.dynamic and committed:
             bumps[height + honest.step].append((group, honest.step, honest.beta))
         # each channel is filed once, and its penalty is pending while it is
         # undecided, so an undecided channel has no sweep yet
         expired = [atk for atk in sweeps.pop(height, ()) if atk.outcome is Outcome.UNDECIDED]
         for atk in expired:  # one run, so one group
-            atk.sweep = 3 * atk.index + SWEEP
-            group = engine.submit(atk.sweep, sweep_fee, now)
+            group = atk.sweep = engine.submit(3 * atk.index + SWEEP, sweep_fee, now)
             atk.sweep_submit_height = height
         if isinstance(sweep, Dynamic) and expired:
             bumps[height + sweep.step].append((group, sweep.step, sweep.beta))
         if strict_expiry:
             for atk in expired:
-                engine.withdraw(atk.penalty)
+                engine.withdraw(atk.penalty, 3 * atk.index + PENALTY)
+                atk.penalty = None
         # groups bumped at one instant tie on position and confirm in id
         # order, so their order is moot
         for group, step, beta in bumps.pop(height, ()):

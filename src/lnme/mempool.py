@@ -16,68 +16,36 @@ band descending, queue position ascending, submission time, id) while the
 number of strictly-higher-priority historical transactions is below the
 block's remaining capacity. Displaced historical transactions are not
 re-queued; congestion is simply re-read from the next snapshot. A
-transaction id is the caller's key: any hashable value ordered against
-the engine's other ids (the simulators use integers), so ties inside a
-cohort confirm in id order.
+transaction id is the caller's: any value ordered against the engine's
+other ids (the simulators use integers), so tied transactions confirm in
+id order.
 
-The engine queues cohorts, not transactions, and a cohort is a group: the
+The engine queues cohorts, not transactions. A cohort is a group: the
 transactions that one run of submits enters with one ``FeeRate`` object
-(the object, not an equal one) at one instant. ``submit`` returns the
-group it joined. Anything else in between ends the run: a block, even at
-an unchanged instant, a bump, a withdrawal or a clock move, so the next
-submit starts a new group, whatever its fee. A cohort holds the ids of
-exactly its pending members, in id order; withdrawals and confirmations
-take them out. Only the cohort holds its members' fee, band, instant,
-queue position and outflow mark, so all of them have the same
-``same_band_ahead``, and a bump renames the cohort in place: it takes the
+(the object, not an equal one) at one instant. ``submit`` returns it.
+Anything else in between ends the run: a block, even at an unchanged
+instant, a bump, a withdrawal or a clock move. A cohort holds its pending
+members' ids in id order, and it alone holds their fee, band, instant,
+queue position and outflow mark, so a bump renames it in place, to the
 new fee's band, the bump's instant and that band's current position, and
-no member is touched. That is the engine's one bump path: the zombie's
-victims are one group, and the double-spend's penalties of one block,
-and its sweeps of one block, are one group each. Each band holds its
-cohorts in creation order. Inside a band, cohorts are ordered by
-``(same_band_ahead, queued_at)`` and members by id, which is the priority
-order above. Cohorts of one band and one instant tie on position (both
-took it from the same snapshot), so a block confirms their members in id
-order across all of them, as one cohort would. With ``above`` historical
-transactions in higher bands, one block confirms ``max(0, min(live,
-remaining - above - same_band_ahead))`` of such a tied set's ``live``
-members, exactly what confirming them one by one would do. So queue
-order, the confirmation test and a bump cost one step per cohort, however
-many identical transactions a mass exit submits and bumps together.
+touches no member. That is the engine's one bump path. Inside a band,
+cohorts are ordered by ``(ahead, queued_at)``, ``ahead`` being the band's
+historical transactions still queued before them. Cohorts of one band and
+one instant took their position from one snapshot, so they tie: with
+``above`` historical transactions in higher bands, a block confirms
+``max(0, min(live, remaining - above - ahead))`` of their ``live``
+members, in id order across them, exactly what confirming them one by
+one would do. So queue order, the confirmation test and a bump cost one
+step per cohort, however many identical transactions a mass exit submits
+and bumps together.
 
-A transaction is its id. The engine's id map holds each id's ``home``:
-its cohort while it is pending, whose member list holds the id too, and
-nothing else. Once it has left, its home is a ``_Left`` record of the fee,
-band and instant of its last cohort, its status and its confirmation height,
-shared by the ids that a block confirms from one cohort, and by the ids
-withdrawn from one cohort. A bump writes no map entry. ``status(tx_id)``
-reads an id's status through its home, and ``tx(tx_id)`` builds a
-``MonitoredTx`` snapshot of its six values on request. The engine reads a
-status through the module constants ``PENDING``, ``CONFIRMED`` and
-``WITHDRAWN``, the ``TxStatus`` members read once: on CPython 3.11 reading
-a member through its class costs about 200 ns a time. Statuses are
-compared by identity, never hashed, as an ``Enum`` member's hash runs
-Python code.
-
-The id map is brought up to date on demand. A mass exit's submissions share
-one ``FeeRate`` object and one instant, and take rising ids. The engine
-remembers the group the last submit joined, as ``(fee, at, cohort)``, and
-the highest id ever submitted, ``_top``. A submit with that same fee object
-at that instant and an id above ``_top`` is new, as it is above every id
-seen, and sorts last in that group: it is one list append and nothing else,
-no clock move, duplicate check or map entry. The ids that join a cohort that way
-since its last map write form the open run, ``(cohort, start)``: they are
-``members[start:]``. A block writes no map entry either: each cohort it
-takes ids from appends one ``(members, start, end, _Left)`` entry to a log.
-Every read or write by id calls ``_index()`` first, which writes the run's
-ids into the map, then the log over them, and leaves the run open and empty.
-Edits that reorder a member list (an insert below the tail, a withdrawal)
-come only after ``_index()``, so the logged positions hold; a withdrawal
-then closes the run, as the run's start no longer marks its cohort's tail.
-A bump changes no member list, so the run stays open through it. So the 1M
-submits and blocks of a mass exit that nothing reads by id write one map
-entry in all. Any other submit checks for a duplicate id, then joins the
-remembered group or starts a new one, and opens a new run there.
+The engine keeps no id map: a transaction lives only in its group's
+member list, and the caller names it through that group, as in
+``withdraw(group, tx_id)``. Ids must be unique per engine, which is the
+caller's duty; the engine catches a duplicate only inside one group. A
+submit with the open group's fee object, at its instant, and an id above
+the group's last id, ``_tail``, is one list append and nothing else: the
+1M submits of a mass exit cost one member-list slot each.
 
 Blocks and cohort positions read the current snapshot's counts as a plain
 list. The ``FeeHistogram`` view of a snapshot is built only when
@@ -106,11 +74,9 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from bisect import bisect_left, bisect_right, insort
-from collections.abc import Hashable
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import merge
@@ -657,70 +623,23 @@ class ConstantAverage:
 CapacityMode = Historical | ConstantAverage
 
 
-class TxStatus(Enum):
-    PENDING = "pending"
-    CONFIRMED = "confirmed"
-    WITHDRAWN = "withdrawn"
-
-
-# the members read once, for the per-transaction paths (see the module docstring)
-PENDING, CONFIRMED, WITHDRAWN = TxStatus.PENDING, TxStatus.CONFIRMED, TxStatus.WITHDRAWN
-
-
-TxId = Hashable  # and ordered against the engine's other ids
-
-
-@dataclass(slots=True, eq=False)
-class _Left:
-    """Where a transaction that has left the queue left it: the fee, band
-    and instant of its last cohort, its status, and its confirmation height
-    (None unless confirmed). One record serves every member that a block
-    confirms from one cohort, and every member withdrawn from one cohort."""
-
-    fee: FeeRate
-    band: int
-    queued_at: int
-    status: TxStatus
-    confirmed_height: int | None
-
-
-@dataclass(frozen=True, slots=True)
-class MonitoredTx:
-    """A snapshot of one transaction of a ``ReplayEngine``, built by
-    ``ReplayEngine.tx`` on request: its id, the fee, band and instant of its
-    cohort (``queued_at`` is the replace-by-fee re-submission time used for
-    FIFO tie-breaking), its status and its confirmation height (None unless
-    confirmed). The engine keeps no record per transaction."""
-
-    id: TxId
-    fee: FeeRate
-    band: int
-    status: TxStatus = TxStatus.PENDING
-    confirmed_height: int | None = None
-    queued_at: int = 0
+TxId = object  # any value ordered against the engine's other ids
 
 
 class _Cohort:
     """A group of pending transactions: the ones that one run of submits
     entered with one fee object at one instant. ``ReplayEngine.submit``
-    returns it, and ``ReplayEngine.bump`` renames it in place.
+    returns it, ``bump`` renames it in place, and ``withdraw`` takes a
+    member out of it.
 
-    ``members[head:]`` are exactly the ids whose home is this cohort, in id
-    order, whether or not the engine's id map says so yet (the open run
-    and the confirmation log say what it has still to write); ids before
-    ``head`` have confirmed or left. ``len(cohort)`` counts them. ``pos``
-    and ``mark`` are the band's count and cumulative outflow when the
-    cohort took its band and instant: the queue position every member
-    holds, drained by the band's outflow since then. Cohorts of one band
-    and one instant took them from the same snapshot, so they tie on
-    position, and a block confirms their members in id order across them.
-    ``status`` and ``confirmed_height`` are the class's, as every member is
-    pending.
+    ``members[head:]`` are the pending members' ids, in id order; ids
+    before ``head`` have confirmed. ``pos`` and ``mark`` are the band's
+    count and cumulative outflow when the cohort took its band and
+    instant: the queue position every member holds, drained by the band's
+    outflow since then.
     """
 
-    __slots__ = ("band", "queued_at", "fee", "pos", "mark", "members", "head", "_withdrawn")
-    status = PENDING
-    confirmed_height = None
+    __slots__ = ("band", "queued_at", "fee", "pos", "mark", "members", "head")
 
     def __init__(self, band: int, queued_at: int, fee: FeeRate, pos: int, mark: int, members: list[TxId]):
         self.members = members
@@ -738,7 +657,6 @@ class _Cohort:
         self.fee = fee
         self.pos = pos
         self.mark = mark
-        self._withdrawn = None  # the _Left of members withdrawn under this name
 
     def ahead(self, outflow: list[int]) -> int:
         """Historical transactions of the band still queued before every
@@ -749,9 +667,14 @@ class _Cohort:
         return remaining if remaining > 0 else 0
 
     def add(self, tx_id: TxId) -> None:
-        """Insert an id among the live members in id order; ``submit``
-        appends the common case, an id above every member's, itself."""
-        insort(self.members, tx_id, lo=self.head)
+        """Insert an id among the pending members in id order, unless it is
+        one of them; ``submit`` appends the common case, an id above every
+        member's, itself."""
+        members = self.members
+        i = bisect_left(members, tx_id, lo=self.head)
+        if i < len(members) and members[i] == tx_id:
+            raise ReplayError(f"duplicate transaction id {tx_id!r}")
+        members.insert(i, tx_id)
 
     def remove(self, tx_id: TxId) -> None:
         members, head = self.members, self.head
@@ -760,36 +683,19 @@ class _Cohort:
             return
         i = bisect_left(members, tx_id, lo=head)
         if i == len(members) or members[i] != tx_id:
-            raise ReplayError(f"transaction {tx_id!r} is not in its cohort")
+            raise ReplayError(f"transaction {tx_id!r} is not pending in this group")
         del members[i]
 
-    def withdrawn(self) -> _Left:
-        """The home of the members withdrawn from this cohort, one for all."""
-        if self._withdrawn is None:
-            self._withdrawn = _Left(self.fee, self.band, self.queued_at, WITHDRAWN, None)
-        return self._withdrawn
 
-    def confirm(self, room: int, height: int, log: list) -> list[TxId]:
-        """Confirm up to room members in id order, logging their positions
-        with one shared ``_Left`` for the engine's id map; returns their
-        ids."""
-        head = self.head
-        taken = self.members[head:head + room]
-        self.head = end = head + len(taken)
-        log.append((self.members, head, end, _Left(self.fee, self.band, self.queued_at, CONFIRMED, height)))
-        return taken
-
-
-def _confirm_tied(cohorts: list[_Cohort], room: int, height: int, log: list) -> list[TxId]:
+def _confirm(tied: list[_Cohort], room: int) -> list[TxId]:
     """Confirm up to room members of cohorts that tie on position, in id
-    order across them, as one cohort holding all of them would. Each cohort
-    gives up the prefix of its live members up to the last id taken."""
-    runs = [cohort.members[cohort.head:cohort.head + room] for cohort in cohorts]
-    taken = list(islice(merge(*runs), room))
-    for cohort, run in zip(cohorts, runs):
-        share = bisect_right(run, taken[-1])
-        if share:
-            cohort.confirm(share, height, log)
+    order across them, as one cohort holding all of them would; returns
+    their ids. Each cohort gives up the prefix of its pending members up to
+    the last id taken."""
+    runs = [cohort.members[cohort.head:cohort.head + room] for cohort in tied]
+    taken = runs[0] if len(runs) == 1 else list(islice(merge(*runs), room))
+    for cohort, run in zip(tied, runs):
+        cohort.head += bisect_right(run, taken[-1])
     return taken
 
 
@@ -805,15 +711,6 @@ class ReplayEngine:
         self.timeline = timeline
         self._edges = [edge.centi for edge in timeline.band_edges]  # bisected as ints
         self.capacity_mode = capacity_mode
-        # each id's cohort, or how it left; up to date after _index()
-        self._homes: dict[TxId, _Cohort | _Left] = {}
-        self._top = None  # the highest id ever submitted
-        # (cohort, start): members[start:] of cohort joined it by the fast
-        # path of submit and are not in the id map yet
-        self._run: tuple[_Cohort, int] | None = None
-        # (members, start, end, left) per confirmation: members[start:end]
-        # left that way, and the id map does not say so yet
-        self._log: list[tuple[list[TxId], int, int, _Left]] = []
         # band -> its queued cohorts, in creation order
         self._bands: dict[int, list[_Cohort]] = {}
         self._snap = 0
@@ -822,8 +719,9 @@ class ReplayEngine:
         self._hist: FeeHistogram | None = None  # built by histogram() from _counts
         self._outflow = [0] * len(self._edges)  # each band's count drops since snapshot 0
         # (fee, at, cohort) of the last submit, while nothing else has
-        # happened since: the open group, which holds the open run
+        # happened since: the open group, whose last id is _tail
         self._last: tuple[FeeRate, int, _Cohort] | None = None
+        self._tail = None
         self._last_height: int | None = None
         self._avg = None  # the block average as an integer ratio num / den
         if isinstance(capacity_mode, ConstantAverage):
@@ -865,53 +763,36 @@ class ReplayEngine:
     def submit(self, tx_id: TxId, fee: FeeRate, at: int) -> _Cohort:
         """Register a pending transaction and return the group it joined.
         A new group's queue position is the historical count of its band at
-        the submission-time snapshot.
-
-        A submit with the last submit's fee object at the same instant, with
-        nothing else in between, joins that submit's group; one with an id
-        above every id submitted so far is new, and joins it, the open run,
-        with one append and no duplicate check."""
+        the submission-time snapshot. A submit with the last submit's fee
+        object at its instant, with nothing else in between, joins that
+        group: one append for an id above the group's last, an insert in id
+        order below it, and ``ReplayError`` for an id the group holds. An
+        id used in another group of this engine is not detected."""
         last = self._last
-        if last is not None and last[0] is fee and last[1] == at and tx_id > self._top:
-            cohort = last[2]
-            cohort.members.append(tx_id)
-            self._top = tx_id
-            return cohort
-        self._index()
-        homes = self._homes
-        if tx_id in homes:
-            raise ReplayError(f"duplicate transaction id {tx_id!r}")
-        top = self._top
-        rises = top is None or tx_id > top  # before any change: an id others cannot order raises here
         if last is not None and last[0] is fee and last[1] == at:
             cohort = last[2]
-        else:
-            self._advance(at)
-            band = self._band_index(fee)
-            cohort = _Cohort(band, at, fee, *self._position(band), [])
-            self._bands.setdefault(band, []).append(cohort)
-        members = cohort.members
-        if cohort.head == len(members) or tx_id > members[-1]:
-            members.append(tx_id)
-        else:
-            cohort.add(tx_id)
-        homes[tx_id] = cohort
-        if rises:
-            self._top = tx_id
+            if tx_id > self._tail:
+                cohort.members.append(tx_id)
+                self._tail = tx_id
+            else:
+                cohort.add(tx_id)
+            return cohort
+        self._advance(at)
+        band = self._band_index(fee)
+        cohort = _Cohort(band, at, fee, *self._position(band), [tx_id])
+        self._bands.setdefault(band, []).append(cohort)
         self._last = (fee, at, cohort)
-        self._run = (cohort, len(members))
+        self._tail = tx_id
         return cohort
 
     def bump(self, group: _Cohort, new_fee: FeeRate, at: int) -> None:
         """Replace-by-fee for every pending member of a group that
         ``submit`` returned: re-submission semantics, so the group's queue
         position resets to the new band's current historical count. The
-        group is renamed in place, and no member or map entry is touched.
-        Nothing changes unless the group is queued in this engine, has a
-        pending member and pays less than new_fee."""
-        cohorts = self._bands.get(group.band, ())
-        if group not in cohorts:
-            raise ReplayError("the group is not queued in this engine")
+        group is renamed in place, and no member is touched. Nothing
+        changes unless the group is queued in this engine, has a pending
+        member and pays less than new_fee."""
+        cohorts = self._queued(group)
         if not len(group):
             raise ReplayError("the group has no pending transaction")
         if new_fee.centi <= group.fee.centi:
@@ -925,13 +806,13 @@ class ReplayEngine:
         self._bands.setdefault(band, []).append(group)
         self._last = None
 
-    def withdraw(self, tx_id: TxId) -> None:
-        cohort = self._pending_home(tx_id)
-        cohort.remove(tx_id)
-        self._homes[tx_id] = cohort.withdrawn()
-        # the member list may have shortened, so the run's start may no
-        # longer mark its cohort's tail; and a withdrawal ends the open group
-        self._run = self._last = None
+    def withdraw(self, group: _Cohort, tx_id: TxId) -> None:
+        """Take a pending transaction out of the group that ``submit``
+        returned for it. Nothing changes unless the group is queued in this
+        engine and tx_id is pending in it."""
+        self._queued(group)
+        group.remove(tx_id)
+        self._last = None  # a withdrawal ends the open group
 
     def apply_block(self, entry: BlockEntry) -> list[TxId]:
         """Confirm monitored transactions that fit this block; returns their
@@ -948,7 +829,6 @@ class ReplayEngine:
         self._last = None  # a block ends the open group, even at an unchanged instant
         remaining = self._block_capacity(entry)
         confirmed: list[TxId] = []
-        log = self._log
         counts = self._counts
         suffix = [0] * (len(counts) + 1)
         for i in range(len(counts) - 1, -1, -1):
@@ -961,69 +841,27 @@ class ReplayEngine:
                 room = remaining - above - ahead
                 if room <= 0:
                     break  # groups ascend by position: the rest of the band fails too
-                if len(tied) == 1:
-                    taken = tied[0].confirm(room, entry.height, log)
-                else:
-                    taken = _confirm_tied(tied, room, entry.height, log)
+                taken = _confirm(tied, room)
                 confirmed += taken
                 remaining -= len(taken)
         return confirmed
 
     def pending(self) -> list[TxId]:
-        """The ids of the pending transactions in submission order."""
-        self._index()
-        return [tx_id for tx_id, home in self._homes.items() if home.status is PENDING]
-
-    def status(self, tx_id: TxId) -> TxStatus:
-        """A transaction's status, read through its home."""
-        return self._home(tx_id).status
-
-    def tx(self, tx_id: TxId) -> MonitoredTx:
-        """A snapshot of a transaction's id, fee, band, status, confirmation
-        height and instant, built from its home."""
-        home = self._home(tx_id)
-        return MonitoredTx(tx_id, home.fee, home.band, home.status, home.confirmed_height, home.queued_at)
-
-    def same_band_ahead(self, tx_id: TxId) -> int:
-        """Historical transactions in a pending transaction's band that must
-        confirm before it: the band count when it entered its cohort,
-        drained by the band's outflow since then, floored at zero."""
-        return self._pending_home(tx_id).ahead(self._outflow)
+        """The ids of the pending transactions, in id order."""
+        return sorted(
+            chain.from_iterable(
+                islice(cohort.members, cohort.head, None) for cohorts in self._bands.values() for cohort in cohorts
+            )
+        )
 
     # -- internals ---------------------------------------------------------
 
-    def _index(self) -> None:
-        """Bring the id map up to date: the open run's ids into its cohort,
-        then each logged confirmation over them, in the order they
-        happened. The run stays open, empty, at the end of its cohort's
-        member list. Every read or write by id, and every edit that
-        reorders a member list, comes after this, so the logged positions
-        still hold."""
-        homes = self._homes
-        if self._run is not None:
-            cohort, start = self._run
-            members = cohort.members
-            if start < len(members):
-                homes.update(zip(islice(members, start, None), repeat(cohort)))
-                self._run = (cohort, len(members))
-        if self._log:
-            for members, start, end, left in self._log:
-                homes.update(zip(islice(members, start, end), repeat(left)))
-            self._log.clear()
-
-    def _home(self, tx_id: TxId) -> _Cohort | _Left:
-        self._index()
-        home = self._homes.get(tx_id)
-        if home is None:
-            raise ReplayError(f"unknown transaction {tx_id!r}")
-        return home
-
-    def _pending_home(self, tx_id: TxId) -> _Cohort:
-        self._index()
-        home = self._homes.get(tx_id)
-        if home is None or home.status is not PENDING:
-            raise ReplayError(f"transaction {tx_id!r} is not pending")
-        return home
+    def _queued(self, group: _Cohort) -> list[_Cohort]:
+        """The cohorts of the group's band, which must hold the group."""
+        cohorts = self._bands.get(group.band, ())
+        if group not in cohorts:
+            raise ReplayError("the group is not queued in this engine")
+        return cohorts
 
     def _position(self, band: int) -> tuple[int, int]:
         """Queue position and outflow mark of a cohort entering band now."""
@@ -1032,10 +870,9 @@ class ReplayEngine:
         return self._counts[band], self._outflow[band]
 
     def _queue(self, band: int) -> list[tuple[int, list[_Cohort]]]:
-        """The band's cohorts in priority order, as (same_band_ahead,
-        cohorts) groups of the cohorts that entered the band at one instant
-        and so tie on position; cohorts that every member left are
-        dropped."""
+        """The band's cohorts in priority order, as (ahead, cohorts) groups
+        of the cohorts that entered the band at one instant and so tie on
+        position; cohorts that every member left are dropped."""
         live = [cohort for cohort in self._bands[band] if cohort.head < len(cohort.members)]
         if live:
             self._bands[band] = live

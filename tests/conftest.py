@@ -4,12 +4,13 @@ import functools
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
 from lnme.cut import Cut, Objective, cut_value
 from lnme.graph import LnGraph
-from lnme.mempool import BlockEntry, BlockTrace, FeeHistogram, FeeRate, MempoolTimeline
+from lnme.mempool import BlockEntry, BlockTrace, FeeHistogram, FeeRate, MempoolTimeline, ReplayEngine
 from lnme.scenario import Scenario
 
 T0 = 1_600_000_000
@@ -40,6 +41,72 @@ def make_blocks(count, txs, start_height=1, start=T0, interval=BLOCK_INTERVAL) -
     return BlockTrace(
         [BlockEntry(start_height + i, start + i * interval, txs) for i in range(count)]
     )
+
+
+class Tx(NamedTuple):
+    """One transaction as a ``Ledger`` reads it."""
+
+    id: object
+    fee: FeeRate
+    band: int
+    status: str  # "pending", "confirmed" or "withdrawn"
+    confirmed_height: int | None
+    queued_at: int
+
+
+class Ledger(ReplayEngine):
+    """A replay engine that keeps a test's account of its transactions.
+
+    The engine keeps no id map, so the account is read off what the engine
+    hands out: the group each ``submit`` returns, and the ids each
+    ``apply_block`` returns. A pending id's fee, band, instant and queue
+    position are its group's; an id that left keeps those of its group at
+    the moment it left. ``tx`` checks that a pending id is still among its
+    group's pending members."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.group = {}  # id -> the group submit returned for it
+        self.left = {}  # id -> its Tx at the moment it confirmed or was withdrawn
+
+    def submit(self, tx_id, fee, at):
+        group = super().submit(tx_id, fee, at)
+        self.group[tx_id] = group
+        return group
+
+    def apply_block(self, entry):
+        confirmed = super().apply_block(entry)
+        for tx_id in confirmed:
+            self.left[tx_id] = self._tx(tx_id, "confirmed", entry.height)
+        return confirmed
+
+    def withdraw(self, group, tx_id):
+        super().withdraw(group, tx_id)
+        self.left[tx_id] = self._tx(tx_id, "withdrawn", None)
+
+    def withdraw_id(self, tx_id):
+        """Withdraw an id from the group that submit returned for it."""
+        self.withdraw(self.group[tx_id], tx_id)
+
+    def _tx(self, tx_id, status, height):
+        group = self.group[tx_id]
+        return Tx(tx_id, group.fee, group.band, status, height, group.queued_at)
+
+    def tx(self, tx_id):
+        if tx_id in self.left:
+            return self.left[tx_id]
+        group = self.group[tx_id]
+        assert tx_id in group.members[group.head:], f"{tx_id!r} left its group unseen"
+        return self._tx(tx_id, "pending", None)
+
+    def status(self, tx_id):
+        return self.tx(tx_id).status
+
+    def ahead(self, tx_id):
+        """A pending id's queue position: the historical transactions of
+        its band still queued before its group."""
+        assert self.status(tx_id) == "pending"
+        return self.group[tx_id].ahead(self._outflow)
 
 
 def constant_scenario(band_edges_sat, counts, blocks, txs, capacity_mode=None) -> Scenario:

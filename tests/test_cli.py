@@ -532,6 +532,27 @@ def test_a_preset_refuses_the_values_it_ignores(workdir, capsys, command, preset
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, match", [
+    (("zombie", "--channels", 10, "--dynamic", "--initial-fee", 5, "--fee", 70),
+     "--fee applies to static runs; --dynamic starts at --initial-fee"),
+    (("zombie", "--channels", 10, "--fee", 70, "--initial-fee", 5), "--initial-fee applies to --dynamic runs"),
+    (("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, "--avg-capacity", 4_500_000),
+     "--avg-capacity applies to --profit-mode average"),
+    (("doublespend", "--cut-file", "sol.cut.json", "--attacker-fee", 70, "--profit-mode", "per-channel",
+      "--avg-capacity", 4_500_000), "--avg-capacity applies to --profit-mode average"),
+])
+def test_a_flag_the_run_would_ignore_is_refused(workdir, capsys, command, match):
+    # a static zombie reads no --initial-fee, a dynamic one no --fee, and
+    # per-channel profit no --avg-capacity: the manifest would record a
+    # value that changed nothing, so it is a usage error, and nothing is
+    # written
+    with pytest.raises(SystemExit) as exc:
+        run(*command, "--timeline", "tl.csv", "--blocks", "bl.csv", "--out", "x")
+    assert exc.value.code == 2
+    assert match in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["1e5000", "1e4000000"])
 @pytest.mark.parametrize("argv, flag", [
     (("zombie", "--channels", 10, "--fee"), "--fee"),

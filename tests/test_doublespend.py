@@ -191,10 +191,10 @@ class TestSimulate:
         for atk in report.attacks:
             assert (atk.penalty is None) == (atk.commitment_height is None)
             if atk.penalty is not None:
-                # a static penalty is never bumped, so it stays queued at its submission
-                engine, at = submitted[atk.penalty]
+                # a static penalty is never bumped, so its group stays queued at its submission
+                engine, at = submitted[3 * atk.index + PENALTY]
                 assert at == timestamp_at[atk.commitment_height]
-                assert engine.tx(atk.penalty).queued_at == at
+                assert atk.penalty.queued_at == at
 
     def test_unconfirmed_commitments_stay_undecided(self):
         # commitment fee sits inside the jammed band and never confirms
@@ -274,9 +274,9 @@ class TestSimulate:
                 CapacityScaled(max_delay=20, min_delay=5, max_funding=16_777_215),
                 congested_scenario(blocks=70),
             )
-            return report.to_json(profit_mode="per-channel", profit_sat=0)
+            return report.attacks, report.to_json(profit_mode="per-channel", profit_sat=0)
 
-        assert run() == run() == run()
+        assert run() == run() == run()  # each run's attacks hold its own engine's groups
 
     def test_report_is_the_stdlib_dump(self):
         # 4 blocks of 10 transactions leave channels undecided, some with no
@@ -358,12 +358,12 @@ class TestSchedule:
         beyond = report.series[-1][0] + 1
         for atk in report.attacks:
             ends = atk.decided_height or beyond
-            if atk.penalty is not None:
+            if atk.commitment_height is not None:
                 # strict expiry withdraws the penalty when the sweep is submitted
                 withdrawn = atk.sweep_submit_height if strict_expiry else None
-                expected[atk.penalty] = cadence(atk.commitment_height, 3, withdrawn or ends)
-            if atk.sweep is not None:
-                expected[atk.sweep] = cadence(atk.sweep_submit_height, 2, ends)
+                expected[3 * atk.index + PENALTY] = cadence(atk.commitment_height, 3, withdrawn or ends)
+            if atk.sweep_submit_height is not None:
+                expected[3 * atk.index + SWEEP] = cadence(atk.sweep_submit_height, 2, ends)
         assert actual == {tx_id: hs for tx_id, hs in expected.items() if hs}
         assert {tx_id % 3 for tx_id in actual} == {PENALTY, SWEEP}
         assert len({atk.commitment_height for atk in report.attacks}) > 1
@@ -373,17 +373,19 @@ class TestSchedule:
             assert report.compromised and report.defended
 
     @pytest.mark.parametrize("strict_expiry", [False, True])
-    def test_status_is_read_at_most_once_per_decided_channel(self, monkeypatch, rng, strict_expiry):
-        # the schedule bumps whole engine groups, so only the race's loser
-        # check reads a status: never a bump, whatever the cadences
-        reads = []
-        real_status = ReplayEngine.status
+    def test_each_withdrawal_takes_a_pending_loser_once(self, monkeypatch, rng, strict_expiry):
+        # a decided channel withdraws its other transaction from the group
+        # that holds it, unless the deciding block confirmed that one too;
+        # strict expiry withdraws each expired penalty as its sweep enters
+        withdrawn = []
+        real_withdraw = ReplayEngine.withdraw
 
-        def counting_status(engine, tx_id):
-            reads.append(tx_id)
-            return real_status(engine, tx_id)
+        def recording_withdraw(engine, group, tx_id):
+            assert tx_id in group.members[group.head:]
+            withdrawn.append(tx_id)
+            return real_withdraw(engine, group, tx_id)
 
-        monkeypatch.setattr(ReplayEngine, "status", counting_status)
+        monkeypatch.setattr(ReplayEngine, "withdraw", recording_withdraw)
         report = simulate_double_spend(
             [(f"c{i}", rng.randint(1, MAX_FUNDING_SAT)) for i in range(40)],
             PenaltyPolicy(dynamic=True, step=1, beta=1.2),
@@ -392,10 +394,19 @@ class TestSchedule:
             congested_scenario(blocks=60, txs=10),
             strict_expiry=strict_expiry,
         )
-        decided = report.compromised + report.defended
-        assert decided
-        assert len(reads) <= decided
-        assert len({tx_id // 3 for tx_id in reads}) == len(reads)  # one read per channel at most
+        assert withdrawn and len(set(withdrawn)) == len(withdrawn)
+        for tx_id in withdrawn:
+            atk = report.attacks[tx_id // 3]
+            if tx_id % 3 == SWEEP:
+                assert atk.outcome is Outcome.DEFENDED
+            else:
+                assert atk.outcome is Outcome.COMPROMISED or strict_expiry
+                assert atk.penalty is None or not strict_expiry  # a withdrawn penalty clears its group
+        penalties = sum(tx_id % 3 == PENALTY for tx_id in withdrawn)
+        if strict_expiry:
+            assert penalties == sum(atk.sweep_submit_height is not None for atk in report.attacks)
+        else:  # unless the sweep's block confirmed the penalty too
+            assert penalties <= report.compromised
 
     def test_zero_delay_sweeps_in_the_commitment_block(self):
         report = simulate_double_spend(

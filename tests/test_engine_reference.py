@@ -6,9 +6,10 @@ pending transaction and evaluates every transaction's confirmation condition
 independently each block, with no cohorts or cumulative-outflow shortcuts.
 It bumps one transaction at a time, so a group bump is one bump per pending
 member, and carries a ``ConstantAverage`` block size as an exact
-``Fraction``. Any divergence in
-confirmation order, confirmation heights, statuses or queue positions is a
-bug in the optimized bookkeeping.
+``Fraction``. The optimized engine keeps no id map, so its side is read
+through ``Ledger``: the groups its submits return and the ids its blocks
+confirm. Any divergence in confirmation order, confirmation heights,
+statuses or queue positions is a bug in the optimized bookkeeping.
 
 On top of that engine, ``reference_double_spend`` states the double-spend
 race rule by rule, per block and per channel, and is compared with
@@ -20,11 +21,10 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import floor
-from operator import and_
 
 import pytest
 
-from conftest import T0, fee, make_timeline
+from conftest import T0, Ledger, fee, make_timeline
 from lnme.doublespend import (
     COMMIT,
     MAX_FUNDING_SAT,
@@ -45,12 +45,12 @@ from lnme.mempool import (
     Historical,
     ReplayEngine,
     ReplayError,
-    TxStatus,
     _Cohort,
     average_fee,
 )
 from lnme.scenario import Scenario
 from lnme.strategies import Dynamic, Static, initial_fee
+from lnme.zombie import ZombieConfig, simulate_zombie
 
 BAND_GRIDS = (
     [0, 5, 20, 60],
@@ -87,6 +87,7 @@ class NaiveEngine:
         return [int(c) for c in self.tl.counts[self.idx]]
 
     def submit(self, tx_id, fee_rate, t):
+        assert tx_id not in self.txs, f"duplicate transaction id {tx_id!r}"
         self._advance(t)
         band = self._band(fee_rate)
         counts = self.counts()
@@ -159,7 +160,7 @@ def random_scenario(seed, lift=0, group_bumps=False):
     """Random events, several of them at one instant: submit bursts whose ids
     arrive out of lexical order or, for a share of the bursts, rise above
     every id before them (as the simulators' integer ids do), so that a
-    submit can skip the id map; bumps of the group of a random transaction
+    submit can take the append path; bumps of the group of a random transaction
     by one beta, withdrawals and blocks. A burst pays one or two fee
     objects, so its runs of one fee object form one or more groups. The
     clock stands still for a share of the events, and a burst may be
@@ -238,16 +239,15 @@ TIED_FEES = ((80, 120), (8, 15))  # two fees of one band on both grids
 
 
 def run_scenario(seed):
-    """Random events that keep the id map behind: bursts of integer ids,
+    """Random events of the simulators' shape: bursts of integer ids,
     each above every id before it, in runs of one fee object, so that a
-    submit after a burst's first one of each fee writes no map entry. Each
+    submit after a burst's first one of each fee is one append. Each
     burst is followed at its instant by a block and, seven times in ten, by
     a withdrawal of one of its ids or a bump of the group of one of them
-    (most often the last group, which holds the open run), before or after
-    the block. So the block may confirm ids before their first lookup, the
-    withdrawal may take an id inside the run and the bump may rename the
-    group that holds it. Half the bursts pay two fees of one band, whose
-    groups tie on position."""
+    (most often the last group, the open one), before or after the block.
+    So the withdrawal may take an id from the middle of its group's member
+    list and the bump may rename the open group. Half the bursts pay two
+    fees of one band, whose groups tie on position."""
     rng = random.Random(seed)
     timeline = random_timeline(rng, BAND_GRIDS[seed % len(BAND_GRIDS)])
     fees = {rate: fee(rate) for rate in SUBMIT_FEES}
@@ -299,20 +299,16 @@ def replay_both(seed, capacity_mode=Historical(), lift=0, scenario=None):
     (``bumped_after_withdrawal``), how often a submit started a new group
     with the fee object and instant of the submit before it because a block
     came in between (``split_by_block``), and how often an id joined its
-    group below the group's highest id (``out_of_order``), and how often a
+    group below the group's highest id (``out_of_order``), how often a
     submit started a new group with a fee equal to the submit's before it,
-    at its instant, but in another object (``equal_fee_objects``).
-
-    The id map is brought up to date only on demand, so it also counts how
-    often a submit wrote no map entry (``deferred``), how many block
-    confirmations took an id that had not reached the map
-    (``deferred_confirmed``), how many of those were ``tied`` too
-    (``deferred_tied``), how often a bump renamed the group that held such
-    ids (``renamed_run``), and how often a withdrawal took an id that such
-    ids followed in its cohort (``mid_run``). ``scenario``, a ``(timeline,
-    events)`` pair, replaces the random scenario."""
+    at its instant, but in another object (``equal_fee_objects``), how
+    often a withdrawal took an id that was not its group's first pending
+    member (``mid_list``), and how often a bump renamed the group that the
+    last submit joined, with nothing in between (``bumped_open_group``).
+    ``scenario``, a ``(timeline, events)`` pair, replaces the random
+    scenario."""
     timeline, events = scenario or random_scenario(seed, lift)
-    fast = ReplayEngine(timeline, capacity_mode)
+    fast = Ledger(timeline, capacity_mode)
     naive = NaiveEngine(timeline, capacity_mode)
     left = set()  # (band, at) of cohorts that a withdrawal left at their instant
     cases = Counter()
@@ -322,25 +318,14 @@ def replay_both(seed, capacity_mode=Historical(), lift=0, scenario=None):
     run = None  # (fee, at) of the open run
     split = None  # (fee, at) of the last run, while only blocks have come since
 
-    def deferred():
-        """The ids of the open run, which the id map does not hold yet."""
-        if fast._run is None:
-            return []
-        cohort, start = fast._run
-        return cohort.members[start:]
-
     for event in events:
         kind = event[0]
-        if kind == "withdraw":
-            cases["mid_run"] += event[2] in deferred()[:-1]
         if kind == "submit":
             _, t, tid, fee_rate = event
             cases["rejoined"] += (naive._band(fee_rate), t) in left
             last = fast._last  # the remembered (fee, at, cohort), or None
             cases["remembered"] += last is not None and last[0] is fee_rate and last[1] == t
-            entries = len(fast._homes)
             group = fast.submit(tid, fee_rate, t)
-            cases["deferred"] += len(fast._homes) == entries
             naive.submit(tid, fee_rate, t)
             if run is not None and run[0] is fee_rate and run[1] == t:
                 assert group is groups[-1], f"seed {seed} {event}"
@@ -374,7 +359,7 @@ def replay_both(seed, capacity_mode=Historical(), lift=0, scenario=None):
             cases["rejoined"] += band != ref["band"] and (band, t) in left
             cases["bumped_after_confirmation"] += "confirmed" in statuses
             cases["bumped_after_withdrawal"] += "withdrawn" in statuses
-            cases["renamed_run"] += bool(deferred()) and fast._run[0] is groups[index]
+            cases["bumped_open_group"] += fast._last is not None and fast._last[2] is groups[index]
             for member, status in zip(members[index], statuses):
                 if status == "pending":
                     naive.bump(member, new_fee, t)
@@ -387,8 +372,10 @@ def replay_both(seed, capacity_mode=Historical(), lift=0, scenario=None):
             run = split = None  # a withdrawal ends the open run
             if ref["queued_at"] == t:
                 left.add((ref["band"], t))
+            group = groups[group_of[tid]]
+            cases["mid_list"] += group.members[group.head] != tid
             naive.withdraw(tid)
-            fast.withdraw(tid)
+            fast.withdraw(group, tid)
         else:
             split, run = run or split, None  # a block ends the open run, even at its instant
             _, t, height, capacity = event
@@ -399,21 +386,16 @@ def replay_both(seed, capacity_mode=Historical(), lift=0, scenario=None):
             got = fast.apply_block(BlockEntry(height, t, capacity))
             want = naive.apply_block(BlockEntry(height, t, capacity))
             assert got == want, f"seed {seed} height {height}: {got} != {want}"
-            tied = [len(fees[naive.txs[tid]["band"], naive.txs[tid]["queued_at"]]) > 1 for tid in want]
-            unmapped = [tid not in fast._homes for tid in want]
-            cases["tied"] += sum(tied)
-            cases["deferred_confirmed"] += sum(unmapped)
-            cases["deferred_tied"] += sum(map(and_, tied, unmapped))
+            cases["tied"] += sum(len(fees[naive.txs[tid]["band"], naive.txs[tid]["queued_at"]]) > 1 for tid in want)
         # the kept snapshot view must follow every snapshot change
         assert fast.histogram() == fast.timeline.snapshot_at(fast.clock), f"seed {seed} {event}"
-    statuses = {"pending": TxStatus.PENDING, "confirmed": TxStatus.CONFIRMED, "withdrawn": TxStatus.WITHDRAWN}
-    assert fast.pending() == [tid for tid, ref in naive.txs.items() if ref["status"] == "pending"], f"seed {seed}"
+    assert fast.pending() == sorted(tid for tid, ref in naive.txs.items() if ref["status"] == "pending"), f"seed {seed}"
     for tid, ref in naive.txs.items():
         tx = fast.tx(tid)
-        assert tx.status is statuses[ref["status"]], f"seed {seed} {tid}"
+        assert tx.status == ref["status"], f"seed {seed} {tid}"
         assert tx.fee == ref["fee"] and tx.band == ref["band"] and tx.queued_at == ref["queued_at"]
         if ref["status"] == "pending":
-            assert fast.same_band_ahead(tid) == ref["sba"], f"seed {seed} {tid}"
+            assert fast.ahead(tid) == ref["sba"], f"seed {seed} {tid}"
         else:
             assert tx.confirmed_height == ref["height"], f"seed {seed} {tid}"
     return cases
@@ -431,7 +413,6 @@ def test_matches_naive_reference_across_seeds():
     assert cases["remembered"] >= 30
     assert cases["same_band"] >= 30
     assert cases["tied"] >= 30
-    assert cases["deferred"] >= 30
 
 
 def test_submits_below_the_cohort_tail_match_naive_reference(monkeypatch):
@@ -481,14 +462,13 @@ def test_counts_near_int64_match_naive_reference():
 
 
 @pytest.mark.parametrize("capacity_mode", [Historical(), ConstantAverage(40.5)], ids=["historical", "constant"])
-def test_deferred_index_matches_naive_reference(capacity_mode):
-    """Submits that write no map entry, then blocks, withdrawals, bumps and
-    renames that meet their ids before any read brings the map up to
-    date."""
+def test_rising_id_bursts_match_naive_reference(capacity_mode):
+    """Bursts of appended ids, then blocks, withdrawals from the middle of
+    a member list and bumps of the open group at the bursts' instant."""
     cases = Counter()
     for seed in range(30):
         cases += replay_both(seed, capacity_mode, scenario=run_scenario(seed))
-    want = ("deferred", "deferred_confirmed", "deferred_tied", "renamed_run", "mid_run", "tied")
+    want = ("remembered", "mid_list", "tied", "bumped_open_group")
     assert {case: cases[case] >= 30 for case in want} == dict.fromkeys(want, True), cases
 
 
@@ -531,7 +511,7 @@ class TestRememberedCohort:
 
     def engines(self):
         timeline = make_timeline([0, 10, 50], self.ROWS)
-        return ReplayEngine(timeline), NaiveEngine(timeline)
+        return Ledger(timeline), NaiveEngine(timeline)
 
     @staticmethod
     def replay(fast, naive, blocks):
@@ -558,9 +538,9 @@ class TestRememberedCohort:
     def test_submit_after_a_block_dropped_the_withdrawn_cohort(self):
         rate = fee(20)
         fast, naive = self.engines()
-        for eng in (fast, naive):
-            eng.submit("a", rate, T0)
-            eng.withdraw("a")
+        fast.withdraw(fast.submit("a", rate, T0), "a")
+        naive.submit("a", rate, T0)
+        naive.withdraw("a")
         assert self.replay(fast, naive, [BlockEntry(1, T0, 3)]) == [[]]
         assert 1 not in fast._bands  # the block dropped the emptied cohort
         for eng in (fast, naive):
@@ -580,7 +560,7 @@ class TestRememberedCohort:
                 for queued in fast._bands.values()
                 for c in queued
             ]
-            return fast.clock, dict(fast._homes), cohorts
+            return fast.clock, fast.pending(), cohorts
 
         before = state()
         with pytest.raises(ReplayError, match="precedes engine clock"):
@@ -739,3 +719,30 @@ def test_sweeps_at_the_penalties_fee_object_bump_on_their_own_cadence():
     assert [(a.outcome.value, a.commitment_height, a.decided_height) for a in report.attacks] == per_channel
     assert report.events == events
     assert events[1] == (5, [tx_name(3 * i + PENALTY) for i in range(5)])  # no sweep has caught up
+
+
+def test_the_simulators_submit_each_id_once_per_engine(monkeypatch):
+    """The engine keeps no id map and catches a duplicate id only inside
+    one group, so unique ids are the simulators' duty: over random attacks
+    and static and dynamic zombies, no engine is handed one id twice."""
+    seen = defaultdict(list)  # engine -> the ids submitted to it, in order
+    submit = ReplayEngine.submit
+
+    def recording_submit(engine, tx_id, fee_rate, at):
+        seen[engine].append(tx_id)
+        return submit(engine, tx_id, fee_rate, at)
+
+    monkeypatch.setattr(ReplayEngine, "submit", recording_submit)
+    for seed in range(100):
+        channels, honest, attacker, delay_policy, scenario, strict = random_attack(seed)
+        simulate_double_spend(channels, honest, attacker, delay_policy, scenario, strict_expiry=strict)
+    # 1 sat/vByte sits behind 5000 transactions until bumps lift it out of the band
+    timeline = make_timeline([0, 10, 50], [[5000, 0, 0]] * 20, interval=600)
+    scenario = Scenario(timeline, BlockTrace([BlockEntry(i + 1, T0 + 600 * i, 300) for i in range(20)]))
+    for strategy in (Static(fee(1)), Static(fee(70)), Dynamic(fee(1), 1, 1.5), Dynamic(fee(1), 3, 2.0)):
+        simulate_zombie(ZombieConfig(1000, strategy, scenario))
+    assert len(seen) == 104
+    assert {engine: len(ids) - len(set(ids)) for engine, ids in seen.items()} == dict.fromkeys(seen, 0)
+    roles = Counter(tx_id % 3 for ids in list(seen.values())[:100] for tx_id in ids)
+    assert min(roles[COMMIT], roles[PENALTY], roles[SWEEP]) > 100, roles
+    assert [len(ids) for ids in list(seen.values())[100:]] == [1000] * 4

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, constant_timeline, fee, make_timeline
+from conftest import T0, Ledger, constant_timeline, fee, make_timeline
 from lnme import cli, mempool
 from lnme.mempool import (
     BlockEntry,
@@ -22,11 +22,9 @@ from lnme.mempool import (
     ConstantAverage,
     FeeHistogram,
     FeeRate,
-    MonitoredTx,
     ReplayEngine,
     ReplayError,
     TimelineError,
-    TxStatus,
     average_fee,
     div_round_half_up,
     load_block_trace,
@@ -758,7 +756,7 @@ class TestLoadBlockTrace:
 
 def simple_engine(rows, interval=60, **kw):
     tl = make_timeline([0, 10, 50], rows, start=T0, interval=interval)
-    return ReplayEngine(tl, **kw)
+    return Ledger(tl, **kw)
 
 
 def cohorts(eng):
@@ -796,30 +794,32 @@ class TestSubmitAndBump:
     def test_submit_into_empty_band(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         eng.submit("a", fee(70), T0)
-        assert eng.same_band_ahead("a") == 0
+        assert eng.ahead("a") == 0
 
     def test_submit_behind_band_count(self):
         eng = simple_engine([[0, 12, 0]] * 3)
         eng.submit("a", fee(20), T0)
-        assert eng.same_band_ahead("a") == 12
+        assert eng.ahead("a") == 12
 
-    def test_duplicate_id(self):
+    def test_duplicate_id_in_its_group(self):
         eng = simple_engine([[0, 0, 0]] * 3)
-        eng.submit("a", fee(70), T0)
-        with pytest.raises(ReplayError, match="duplicate"):
-            eng.submit("a", fee(70), T0)
+        rate = fee(70)
+        eng.submit("a", rate, T0)
+        with pytest.raises(ReplayError, match="duplicate transaction id 'a'"):
+            eng.submit("a", rate, T0)
 
     @pytest.mark.parametrize(
         "tx_id, at, error, match",
         [
-            ("a", T0 + 160, ReplayError, "duplicate"),
+            ("a", T0 + 100, ReplayError, "duplicate"),  # below the group's last id
+            ("b", T0 + 100, ReplayError, "duplicate"),  # the group's last id
             ("late", T0 + 40, ReplayError, "precedes engine clock"),
             (7, T0 + 100, TypeError, "not supported"),  # an id the cohort's ids do not order against
         ],
-        ids=["duplicate-at-a-later-instant", "before-the-clock", "unordered-id"],
+        ids=["duplicate-inside-the-group", "duplicate-of-the-last-id", "before-the-clock", "unordered-id"],
     )
     def test_rejected_submit_changes_nothing(self, tx_id, at, error, match):
-        eng = simple_engine([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        eng = ReplayEngine(make_timeline([0, 10, 50], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
         rate = fee(20)
         eng.submit("b", rate, T0 + 100)
         eng.submit("a", rate, T0 + 100)
@@ -827,39 +827,31 @@ class TestSubmitAndBump:
         with pytest.raises(error, match=match):
             eng.submit(tx_id, rate, at)
         assert engine_state(eng) == before
-        assert before[0] == T0 + 100 and before[4] == [(1, T0 + 100, fee(20), 5, 0, ["a", "b"])]
+        assert before[0] == T0 + 100 and before[3] == [(1, T0 + 100, fee(20), 5, 0, ["a", "b"])]
+        assert eng.submit("c", rate, T0 + 100).members == ["a", "b", "c"]  # the group is still open
 
-    def test_monitored_tx_is_a_slotted_record(self):
-        rate = fee(20)
+    @pytest.mark.parametrize("case", ["unknown", "another group", "confirmed", "withdrawn", "another engine"])
+    def test_withdraw_needs_an_id_pending_in_its_group(self, case):
         eng = simple_engine([[0, 0, 0]] * 3)
-        # "b" reuses the fee object at the same instant with a higher id: it
-        # joins the group that "a" started, by one append and no map entry
+        rate = fee(70)
         group = eng.submit("a", rate, T0)
-        assert eng.submit("b", rate, T0) is group
-        assert list(eng._homes) == ["a"]
-        tx, other = eng.tx("a"), eng.tx("b")  # snapshots, built on request
-        assert eng._homes["a"] is eng._homes["b"]  # the cohort holds the fee, band and instant
-        assert not hasattr(tx, "__dict__") and not hasattr(other, "__dict__")
-        assert MonitoredTx.__slots__ == ("id", "fee", "band", "status", "confirmed_height", "queued_at")
-        assert (tx.id, tx.fee, tx.band, tx.status, tx.confirmed_height, tx.queued_at) == (
-            "a", fee(20), 1, TxStatus.PENDING, None, T0,
-        )
-        with pytest.raises(AttributeError):
-            tx.fee = fee(30)  # a frozen snapshot: the engine's state is not written through it
-        assert tx == MonitoredTx("a", fee(20), 1, TxStatus.PENDING, None, T0)
-        assert other == MonitoredTx("b", fee(20), 1, TxStatus.PENDING, None, T0)
-        assert repr(tx) == (
-            "MonitoredTx(id='a', fee=FeeRate(centi=2000), band=1, "
-            f"status=<TxStatus.PENDING: 'pending'>, confirmed_height=None, queued_at={T0})"
-        )
-
-    def test_status_and_snapshot_of_an_unknown_id(self):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        eng.submit("a", fee(20), T0)
-        assert eng.status("a") is TxStatus.PENDING
-        for query in (eng.status, eng.tx):
-            with pytest.raises(ReplayError, match="unknown transaction 'b'"):
-                query("b")
+        eng.submit("b", rate, T0)
+        other = eng.submit("c", fee(20), T0)
+        tx_id, match = "a", "not pending in this group"
+        if case == "unknown":
+            tx_id = "z"
+        elif case == "another group":
+            group = other
+        elif case == "confirmed":
+            assert eng.apply_block(BlockEntry(1, T0, 1)) == ["a"]
+        elif case == "withdrawn":
+            eng.withdraw(group, "a")
+        else:
+            group, match = ReplayEngine(eng.timeline).submit("a", rate, T0), "not queued in this engine"
+        before = engine_state(eng)
+        with pytest.raises(ReplayError, match=match):
+            eng.withdraw(group, tx_id)
+        assert engine_state(eng) == before
 
     def test_a_submit_holds_no_object_of_its_own(self):
         """Submits of rising ids that share one fee object and one instant
@@ -870,9 +862,8 @@ class TestSubmitAndBump:
         - ``sys.getsizeof(cohort.members)``: the member list and its
           over-allocated slots, 8 bytes a slot; the ids are made before
           tracing;
-        - ``SLACK``: the one cohort, its band's list, the first id's map
-          entry, the remembered ``(fee, at, cohort)`` and the open run
-          ``(cohort, start)``, a few hundred bytes that do not grow with n.
+        - ``SLACK``: the one cohort, its band's list and the remembered
+          ``(fee, at, cohort)``, a few hundred bytes that do not grow with n.
         A map entry per id would exceed the bound by at least n * 24 bytes
         (a hash, a key and a value), 4.8 MB here, and even the smallest
         object per id by n * 16 bytes (a reference count and a type
@@ -880,7 +871,7 @@ class TestSubmitAndBump:
         n, SLACK = 200_000, 4096
         rate = fee(20)
         ids = list(range(n))
-        eng = simple_engine([[0, 0, 0]] * 3)
+        eng = ReplayEngine(make_timeline([0, 10, 50], [[0, 0, 0]] * 3))
         submit = eng.submit
         tracemalloc.start()
         try:
@@ -893,23 +884,23 @@ class TestSubmitAndBump:
         [[cohort]] = eng._bands.values()
         assert cohort.members == ids and cohort.head == 0
         assert held <= sys.getsizeof(cohort.members) + SLACK
-        assert eng.pending() == ids  # the ids reach the map on the first read
+        assert eng.pending() == ids
 
     def test_bump_to_empty_band_resets_queue(self):
         eng = simple_engine([[0, 40, 0]] * 3)
         group = eng.submit("a", fee(20), T0)
-        assert eng.same_band_ahead("a") == 40
+        assert eng.ahead("a") == 40
         assert eng.bump(group, fee(60), T0) is None
-        assert eng.same_band_ahead("a") == 0
+        assert eng.ahead("a") == 0
         assert eng.tx("a").band == 2
 
     def test_bump_within_band_resets_to_current_count(self):
         eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
         group = eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
-        assert eng.same_band_ahead("a") == 25  # drained 15 by outflow
+        assert eng.ahead("a") == 25  # drained 15 by outflow
         eng.bump(group, fee(30), T0 + 60)
-        assert eng.same_band_ahead("a") == 25  # reset to the band's current count
+        assert eng.ahead("a") == 25  # reset to the band's current count
 
     def test_a_bump_moves_every_pending_member_of_its_group(self):
         eng = simple_engine([[0, 40, 9]] * 3)
@@ -917,10 +908,10 @@ class TestSubmitAndBump:
         for tid in ("c", "a", "b"):
             group = eng.submit(tid, rate, T0)
         other = eng.submit("d", fee(12), T0)
-        eng.withdraw("c")
+        eng.withdraw(group, "c")
         eng.bump(group, fee(70), T0 + 60)
         moved = [eng.tx(t) for t in ("a", "b")]
-        assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in moved] == [
+        assert [(tx.fee, tx.band, tx.queued_at, eng.ahead(tx.id)) for tx in moved] == [
             (fee(70), 2, T0 + 60, 9)
         ] * 2
         assert eng.tx("c").fee == fee(20)
@@ -960,14 +951,14 @@ class TestSubmitAndBump:
 
 
 def engine_state(eng):
-    """Everything a rejected submit or bump must leave as it found it."""
+    """Everything a rejected submit, bump or withdrawal must leave as it
+    found it."""
     queued = [
         (c.band, c.queued_at, c.fee, c.pos, c.mark, c.members[c.head:])
         for band in sorted(eng._bands)
         for c in eng._bands[band]
     ]
-    pending = eng.pending()  # brings the id map up to date
-    return eng.clock, eng.histogram(), dict(eng._homes), pending, queued
+    return eng.clock, eng.histogram(), eng.pending(), queued
 
 
 class TestGroups:
@@ -986,8 +977,7 @@ class TestGroups:
         if between == "block":
             assert eng.apply_block(BlockEntry(1, T0, 0)) == []  # at an unchanged instant
         elif between == "withdrawal":
-            eng.submit(0, fee(12), T0)
-            eng.withdraw(0)
+            eng.withdraw(eng.submit(0, fee(12), T0), 0)
         elif between == "bump":
             eng.bump(eng.submit(0, fee(12), T0), fee(30), T0)
         else:
@@ -1006,6 +996,18 @@ class TestGroups:
         assert group.members == [1, 3, 5, 7, 9] and len(group) == 5
         assert eng.submit(2, fee(20), T0) is not group  # an equal fee, another object
 
+    def test_an_id_below_the_groups_last_is_checked_and_inserted(self):
+        eng = simple_engine(self.ROWS)
+        rate = fee(70)
+        for i in (2, 4, 6):
+            group = eng.submit(i, rate, T0)
+        with pytest.raises(ReplayError, match="duplicate transaction id 4"):
+            eng.submit(4, rate, T0)
+        assert eng.submit(3, rate, T0) is group  # below the last id: checked, then inserted in id order
+        assert eng.submit(7, rate, T0) is group  # above it again: appended
+        assert group.members == eng.pending() == [2, 3, 4, 6, 7]
+        assert eng.apply_block(BlockEntry(1, T0, 5)) == [2, 3, 4, 6, 7]
+
     @pytest.mark.parametrize("case", ["withdrawn", "confirmed", "another engine", "fee not above"])
     def test_rejected_bump_changes_nothing(self, case):
         eng = simple_engine(self.ROWS)
@@ -1015,8 +1017,8 @@ class TestGroups:
         eng.submit("c", fee(60), T0)
         new_fee = fee(70)
         if case == "withdrawn":
-            eng.withdraw("a")
-            eng.withdraw("b")
+            eng.withdraw(group, "a")
+            eng.withdraw(group, "b")
             match = "no pending transaction"
         elif case == "confirmed":
             assert eng.apply_block(BlockEntry(1, T0, 7)) == ["c", "a", "b"]
@@ -1046,22 +1048,22 @@ class TestDecay:
         eng = simple_engine([[0, 50, 0], [0, 30, 0]])
         eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
-        assert eng.same_band_ahead("a") == 30
+        assert eng.ahead("a") == 30
 
     def test_inflow_ignored(self):
         eng = simple_engine([[0, 30, 0], [0, 50, 0]])
         eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
-        assert eng.same_band_ahead("a") == 30
+        assert eng.ahead("a") == 30
 
     def test_floor_at_zero(self):
         eng = simple_engine([[0, 5, 0], [0, 0, 0], [0, 9, 0], [0, 0, 0]])
         eng.submit("a", fee(20), T0)
         eng.apply_block(BlockEntry(1, T0 + 60, 0))
-        assert eng.same_band_ahead("a") == 0
+        assert eng.ahead("a") == 0
         eng.apply_block(BlockEntry(2, T0 + 120, 0))  # counts rise to 9
         eng.apply_block(BlockEntry(3, T0 + 180, 0))  # and drain again: stays floored
-        assert eng.same_band_ahead("a") == 0
+        assert eng.ahead("a") == 0
 
     def test_block_past_end_rejected(self):
         eng = simple_engine([[0, 0, 0]])
@@ -1081,10 +1083,10 @@ def check_carried_outflow(rows, visits):
     """Visit the timeline of rows at the non-decreasing (snapshot, seconds
     into it) instants of visits, submitting one transaction each, in the
     band that the visit's index picks. At every visit the engine's carried
-    outflow, and every pending transaction's ``same_band_ahead``, must equal
-    a direct sum from row 0."""
+    outflow, and every pending transaction's queue position, must equal a
+    direct sum from row 0."""
     edges = [0, 10, 50][:len(rows[0])]
-    eng = ReplayEngine(make_timeline(edges, rows))
+    eng = Ledger(make_timeline(edges, rows))
     entries = []  # (tx id, band, snapshot) per submit
     last = 0
     for n, (i, offset) in enumerate(visits):
@@ -1097,7 +1099,7 @@ def check_carried_outflow(rows, visits):
         last = i
         for tx_id, b, at in entries:
             drained = now[b] - direct_outflow(rows, at)[b]
-            assert eng.same_band_ahead(tx_id) == max(0, rows[at][b] - drained)
+            assert eng.ahead(tx_id) == max(0, rows[at][b] - drained)
 
 
 class TestCarriedOutflow:
@@ -1211,10 +1213,9 @@ class TestApplyBlock:
     def test_lower_band_can_pass_blocked_higher_band(self):
         # the higher band is saturated but a lower-band tx still fits
         eng = simple_engine([[0, 0, 0], [0, 0, 0]])
-        eng.submit("blocked", fee(70), T0)
         # stuck behind a synthetic backlog; the public API never puts a
         # cohort above its band's current count
-        eng._homes["blocked"].pos = 10**6
+        eng.submit("blocked", fee(70), T0).pos = 10**6
         eng.submit("nimble", fee(20), T0)
         confirmed = eng.apply_block(BlockEntry(1, T0, 5))
         assert confirmed == ["nimble"]
@@ -1225,50 +1226,38 @@ class TestApplyBlock:
         with pytest.raises(ReplayError, match="out of order"):
             eng.apply_block(BlockEntry(5, T0, 1))
 
-    def test_same_band_ahead_needs_a_pending_tx(self):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        for tid in ("done", "gone", "left"):
-            eng.submit(tid, fee(70), T0)
-        eng.withdraw("gone")
-        eng.apply_block(BlockEntry(1, T0, 1))
-        assert eng.status("done") is TxStatus.CONFIRMED
-        assert eng.same_band_ahead("left") == 0
-        for tid in ("done", "gone", "unknown"):
-            with pytest.raises(ReplayError, match="not pending"):
-                eng.same_band_ahead(tid)
-
     def test_withdraw_removes_from_race(self):
         eng = simple_engine([[0, 0, 0]] * 3)
-        eng.submit("a", fee(70), T0)
-        assert eng.withdraw("a") is None
+        group = eng.submit("a", fee(70), T0)
+        assert eng.withdraw(group, "a") is None
         assert eng.apply_block(BlockEntry(1, T0, 5)) == []
-        assert eng.status("a") is TxStatus.WITHDRAWN
+        assert eng.status("a") == "withdrawn" and eng.pending() == []
 
     def test_cohort_members_leave_from_the_middle(self):
         eng = simple_engine([[0, 0, 0]] * 3)
         rate = fee(20)
         for tid in ("d", "b", "e", "a", "c"):
             eng.submit(tid, rate, T0)
-        eng.withdraw("c")
-        eng.withdraw("b")
+        eng.withdraw_id("c")
+        eng.withdraw_id("b")
         assert cohorts(eng) == [(1, T0, fee(20), ["a", "d", "e"])]
         assert eng.apply_block(BlockEntry(1, T0 + 60, 10)) == ["a", "d", "e"]
-        assert eng.status("c") is eng.status("b") is TxStatus.WITHDRAWN
+        assert eng.status("c") == eng.status("b") == "withdrawn"
 
     @pytest.mark.parametrize("block_between", [False, True])
     def test_emptied_cohort_rejoined_at_its_instant_keeps_its_position(self, block_between):
         eng = simple_engine([[0, 40, 0], [0, 25, 0], [0, 25, 0]])
         rate = fee(20)
         emptied = eng.submit("a", rate, T0)
-        eng.withdraw("a")
+        eng.withdraw(emptied, "a")
         if block_between:  # drops the emptied cohort
             assert eng.apply_block(BlockEntry(1, T0, 5)) == []
         assert eng.submit("b", rate, T0) is not emptied  # the withdrawal ended the group
         assert cohorts(eng)[-1] == (1, T0, fee(20), ["b"])
         assert len(cohorts(eng)) == (1 if block_between else 2)
-        assert eng.same_band_ahead("b") == 40
+        assert eng.ahead("b") == 40
         eng.apply_block(BlockEntry(2, T0 + 60, 0))
-        assert eng.same_band_ahead("b") == 25  # drained 15 by outflow
+        assert eng.ahead("b") == 25  # drained 15 by outflow
         assert eng.apply_block(BlockEntry(3, T0 + 60, 26)) == ["b"]
 
     def test_fees_of_one_band_and_instant_confirm_in_id_order(self):
@@ -1284,7 +1273,7 @@ class TestApplyBlock:
         assert [(tx.id, tx.fee, tx.confirmed_height) for tx in map(eng.tx, confirmed)] == [
             ("a", fee(20), 1), ("b", fee(30), 1), ("c", fee(25), 1),
         ]
-        assert eng.pending() == ["e", "d"]
+        assert eng.pending() == ["d", "e"]  # id order
         assert eng.apply_block(BlockEntry(2, T0 + 60, 10)) == ["d", "e"]
 
     def test_constant_average_capacity(self):
@@ -1319,106 +1308,41 @@ class TestApplyBlock:
 
 
 class TestCohortHome:
-    """A pending transaction's home is its cohort, which holds its fee, band
-    and instant; a transaction that has left reads them from the shared
-    record of how it left."""
+    """A pending transaction lives in its group's member list, and the
+    group holds its fee, band and instant: a bump renames the group and
+    moves none of its members, and a member that left is not moved."""
 
     def test_a_bump_touches_no_member(self):
         eng = simple_engine([[0, 0, 9]] * 3)
-        homes = eng._homes
         rate = fee(20)
         for i in range(5):
             cohort = eng.submit(i, rate, T0)
-        assert eng.pending() == [0, 1, 2, 3, 4]  # writes the open run into the map
-        before = dict(homes)
+        members = cohort.members
         eng.bump(cohort, fee(70), T0 + 60)
-        assert homes == before and all(homes[i] is cohort for i in range(5))  # renamed in place
+        assert cohort.members is members and members == [0, 1, 2, 3, 4]  # renamed in place
         assert cohorts(eng) == [(2, T0 + 60, fee(70), [0, 1, 2, 3, 4])]
-        assert [(tx.fee, tx.band, tx.queued_at, eng.same_band_ahead(tx.id)) for tx in map(eng.tx, range(5))] == [
+        assert [(tx.fee, tx.band, tx.queued_at, eng.ahead(tx.id)) for tx in map(eng.tx, range(5))] == [
             (fee(70), 2, T0 + 60, 9)
         ] * 5
-        confirmed = eng.apply_block(BlockEntry(1, T0 + 60, 12))
-        assert confirmed == [0, 1, 2]
-        assert all(homes[i] is homes[0] for i in confirmed)  # one record per cohort and block
-        eng.withdraw(3)
-        eng.withdraw(4)
-        assert homes[3] is homes[4]  # one record per cohort
+        assert eng.apply_block(BlockEntry(1, T0 + 60, 12)) == [0, 1, 2]
 
     @pytest.mark.parametrize("leave", ["withdraw", "confirm"])
-    def test_left_record_keeps_its_values_through_a_rename(self, leave):
+    def test_a_bump_after_a_member_left_moves_the_others(self, leave):
         eng = simple_engine([[0, 0, 0]] * 3)
         rate = fee(20)
         for tid in ("a", "b", "c"):
             cohort = eng.submit(tid, rate, T0)
         if leave == "withdraw":
-            eng.withdraw("a")
-            status, height = TxStatus.WITHDRAWN, None
+            eng.withdraw(cohort, "a")
         else:
             assert eng.apply_block(BlockEntry(1, T0, 1)) == ["a"]
-            status, height = TxStatus.CONFIRMED, 1
-        eng.bump(cohort, fee(70), T0 + 60)  # a bump after a member left
-        assert eng.pending() == ["b", "c"] and eng._homes["b"] is cohort
-        eng.withdraw("b")  # withdrawn under the cohort's new key
-        left = [(tx.id, tx.fee, tx.band, tx.queued_at, tx.status, tx.confirmed_height) for tx in map(eng.tx, "ab")]
-        assert left == [
-            ("a", fee(20), 1, T0, status, height),
-            ("b", fee(70), 2, T0 + 60, TxStatus.WITHDRAWN, None),
-        ]
+        eng.bump(cohort, fee(70), T0 + 60)
+        assert cohorts(eng) == [(2, T0 + 60, fee(70), ["b", "c"])]
+        eng.withdraw(cohort, "b")  # withdrawn under the cohort's new name
+        with pytest.raises(ReplayError, match="'a' is not pending in this group"):
+            eng.withdraw(cohort, "a")
+        assert cohorts(eng) == [(2, T0 + 60, fee(70), ["c"])]
         assert [(tx.id, tx.fee) for tx in map(eng.tx, eng.pending())] == [("c", fee(70))]
-
-
-class TestDeferredIndex:
-    """Rising ids that share the last submit's fee object and instant join
-    its cohort by one append; the id map learns of them, and of the blocks
-    that confirm them, only when something reads or writes by id."""
-
-    def test_confirmed_and_renamed_before_the_first_read(self):
-        eng = simple_engine([[0, 0, 9]] * 3)
-        rate = fee(70)
-        for i in range(6):
-            group = eng.submit(i, rate, T0)
-        assert list(eng._homes) == [0]  # 1 to 5 are the open run
-        assert eng.apply_block(BlockEntry(1, T0, 11)) == [0, 1]  # 9 ahead of them
-        eng.bump(group, fee(80), T0 + 60)  # renames the cohort that holds the run
-        assert list(eng._homes) == [0]
-        assert [eng.status(i) for i in range(6)] == [TxStatus.CONFIRMED] * 2 + [TxStatus.PENDING] * 4
-        assert eng.pending() == [2, 3, 4, 5]
-        assert [(tx.fee, tx.confirmed_height) for tx in map(eng.tx, range(6))] == (
-            [(fee(70), 1)] * 2 + [(fee(80), None)] * 4
-        )
-
-    def test_an_id_below_the_highest_is_checked_and_inserted(self):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        rate = fee(70)
-        for i in (2, 4, 6):
-            eng.submit(i, rate, T0)
-        with pytest.raises(ReplayError, match="duplicate transaction id 4"):
-            eng.submit(4, rate, T0)
-        eng.submit(3, rate, T0)  # below the highest id: checked, then inserted in id order
-        eng.submit(7, rate, T0)  # above it again: appended, with no map entry
-        assert list(eng._homes) == [2, 4, 6, 3]
-        assert eng.pending() == [2, 4, 6, 3, 7]  # submission order
-        assert eng.apply_block(BlockEntry(1, T0, 5)) == [2, 3, 4, 6, 7]
-
-    @pytest.mark.parametrize(
-        "edit, pending",
-        [
-            ("withdraw", [0, 1, 3, 4]),  # deletes 2 from the middle of the member list: closes the run
-            ("bump", [0, 1, 2, 3, 4]),  # renames the run's group: the run stays open
-        ],
-    )
-    def test_an_edit_inside_the_run_ends_its_group(self, edit, pending):
-        eng = simple_engine([[0, 0, 0]] * 3)
-        rate = fee(70)
-        for i in range(4):
-            group = eng.submit(i, rate, T0)
-        if edit == "withdraw":
-            eng.withdraw(2)
-        else:
-            eng.bump(group, fee(80), T0)  # same band and instant: ties with 4
-        assert eng.submit(4, rate, T0) is not group
-        assert eng.pending() == pending
-        assert eng.apply_block(BlockEntry(1, T0, 9)) == pending
 
 
 class TestEngineProperties:
@@ -1438,15 +1362,13 @@ class TestEngineProperties:
         eng = simple_engine([[0, 7, 0]] * 10)
         for i in range(20):
             eng.submit(f"t{i:02d}", fee(20 if i % 2 else 70), T0)
-        eng.withdraw("t03")
+        eng.withdraw_id("t03")
         for h in range(1, 6):
             eng.apply_block(BlockEntry(h, T0 + 60 * (h - 1), 3))
         statuses = [eng.status(f"t{i:02d}") for i in range(20)]
-        assert len(statuses) == 20
-        assert all(
-            s in (TxStatus.PENDING, TxStatus.CONFIRMED, TxStatus.WITHDRAWN) for s in statuses
-        )
-        confirmed = sum(1 for s in statuses if s is TxStatus.CONFIRMED)
+        assert set(statuses) <= {"pending", "confirmed", "withdrawn"}
+        confirmed = statuses.count("confirmed")
+        assert statuses.count("withdrawn") == 1
         assert confirmed + len(eng.pending()) + 1 == 20
 
     def test_capacity_accounting_per_block(self):
